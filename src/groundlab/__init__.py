@@ -5,19 +5,18 @@ The package studies the interaction energy of a probability measure with
 itself under a radial pair potential: which potentials admit a
 nonpositive-energy measure, which are stable, and what particle
 minimizers look like.  See the module docstrings of
-:mod:`groundlab.potentials`, :mod:`groundlab.measures`,
-:mod:`groundlab.energy`, :mod:`groundlab.stability` and
-:mod:`groundlab.groundstate` for details, and :mod:`groundlab.cli` for the
-command-line frontend.
+:mod:`groundlab.potentials`, :mod:`groundlab.radial`,
+:mod:`groundlab.measures`, :mod:`groundlab.energy`,
+:mod:`groundlab.stability` and :mod:`groundlab.groundstate` for details,
+and :mod:`groundlab.cli` for the command-line frontend.
 """
 
 from .energy import EnergyReport, bilinear_form, energy_grid, energy_pointcloud
 from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
-                     InfiniteEnergy, InvariantViolation, MassEscapes,
-                     NonDifferentiable, NotAbsolutelyIntegrable,
-                     NotSquareIntegrable, OptimizerStalled,
-                     OscillatoryQuadratureFailure, ParticleCollision,
-                     QuadratureFailure, WitnessFailed)
+                     InvariantViolation, MassEscapes, NonDifferentiable,
+                     NotAbsolutelyIntegrable, NotSquareIntegrable,
+                     OptimizerStalled, OscillatoryQuadratureFailure,
+                     ParticleCollision, QuadratureFailure, WitnessFailed)
 from .geometry import unit_ball_volume, unit_sphere_area
 from .groundstate import (MinimizationTrace, ScanRow, classify_trace,
                           ground_state_scan, minimize_particles)
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EnergyReport", "bilinear_form", "energy_grid", "energy_pointcloud",
     "ConfigError", "DimensionUnsupported", "GroundlabError",
-    "InfiniteEnergy", "InvariantViolation", "MassEscapes",
+    "InvariantViolation", "MassEscapes",
     "NonDifferentiable", "NotAbsolutelyIntegrable", "NotSquareIntegrable",
     "OptimizerStalled", "OscillatoryQuadratureFailure", "ParticleCollision",
     "QuadratureFailure", "WitnessFailed",

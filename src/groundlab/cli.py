@@ -29,10 +29,12 @@ Config keys and defaults (unknown keys are rejected):
     seeds         nonempty int list, default [0]
     quad_tol      float, default 1e-8
     decision_tol  float, default 1e-6
-    stability:    criteria (subset of ["integral", "gaussian_weighted",
-                  "fourier", "ruc_search"], default all), p_grid, xi_grid,
-                  build_witness (default true), n_list (default
-                  [8, 16, 32, 64]), optimizer_budget (default 400)
+    stability:    criteria (list, subset of ["integral",
+                  "gaussian_weighted", "fourier", "ruc_search"], default
+                  all), p_grid (entries > 0), xi_grid (entries >= 0),
+                  build_witness (default true), n_list (at least two
+                  distinct sizes >= 2, default [8, 16, 32, 64]),
+                  optimizer_budget (default 400)
     minimize:     n (default 16, must be >= 2), init (default
                   "random_ball"), max_iter (default 500), grad_tol
                   (default 1e-8)
@@ -50,8 +52,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import (ConfigError, GroundlabError, InvariantViolation,
-                     NonDifferentiable, NotAbsolutelyIntegrable,
+from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
+                     InvariantViolation, NonDifferentiable,
+                     NotAbsolutelyIntegrable,
                      NotSquareIntegrable, OptimizerStalled,
                      OscillatoryQuadratureFailure, ParticleCollision,
                      QuadratureFailure, WitnessFailed)
@@ -115,8 +118,28 @@ def build_potential(block) -> RadialPotential:
         if family == "gaussmix":
             return GaussianMix([tuple(t) for t in block["terms"]], dimension)
         return Tabulated(block["radii"], block["values"], dimension)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DimensionUnsupported) as exc:
         raise ConfigError(f"invalid potential block: {exc}") from exc
+
+
+def _number(raw: dict, key: str, default, kind=float):
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}") from None
+
+
+def _grid(raw: dict, key: str, positive: bool):
+    """Optional nonempty list of numbers, each > 0 (positive) or >= 0."""
+    values = raw.get(key)
+    if values is not None and not (isinstance(values, list) and values and all(
+            type(v) in (int, float) and (v > 0 or v == 0 and not positive)
+            for v in values)):
+        raise ConfigError(f"'{key}' must be a nonempty list of "
+                          f"{'positive' if positive else 'nonnegative'} "
+                          f"numbers, got {values!r}")
+    return values
 
 
 def load_config(path) -> dict:
@@ -145,8 +168,8 @@ def load_config(path) -> dict:
         "potential": raw["potential"],
         "output_dir": raw.get("output_dir", "out"),
         "seeds": raw.get("seeds", [0]),
-        "quad_tol": float(raw.get("quad_tol", 1e-8)),
-        "decision_tol": float(raw.get("decision_tol", 1e-6)),
+        "quad_tol": _number(raw, "quad_tol", 1e-8),
+        "decision_tol": _number(raw, "decision_tol", 1e-6),
     }
     seeds = config["seeds"]
     if (not isinstance(seeds, list) or not seeds
@@ -155,27 +178,33 @@ def load_config(path) -> dict:
 
     if command == "stability":
         criteria = raw.get("criteria", list(_ALL_CRITERIA))
-        bad = sorted(set(criteria) - set(_ALL_CRITERIA))
-        if bad:
-            raise ConfigError(f"unknown criteria {bad}; choose from "
-                              f"{list(_ALL_CRITERIA)}")
+        if not (isinstance(criteria, list)
+                and all(c in _ALL_CRITERIA for c in criteria)):
+            raise ConfigError(f"'criteria' must be a list drawn from "
+                              f"{list(_ALL_CRITERIA)}, got {criteria!r}")
+        n_list = raw.get("n_list", [8, 16, 32, 64])
+        if not (isinstance(n_list, list)
+                and all(type(n) is int and n >= 2 for n in n_list)
+                and len(set(n_list)) > 1):
+            raise ConfigError(f"'n_list' must hold at least two distinct "
+                              f"integer sizes >= 2, got {n_list!r}")
         config.update({
             "criteria": list(criteria),
-            "p_grid": raw.get("p_grid"),
-            "xi_grid": raw.get("xi_grid"),
+            "p_grid": _grid(raw, "p_grid", positive=True),
+            "xi_grid": _grid(raw, "xi_grid", positive=False),
             "build_witness": bool(raw.get("build_witness", True)),
-            "n_list": raw.get("n_list", [8, 16, 32, 64]),
-            "optimizer_budget": int(raw.get("optimizer_budget", 400)),
+            "n_list": n_list,
+            "optimizer_budget": _number(raw, "optimizer_budget", 400, int),
         })
     elif command == "minimize":
-        n = int(raw.get("n", 16))
+        n = _number(raw, "n", 16, int)
         if n < 2:
             raise ConfigError(f"'n' must be >= 2, got {n}")
         config.update({
             "n": n,
             "init": raw.get("init", "random_ball"),
-            "max_iter": int(raw.get("max_iter", 500)),
-            "grad_tol": float(raw.get("grad_tol", 1e-8)),
+            "max_iter": _number(raw, "max_iter", 500, int),
+            "grad_tol": _number(raw, "grad_tol", 1e-8),
         })
         if config["init"] not in ("lattice", "random_ball", "two_cluster"):
             raise ConfigError(
@@ -187,14 +216,14 @@ def load_config(path) -> dict:
                 or not all(isinstance(v, list) and v for v in grid.values())):
             raise ConfigError("'grid' must map parameter names to nonempty "
                               "value lists")
-        n = int(raw.get("n", 16))
+        n = _number(raw, "n", 16, int)
         if n < 2:
             raise ConfigError(f"'n' must be >= 2, got {n}")
         config.update({
             "grid": grid,
             "n": n,
-            "max_iter": int(raw.get("max_iter", 400)),
-            "grad_tol": float(raw.get("grad_tol", 1e-8)),
+            "max_iter": _number(raw, "max_iter", 400, int),
+            "grad_tol": _number(raw, "grad_tol", 1e-8),
             "with_stability": bool(raw.get("with_stability", True)),
         })
     return config
@@ -206,7 +235,6 @@ def _metadata(config, args) -> dict:
         "command": config["command"],
         "seeds": config["seeds"],
         "seed_override": args.seed_override,
-        "threads": args.threads,
     }
 
 
@@ -430,9 +458,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="output directory (overrides config)")
         cmd.add_argument("--seed-override", type=int, default=None,
                          help="replace the config's seed list")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="recorded in metadata; computations run "
-                              "sequentially")
     return parser
 
 

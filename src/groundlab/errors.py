@@ -34,10 +34,6 @@ class DimensionUnsupported(GroundlabError):
     """The requested ambient dimension is outside the supported range."""
 
 
-class InfiniteEnergy(GroundlabError):
-    """Raised only where an infinite energy cannot be signalled by value."""
-
-
 class NonDifferentiable(GroundlabError):
     """The potential carries no derivative model."""
 

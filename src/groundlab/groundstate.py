@@ -89,7 +89,7 @@ class MinimizationTrace:
                 writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
 
 
-def _pair_energy_terms(potential, config, clamp):
+def _pair_energy_terms(config, clamp):
     d = pdist(config)
     if clamp:
         d = np.maximum(d, _MIN_SEPARATION)
@@ -98,13 +98,13 @@ def _pair_energy_terms(potential, config, clamp):
 
 def _energy(potential, config, clamp):
     n = config.shape[0]
-    d = _pair_energy_terms(potential, config, clamp)
+    d = _pair_energy_terms(config, clamp)
     return (2.0 / n**2) * float(np.sum(potential(d)))
 
 
 def _energy_and_gradient(potential, config, clamp):
     n, dim = config.shape
-    d = _pair_energy_terms(potential, config, clamp)
+    d = _pair_energy_terms(config, clamp)
     energy = (2.0 / n**2) * float(np.sum(potential(d)))
     slopes = potential.derivative(d)
     mat = squareform(slopes / d)
@@ -203,7 +203,7 @@ def minimize_particles(potential: RadialPotential, n: int,
     config = config - config.mean(axis=0)
 
     energy, grad = _energy_and_gradient(potential, config, clamp)
-    d0 = _pair_energy_terms(potential, config, clamp)
+    d0 = _pair_energy_terms(config, clamp)
     slope_scale = float(np.max(np.abs(potential.derivative(d0))))
     step = 1.0 / (n * slope_scale) if slope_scale > 0 else 1.0
 
@@ -249,8 +249,7 @@ def minimize_particles(potential: RadialPotential, n: int,
 
         energies.append(energy)
         q90.append(_q90_radius(config))
-        max_pd.append(float(np.max(_pair_energy_terms(potential, config,
-                                                      clamp))))
+        max_pd.append(float(np.max(_pair_energy_terms(config, clamp))))
         steps.append(trial)
         if it % stride == 0:
             snapshots.append((it, config.copy()))
@@ -323,8 +322,9 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
     range, freezing the trace mid-expansion).  dichotomy: the final
     configuration splits into two clusters whose separation dwarfs their
     diameters by ``cluster_gap_ratio``, with stable membership over the
-    window.  tight: the q90 radius moved less than 10% over the window
-    (or the configuration collapsed outright).  Checked in that order.
+    window.  tight: the configuration collapsed outright (checked first),
+    or the q90 radius moved less than 10% over the window.  The rest are
+    checked in the order above.
 
     With ``return_details`` the label comes with a diagnostics dict; for
     dichotomy it carries the mass fraction ``alpha`` of one cluster along
@@ -357,6 +357,11 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
     if not window_snaps:
         window_snaps = [snaps[-1]]
 
+    # tight: collapsed to a point; checked first because noise on a
+    # vanishing radius can double it across the window and read as drift
+    if q[end] <= max(1e-6 * scale_ref, 1e-9):
+        details["route"] = "collapse"
+        return answer("tight")
     # vanishing route A: sustained outward drift across the last window
     if q[w_start] > 0 and q[end] >= growth_factor * q[w_start]:
         nn_first = _median_nn_distance(window_snaps[0][1])
@@ -418,10 +423,7 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
                     details["separation"] = sep_end
                     return answer("dichotomy")
 
-    # tight: bulk radius settled (or collapsed to a point)
-    if q[end] <= max(1e-6 * scale_ref, 1e-9):
-        details["route"] = "collapse"
-        return answer("tight")
+    # tight: bulk radius settled
     qw = q[w_start:end + 1]
     spread = float(qw.max() - qw.min())
     if spread < 0.10 * max(float(qw.max()), 1e-300):
@@ -455,7 +457,8 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     random_ball / two_cluster with the seed index).  Per point the scan
     emits one row per seed plus an aggregate row carrying the majority
     classification and the best energy; per-point failures are recorded in
-    the row's ``error`` field and do not stop the scan.  When
+    the row's ``error`` field and do not stop the scan, except
+    InvariantViolation, which signals a bug and propagates.  When
     ``with_stability`` is set, the aggregate row also carries the space
     integral criterion verdict for cross-reading.
     """
@@ -476,9 +479,10 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                 verdict = integral_criterion(potential)
                 stab_outcome = verdict.outcome
                 stab_value = verdict.numeric_value
-            except Exception as exc:
-                stab_outcome = "skipped"
-                stab_value = math.nan
+            except InvariantViolation:
+                raise
+            except Exception:
+                pass  # the cross-read stays "skipped"; descents still run
 
         labels = []
         best_energy = math.inf
@@ -488,6 +492,8 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                 trace = minimize_particles(potential, n, init=init,
                                            seed=seed, max_iter=max_iter,
                                            grad_tol=grad_tol)
+            except InvariantViolation:
+                raise
             except Exception as exc:
                 rows.append(ScanRow(dict(params), seed, "error", math.nan,
                                     stab_outcome, stab_value,

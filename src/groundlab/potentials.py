@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from . import radial
 from .errors import NonDifferentiable, QuadratureFailure
 from .geometry import check_dimension, unit_sphere_area
 
@@ -36,11 +36,6 @@ __all__ = [
     "HypothesisReport",
     "probe_hypotheses",
 ]
-
-# Nested cutoffs 10**-2 .. 10**-10 for the near-origin integrability probe;
-# growth above 10% over the final decade is declared divergent.
-_CUTOFF_DECADES = range(2, 11)
-_DIVERGENCE_GROWTH = 0.10
 
 _TAIL_PROBE_RADII = (1e2, 1e3, 1e4, 1e5, 1e6)
 _TAIL_DECAY_TOL = 1e-8
@@ -348,41 +343,6 @@ class HypothesisReport:
         }
 
 
-def _near_origin_decades(potential, quad_tol):
-    """Nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr.
-
-    Returns (estimates, clean); estimates[k] corresponds to cutoff
-    10**-(k+2).  clean is False when some segment quadrature failed.
-    """
-    n = potential.dimension
-
-    def integrand(r):
-        return abs(float(potential(r))) * r ** (n - 1)
-
-    estimates = []
-    total = 0.0
-    clean = True
-    upper = 1.0
-    for decade in _CUTOFF_DECADES:
-        lower = 10.0 ** (-decade)
-        try:
-            piece, err = quad(integrand, lower, upper, limit=200,
-                              epsabs=quad_tol, epsrel=quad_tol)
-        except Exception:
-            clean = False
-            break
-        if not math.isfinite(piece):
-            clean = False
-            break
-        if abs(err) > max(quad_tol, 1e-6 * abs(piece)) * 1e3:
-            clean = False
-            break
-        total += piece
-        estimates.append(total)
-        upper = lower
-    return estimates, clean
-
-
 def _tail_probe_class(probes):
     """Classify the far field from sampled values alone."""
     values = [v for _, v in probes]
@@ -430,21 +390,40 @@ def probe_hypotheses(potential: RadialPotential,
         when the near-origin refinement cannot produce a single finite
         estimate.
     """
-    estimates, clean = _near_origin_decades(potential, quad_tol)
+    n = potential.dimension
+
+    def integrand(r):
+        return abs(float(potential(r))) * r ** (n - 1)
+
+    # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a failed or
+    # imprecise segment stops the refinement and leaves it unclean
+    estimates = []
+    total = 0.0
+    clean = True
+    edges = radial.ORIGIN_EDGES
+    for upper, lower in zip(edges, edges[1:]):
+        try:
+            piece, err = radial.segment(integrand, lower, upper, quad_tol)
+        except QuadratureFailure:
+            clean = False
+            break
+        if abs(err) > max(quad_tol, 1e-6 * abs(piece)) * 1e3:
+            clean = False
+            break
+        total += piece
+        estimates.append(total)
     if not estimates:
         raise QuadratureFailure(
             f"near-origin quadrature produced no estimate for "
             f"{potential.label}")
 
-    area = unit_sphere_area(potential.dimension)
-    if not clean:
+    area = unit_sphere_area(n)
+    if not clean or len(estimates) < 2:
         verdict = "inconclusive"
-    elif len(estimates) >= 2:
-        prev, last = estimates[-2], estimates[-1]
-        growth = (last - prev) / prev if prev > 0 else 0.0
-        verdict = "fails" if growth > _DIVERGENCE_GROWTH else "holds"
+    elif radial.origin_growth(estimates) > radial.ORIGIN_GROWTH:
+        verdict = "fails"
     else:
-        verdict = "inconclusive"
+        verdict = "holds"
     local_integral = area * estimates[-1]
 
     probes = tuple((r, float(potential(r))) for r in _TAIL_PROBE_RADII)

@@ -16,8 +16,11 @@ Four routes, each sufficient but not necessary, each producing a
 
 A verdict of ``HE_satisfied`` is always backed by a certificate: either a
 certified negative integral/scan value, or an explicit measure whose energy
-re-evaluates negative through the energy module.  ``stable_indication``
-records the scanned domain and never claims a proof.
+re-evaluates negative through the energy module.  Every witness ladder
+(ball, Gaussian, modulated) is verified on one path, :func:`_verified`,
+which builds candidates lazily and keeps the first negative one.
+``stable_indication`` records the scanned domain and never claims a proof.
+Radial integrals go through :func:`groundlab.radial.radial_integral`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .measures import (GridDensity, PointCloudMeasure,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
+from .radial import radial_integral, segment
 
 __all__ = [
     "Certificate",
@@ -59,10 +63,8 @@ __all__ = [
 QUAD_TOL = 1e-8
 DECISION_TOL = 1e-6
 
-_ORIGIN_DECADES = range(2, 11)
-_ORIGIN_GROWTH = 0.10
-_TAIL_MAX_DECADE = 8
 _BALL_CELL_CAP = {1: 4096, 2: 512, 3: 64}
+_BALL_SCALES = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -134,68 +136,20 @@ def _plain(obj):
 
 
 # ---------------------------------------------------------------------------
-# radial quadrature with explicit origin and tail handling
+# radial integrals of the profile
 
 
-def _segment_quad(func, lo, hi, quad_tol):
-    try:
-        value, err = quad(func, lo, hi, limit=200, epsabs=quad_tol,
-                          epsrel=quad_tol)
-    except Exception as exc:
-        raise QuadratureFailure(
-            f"quadrature failed on [{lo:g}, {hi:g}]: {exc}") from exc
-    if not math.isfinite(value):
-        raise QuadratureFailure(
-            f"quadrature returned a non-finite value on [{lo:g}, {hi:g}]")
-    return value
+def _weighted_integral(potential, p, quad_tol):
+    """S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr and the absolute
+    mass of each tail decade; p = 0 gives the space integral."""
+    n = potential.dimension
 
+    def signed(r):
+        return float(potential(r)) * math.exp(-(p * r) ** 2) * r ** (n - 1)
 
-def _origin_piece(signed, absolute, quad_tol):
-    """Signed integral over (0, 1] by nested cutoffs, with a divergence
-    gate on the absolute version.
-
-    Returns (signed_total, abs_estimates).  Raises when the absolute
-    integral keeps growing by more than 10% per decade of cutoff
-    refinement.
-    """
-    signed_total = 0.0
-    abs_total = 0.0
-    abs_estimates = []
-    upper = 1.0
-    for decade in _ORIGIN_DECADES:
-        lower = 10.0 ** (-decade)
-        signed_total += _segment_quad(signed, lower, upper, quad_tol)
-        abs_total += _segment_quad(absolute, lower, upper, quad_tol)
-        abs_estimates.append(abs_total)
-        upper = lower
-    prev, last = abs_estimates[-2], abs_estimates[-1]
-    growth = (last - prev) / prev if prev > 0 else 0.0
-    if growth > _ORIGIN_GROWTH:
-        raise NotAbsolutelyIntegrable(
-            f"integral near the origin still grew {growth:.1%} over the "
-            f"final cutoff decade")
-    return signed_total, abs_estimates
-
-
-def _tail_piece(signed, absolute, quad_tol):
-    """Signed integral over [1, inf) by decade segments.
-
-    Convergence is declared once a decade's absolute contribution falls
-    below the quadrature noise floor; otherwise the tail is treated as
-    divergent.
-    """
-    signed_total = 0.0
-    increments = []
-    for k in range(_TAIL_MAX_DECADE):
-        lo, hi = 10.0**k, 10.0 ** (k + 1)
-        signed_total += _segment_quad(signed, lo, hi, quad_tol)
-        piece = _segment_quad(absolute, lo, hi, quad_tol)
-        increments.append(piece)
-        if piece < max(quad_tol * 1e-2, 1e-12 * (1.0 + abs(signed_total))):
-            return signed_total, increments
-    raise NotAbsolutelyIntegrable(
-        f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
-        f"last decade contributed {increments[-1]:.3g}")
+    value, tail_masses = radial_integral(signed, quad_tol,
+                                         lambda r: abs(signed(r)))
+    return unit_sphere_area(n) * value, tail_masses
 
 
 def space_integral(potential: RadialPotential,
@@ -205,17 +159,7 @@ def space_integral(potential: RadialPotential,
     Raises NotAbsolutelyIntegrable when |W| fails to integrate near the
     origin or in the tail.
     """
-    n = potential.dimension
-
-    def signed(r):
-        return float(potential(r)) * r ** (n - 1)
-
-    def absolute(r):
-        return abs(float(potential(r))) * r ** (n - 1)
-
-    near, _ = _origin_piece(signed, absolute, quad_tol)
-    far, _ = _tail_piece(signed, absolute, quad_tol)
-    return unit_sphere_area(n) * (near + far)
+    return _weighted_integral(potential, 0.0, quad_tol)[0]
 
 
 def weighted_space_integral(potential: RadialPotential, p: float,
@@ -227,21 +171,11 @@ def weighted_space_integral(potential: RadialPotential, p: float,
     """
     if p <= 0:
         raise ValueError("p must be > 0; use space_integral for p = 0")
-    n = potential.dimension
-
-    def signed(r):
-        return float(potential(r)) * math.exp(-(p * r) ** 2) * r ** (n - 1)
-
-    def absolute(r):
-        return abs(signed(r))
-
-    near, _ = _origin_piece(signed, absolute, quad_tol)
-    far, _ = _tail_piece(signed, absolute, quad_tol)
-    return unit_sphere_area(n) * (near + far)
+    return _weighted_integral(potential, p, quad_tol)[0]
 
 
 # ---------------------------------------------------------------------------
-# integral criterion and its ball witness
+# witness verification
 
 
 def _witness_energy(potential, density: GridDensity) -> EnergyReport:
@@ -249,11 +183,45 @@ def _witness_energy(potential, density: GridDensity) -> EnergyReport:
     return energy_grid(potential, density, quad_mode=mode)
 
 
+def _verified(potential, candidates):
+    """Certificate of the first candidate density whose energy re-evaluates
+    negative, or None.
+
+    ``candidates`` yields (kind, build, info); ``build()`` makes the
+    density, so each one is built only when its turn comes.  A candidate
+    whose energy quadrature fails is skipped.
+    """
+    for kind, build, info in candidates:
+        density = build()
+        try:
+            report = _witness_energy(potential, density)
+        except QuadratureFailure:
+            continue
+        if report.value < 0:
+            return Certificate(kind=kind, certified_value=report.value,
+                               measure=density, energy_report=report,
+                               info=info)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# integral criterion and its ball witness
+
+
 def _profile_scale(potential) -> float:
     """Length scale of the profile's structure: the radius of its infimum,
     clipped to a sane band."""
     _, radius = _locate_infimum(potential)
     return float(np.clip(radius, 0.25, 4.0))
+
+
+def _ball_density(potential, radius, scale):
+    """Uniform ball density with cells about a quarter of the profile
+    scale wide, capped per dimension."""
+    h_target = scale / 4.0
+    cap = _BALL_CELL_CAP[potential.dimension]
+    cells = int(min(cap, max(16, math.ceil(radius / h_target))))
+    return uniform_ball_density(radius, potential.dimension, cells)
 
 
 def ball_witness(potential: RadialPotential, R: float, n_scale: int,
@@ -276,10 +244,7 @@ def ball_witness(potential: RadialPotential, R: float, n_scale: int,
         raise ValueError("R must be > 0 and n_scale >= 1")
 
     radius = float(n_scale * R)
-    h_target = _profile_scale(potential) / 4.0
-    cap = _BALL_CELL_CAP[potential.dimension]
-    cells = int(min(cap, max(16, math.ceil(radius / h_target))))
-    density = uniform_ball_density(radius, potential.dimension, cells)
+    density = _ball_density(potential, radius, _profile_scale(potential))
     report = _witness_energy(potential, density)
     if not report.value < 0:
         raise WitnessFailed(
@@ -289,20 +254,20 @@ def ball_witness(potential: RadialPotential, R: float, n_scale: int,
     return density, report
 
 
-def _choose_ball_radius(potential, value, quad_tol):
+def _choose_ball_radius(potential, value, tail_masses, quad_tol):
     """Smallest power-of-two radius R whose exterior holds at most a
-    quarter of |value| worth of |W| mass."""
+    quarter of |value| worth of |W| mass; ``tail_masses`` are the space
+    integral's per-decade |W| r^{N-1} masses beyond radius 1."""
     n = potential.dimension
     area = unit_sphere_area(n)
 
     def absolute(r):
         return abs(float(potential(r))) * r ** (n - 1)
 
-    _, increments = _tail_piece(lambda r: 0.0, absolute, quad_tol)
-    tail_total = sum(increments)
+    tail_total = sum(tail_masses)
     for k in range(0, 24):
         R = float(2**k)
-        head = _segment_quad(absolute, 1.0, R, quad_tol) if R > 1 else 0.0
+        head = segment(absolute, 1.0, R, quad_tol)[0] if R > 1 else 0.0
         remainder = max(tail_total - head, 0.0)
         if area * remainder <= abs(value) / 4.0:
             return R
@@ -322,7 +287,7 @@ def integral_criterion(potential: RadialPotential,
 
     Raises NotAbsolutelyIntegrable when |W| is not integrable over R^N.
     """
-    value = space_integral(potential, quad_tol)
+    value, tail_masses = _weighted_integral(potential, 0.0, quad_tol)
     details = {"quad_tol": quad_tol, "decision_tol": decision_tol,
                "potential": potential.label}
 
@@ -330,26 +295,19 @@ def integral_criterion(potential: RadialPotential,
         certificate = Certificate(kind="integral_value",
                                   certified_value=value)
         if build_witness:
-            R = _choose_ball_radius(potential, value, quad_tol)
+            R = _choose_ball_radius(potential, value, tail_masses, quad_tol)
             details["witness_R"] = R
-            last_failure = ""
-            for n_scale in (4, 8, 16, 32):
-                try:
-                    density, report = ball_witness(potential, R, n_scale,
-                                                   quad_tol)
-                except WitnessFailed as exc:
-                    last_failure = str(exc)
-                    continue
-                certificate = Certificate(
-                    kind="ball_density", certified_value=report.value,
-                    measure=density, energy_report=report,
-                    info={"R": R, "n_scale": n_scale,
-                          "integral_value": value})
-                break
-            else:
+            scale = _profile_scale(potential)
+            balls = (("ball_density",
+                      lambda radius=float(n_scale * R): _ball_density(
+                          potential, radius, scale),
+                      {"R": R, "n_scale": n_scale, "integral_value": value})
+                     for n_scale in _BALL_SCALES)
+            certificate = _verified(potential, balls)
+            if certificate is None:
                 raise WitnessFailed(
                     f"no ball witness verified negative energy for "
-                    f"{potential.label}; last failure: {last_failure}")
+                    f"{potential.label} at n_scale {_BALL_SCALES}")
         return StabilityVerdict("integral", "HE_satisfied", value,
                                 certificate, details)
     if value > decision_tol:
@@ -428,8 +386,18 @@ def gaussian_criterion(potential: RadialPotential,
             kind="weighted_minimum", certified_value=best_value,
             info={"p": best_p})
         if build_witness:
-            certificate = _gaussian_witness_certificate(
-                potential, entries, best_p, best_value, decision_tol)
+            # wide Gaussians (tiny p) rasterize poorly, so try the most
+            # negative entry with p >= 0.05 before the scan minimum
+            negative = [(v, p) for p, v in entries
+                        if p >= 0.05 and v < -decision_tol]
+            ladder = [min(negative)[1]] if negative else []
+            if best_p > 0 and best_p not in ladder:
+                ladder.append(best_p)
+            certificate = _verified(potential, (
+                ("gaussian_density",
+                 lambda p=p: gaussian_witness_density(p, potential.dimension),
+                 {"p": p, "weighted_integral": best_value})
+                for p in ladder))
             if certificate is None:
                 details["witness_note"] = ("no Gaussian witness verified "
                                            "negative energy")
@@ -447,53 +415,8 @@ def gaussian_criterion(potential: RadialPotential,
                             None, details)
 
 
-def _gaussian_witness_certificate(potential, entries, best_p, best_value,
-                                  decision_tol):
-    """Materialize a Gaussian density with verified negative energy.
-
-    Wide Gaussians (tiny p) rasterize poorly, so prefer the most negative
-    entry with p >= 0.05 before falling back to the scan minimum.
-    """
-    candidates = [(v, p) for p, v in entries
-                  if p >= 0.05 and v < -decision_tol]
-    ladder = []
-    if candidates:
-        ladder.append(min(candidates)[1])
-    if best_p > 0 and best_p not in ladder:
-        ladder.append(best_p)
-    for p in ladder:
-        density = gaussian_witness_density(p, potential.dimension)
-        try:
-            report = _witness_energy(potential, density)
-        except QuadratureFailure:
-            continue
-        if report.value < 0:
-            return Certificate(kind="gaussian_density",
-                               certified_value=report.value,
-                               measure=density, energy_report=report,
-                               info={"p": p,
-                                     "weighted_integral": best_value})
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Fourier sign criterion
-
-
-def _square_integrability_gate(potential, quad_tol):
-    """Raise NotSquareIntegrable unless W^2 r^{N-1} integrates over
-    (0, inf)."""
-    n = potential.dimension
-
-    def squared(r):
-        return float(potential(r)) ** 2 * r ** (n - 1)
-
-    try:
-        _origin_piece(squared, squared, quad_tol)
-        _tail_piece(squared, squared, quad_tol)
-    except NotAbsolutelyIntegrable as exc:
-        raise NotSquareIntegrable(
-            f"{potential.label}: W^2 is not integrable ({exc})") from exc
 
 
 def _decay_radius(potential, cap: float = 1e5) -> float:
@@ -609,7 +532,13 @@ def fourier_criterion(potential: RadialPotential,
     OscillatoryQuadratureFailure when the transform quadrature cannot
     certify itself.
     """
-    _square_integrability_gate(potential, quad_tol)
+    n = potential.dimension
+    try:
+        radial_integral(lambda r: float(potential(r)) ** 2 * r ** (n - 1),
+                        quad_tol)
+    except NotAbsolutelyIntegrable as exc:
+        raise NotSquareIntegrable(
+            f"{potential.label}: W^2 is not integrable ({exc})") from exc
 
     grid = np.asarray(_default_xi_grid() if xi_grid is None else xi_grid,
                       dtype=float)
@@ -619,16 +548,19 @@ def fourier_criterion(potential: RadialPotential,
     top = float(grid.max()) if grid.max() > 0 else 1.0
     tails = np.array([1.5 * top, 2.0 * top, 3.0 * top])
 
-    absolutely_integrable = True
     try:
-        space_integral(potential, quad_tol)
+        integral = space_integral(potential, quad_tol)
     except NotAbsolutelyIntegrable:
-        absolutely_integrable = False
-    if not absolutely_integrable:
+        integral = None
         grid = grid[grid > 0]
 
     frequencies = np.concatenate([grid, tails])
-    transform = radial_fourier_transform(potential, frequencies, quad_tol)
+    # the transform at zero frequency is the space integral computed above
+    zero = frequencies == 0.0
+    transform = np.empty(frequencies.shape)
+    transform[zero] = integral
+    transform[~zero] = radial_fourier_transform(
+        potential, frequencies[~zero], quad_tol)
 
     details: dict = {
         "quad_tol": quad_tol, "decision_tol": decision_tol,
@@ -636,7 +568,7 @@ def fourier_criterion(potential: RadialPotential,
         "xi_values": frequencies.tolist(),
         "transform": transform.tolist(),
     }
-    if not absolutely_integrable:
+    if integral is None:
         details["xi_zero_skipped"] = "profile not absolutely integrable"
 
     best_idx = int(np.argmin(transform))
@@ -654,8 +586,21 @@ def fourier_criterion(potential: RadialPotential,
                 options={"xatol": 1e-6})
             if result.success and result.fun < best_value:
                 best_xi, best_value = float(result.x), float(result.fun)
-        certificate = _fourier_witness_certificate(potential, best_xi,
-                                                   best_value)
+        # a wide Gaussian near zero frequency; elsewhere a Gaussian
+        # envelope modulated at best_xi concentrates the spectrum there
+        if best_xi < 0.05:
+            candidates = (
+                ("gaussian_density",
+                 lambda p=p: gaussian_witness_density(p, n),
+                 {"p": p, "transform_minimum": best_value})
+                for p in (0.2, 0.1, 0.05))
+        else:
+            candidates = (
+                ("modulated_density",
+                 lambda p=p: modulated_witness_density(p, best_xi, n),
+                 {"p": p, "xi": best_xi, "transform_minimum": best_value})
+                for p in (best_xi / d for d in (12.0, 20.0, 8.0)))
+        certificate = _verified(potential, candidates)
         details["minimizing_xi"] = best_xi
         if certificate is None:
             details["witness_note"] = (
@@ -679,42 +624,6 @@ def fourier_criterion(potential: RadialPotential,
                                 certificate, details)
     return StabilityVerdict("fourier", "inconclusive", best_value, None,
                             details)
-
-
-def _fourier_witness_certificate(potential, xi_star, transform_value):
-    """Build and verify a density concentrated near the minimizing
-    frequency.
-
-    Near zero frequency a wide Gaussian works; elsewhere a Gaussian
-    envelope modulated at the target frequency concentrates the density's
-    spectrum there.  Returns None when no candidate verifies.
-    """
-    dimension = potential.dimension
-    candidates = []
-    if xi_star < 0.05:
-        for p in (0.2, 0.1, 0.05):
-            candidates.append(("gaussian_density",
-                               gaussian_witness_density(p, dimension),
-                               {"p": p}))
-    else:
-        for divisor in (12.0, 20.0, 8.0):
-            p = xi_star / divisor
-            candidates.append((
-                "modulated_density",
-                modulated_witness_density(p, xi_star, dimension),
-                {"p": p, "xi": xi_star}))
-    for kind, density, info in candidates:
-        try:
-            report = _witness_energy(potential, density)
-        except QuadratureFailure:
-            continue
-        if report.value < 0:
-            info = dict(info)
-            info["transform_minimum"] = transform_value
-            return Certificate(kind=kind, certified_value=report.value,
-                               measure=density, energy_report=report,
-                               info=info)
-    return None
 
 
 # ---------------------------------------------------------------------------

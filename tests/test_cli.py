@@ -91,6 +91,22 @@ def test_more_config_errors(tmp_path):
         "command": "scan", "potential": MORSE_AGG})
     assert main(["scan", "--config", no_grid]) == 2
     assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 2
+    # malformed values are config errors too, not tracebacks
+    malformed = [
+        ("minimize", {"n": "abc"}),
+        ("minimize", {"max_iter": float("inf")}),
+        ("analyze", {"quad_tol": "x"}),
+        ("stability", {"criteria": 5}),
+        ("stability", {"p_grid": [-1]}),
+        ("stability", {"xi_grid": [-1.0]}),
+        ("stability", {"n_list": [8]}),
+        ("stability", {"n_list": [1, 8]}),
+        ("analyze", {"potential": {**MORSE_AGG, "dimension": "2"}}),
+    ]
+    for k, (command, extra) in enumerate(malformed):
+        cfg = write_config(tmp_path, f"m{k}.json", {
+            "command": command, "potential": MORSE_AGG, **extra})
+        assert main([command, "--config", cfg]) == 2, extra
 
 
 def test_stability_writes_verdicts_and_certificate(tmp_path):

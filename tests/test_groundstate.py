@@ -5,8 +5,8 @@ import pytest
 
 from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
                        Tabulated, classify_trace, ground_state_scan,
-                       minimize_particles)
-from groundlab.errors import NonDifferentiable
+                       groundstate, minimize_particles)
+from groundlab.errors import InvariantViolation, NonDifferentiable
 from groundlab.groundstate import _energy, _energy_and_gradient, \
     preferred_spacing
 
@@ -189,6 +189,20 @@ def test_classify_real_runs():
     assert info["alpha"] == pytest.approx(0.5, abs=0.1)
 
 
+def test_collapsed_traces_classify_as_tight():
+    # Morse(2,1,1) collapses these starts to a point (final q90 radius
+    # about 5e-12); jitter on that radius must not read as outward drift
+    w = Morse(2.0, 1.0, 1)
+    for n, init, seed in ((32, "lattice", 0), (32, "lattice", 1),
+                          (32, "two_cluster", 2), (16, "random_ball", 1),
+                          (16, "random_ball", 4), (16, "random_ball", 5)):
+        trace = minimize_particles(w, n, init=init, seed=seed,
+                                   max_iter=2000)
+        label, info = classify_trace(trace, return_details=True)
+        assert (label, info.get("route")) == ("tight", "collapse"), \
+            (n, init, seed)
+
+
 def test_growing_tails_never_classify_as_vanishing():
     # profiles growing at infinity confine the particles, whatever the
     # seed; dispersal must never be reported for them
@@ -226,3 +240,13 @@ def test_scan_isolates_bad_cells():
             if row.params["G"] == 0.5 and row.seed is None]
     assert len(good) == 1
     assert good[0].classification != "error"
+
+
+def test_scan_propagates_invariant_violations(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("recentring changed the energy")
+
+    monkeypatch.setattr(groundstate, "minimize_particles", broken)
+    with pytest.raises(InvariantViolation):
+        ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=6,
+                          seeds=(0,), with_stability=False)

@@ -8,7 +8,7 @@ from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
                        energy_pointcloud, fourier_criterion,
                        gaussian_criterion, integral_criterion,
                        radial_fourier_transform, ruc_search, space_integral,
-                       unit_sphere_area, weighted_space_integral)
+                       stability, unit_sphere_area, weighted_space_integral)
 from groundlab.errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
                               WitnessFailed)
 from conftest import CRITERION_ORDER, HE
@@ -182,6 +182,50 @@ def test_fourier_criterion_unverifiable_dip_stays_inconclusive():
     assert verdict.certificate is None
     assert verdict.numeric_value < 0.0
     assert "witness_note" in verdict.details
+
+
+def _count_radial_integrals(monkeypatch):
+    calls = []
+    original = stability.radial_integral
+
+    def counting(signed, quad_tol, absolute=None):
+        calls.append("squared" if absolute is None else "signed")
+        return original(signed, quad_tol, absolute)
+
+    monkeypatch.setattr(stability, "radial_integral", counting)
+    return calls
+
+
+def test_integral_criterion_integrates_once(monkeypatch):
+    calls = _count_radial_integrals(monkeypatch)
+    verdict = integral_criterion(Morse(1.0, 2.0, 2), build_witness=True)
+    assert verdict.certificate.kind == "ball_density"
+    assert calls == ["signed"]
+
+
+def test_fourier_criterion_integrates_once(monkeypatch):
+    calls = _count_radial_integrals(monkeypatch)
+    fourier_criterion(GaussianMix([(1.0, 1.0), (-1.5, 2.0)], 1))
+    assert sorted(calls) == ["signed", "squared"]
+
+
+def test_fourier_witnesses_built_only_when_evaluated(monkeypatch):
+    counts = {"builds": 0, "evaluations": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gaussian_witness_density", "modulated_witness_density"):
+        monkeypatch.setattr(stability, name,
+                            counted(getattr(stability, name), "builds"))
+    monkeypatch.setattr(stability, "energy_grid",
+                        counted(stability.energy_grid, "evaluations"))
+    verdict = fourier_criterion(GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1))
+    assert verdict.outcome == HE
+    assert 1 <= counts["builds"] <= counts["evaluations"]
 
 
 def test_fourier_criterion_requires_square_integrability():
