@@ -25,22 +25,23 @@ Config keys and defaults (unknown keys are rejected):
                      "dimension": N}
                     {"family": "tabulated", "radii": [...], "values": [...],
                      "dimension": N}
-    output_dir    str, default "out" (the --out flag overrides)
+    output_dir    nonempty str, default "out" (the --out flag overrides)
     seeds         nonempty int list, default [0]
-    quad_tol      float, default 1e-8
-    decision_tol  float, default 1e-6
+    quad_tol      float > 0, default 1e-8
+    decision_tol  float >= 0, default 1e-6
     stability:    criteria (list, subset of ["integral",
                   "gaussian_weighted", "fourier", "ruc_search"], default
                   all), p_grid (entries > 0), xi_grid (entries >= 0),
                   build_witness (default true), n_list (at least two
                   distinct sizes >= 2, default [8, 16, 32, 64]),
-                  optimizer_budget (default 400)
+                  optimizer_budget (>= 1, default 400)
     minimize:     n (default 16, must be >= 2), init (default
-                  "random_ball"), max_iter (default 500), grad_tol
-                  (default 1e-8)
+                  "random_ball"), max_iter (>= 1, default 500), grad_tol
+                  (>= 0, default 1e-8)
     scan:         grid (required: {param: [values, ...]}), n (default 16),
-                  max_iter (default 400), grad_tol (default 1e-8),
-                  with_stability (default true)
+                  max_iter (>= 1, default 400), grad_tol (>= 0, default
+                  1e-8), with_stability (default true)
+Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -122,12 +123,21 @@ def build_potential(block) -> RadialPotential:
         raise ConfigError(f"invalid potential block: {exc}") from exc
 
 
-def _number(raw: dict, key: str, default, kind=float):
+def _number(raw: dict, key: str, default, kind=float, minimum=-math.inf,
+            strict=False):
+    """raw[key] (or default) as a finite ``kind`` that is >= minimum, or
+    > minimum when ``strict``."""
     value = raw.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{key}' must be a number, got {value!r}") from None
+    too_small = number <= minimum if strict else number < minimum
+    if not math.isfinite(number) or too_small:
+        raise ConfigError(f"'{key}' must be a finite number "
+                          f"{'>' if strict else '>='} {minimum:g}, "
+                          f"got {value!r}")
+    return number
 
 
 def _grid(raw: dict, key: str, positive: bool):
@@ -168,9 +178,12 @@ def load_config(path) -> dict:
         "potential": raw["potential"],
         "output_dir": raw.get("output_dir", "out"),
         "seeds": raw.get("seeds", [0]),
-        "quad_tol": _number(raw, "quad_tol", 1e-8),
-        "decision_tol": _number(raw, "decision_tol", 1e-6),
+        "quad_tol": _number(raw, "quad_tol", 1e-8, minimum=0.0, strict=True),
+        "decision_tol": _number(raw, "decision_tol", 1e-6, minimum=0.0),
     }
+    if not (isinstance(config["output_dir"], str) and config["output_dir"]):
+        raise ConfigError(f"'output_dir' must be a nonempty string, got "
+                          f"{config['output_dir']!r}")
     seeds = config["seeds"]
     if (not isinstance(seeds, list) or not seeds
             or not all(isinstance(s, int) for s in seeds)):
@@ -194,17 +207,15 @@ def load_config(path) -> dict:
             "xi_grid": _grid(raw, "xi_grid", positive=False),
             "build_witness": bool(raw.get("build_witness", True)),
             "n_list": n_list,
-            "optimizer_budget": _number(raw, "optimizer_budget", 400, int),
+            "optimizer_budget": _number(raw, "optimizer_budget", 400, int,
+                                        minimum=1),
         })
     elif command == "minimize":
-        n = _number(raw, "n", 16, int)
-        if n < 2:
-            raise ConfigError(f"'n' must be >= 2, got {n}")
         config.update({
-            "n": n,
+            "n": _number(raw, "n", 16, int, minimum=2),
             "init": raw.get("init", "random_ball"),
-            "max_iter": _number(raw, "max_iter", 500, int),
-            "grad_tol": _number(raw, "grad_tol", 1e-8),
+            "max_iter": _number(raw, "max_iter", 500, int, minimum=1),
+            "grad_tol": _number(raw, "grad_tol", 1e-8, minimum=0.0),
         })
         if config["init"] not in ("lattice", "random_ball", "two_cluster"):
             raise ConfigError(
@@ -216,14 +227,11 @@ def load_config(path) -> dict:
                 or not all(isinstance(v, list) and v for v in grid.values())):
             raise ConfigError("'grid' must map parameter names to nonempty "
                               "value lists")
-        n = _number(raw, "n", 16, int)
-        if n < 2:
-            raise ConfigError(f"'n' must be >= 2, got {n}")
         config.update({
             "grid": grid,
-            "n": n,
-            "max_iter": _number(raw, "max_iter", 400, int),
-            "grad_tol": _number(raw, "grad_tol", 1e-8),
+            "n": _number(raw, "n", 16, int, minimum=2),
+            "max_iter": _number(raw, "max_iter", 400, int, minimum=1),
+            "grad_tol": _number(raw, "grad_tol", 1e-8, minimum=0.0),
             "with_stability": bool(raw.get("with_stability", True)),
         })
     return config

@@ -20,7 +20,9 @@ re-evaluates negative through the energy module.  Every witness ladder
 (ball, Gaussian, modulated) is verified on one path, :func:`_verified`,
 which builds candidates lazily and keeps the first negative one.
 ``stable_indication`` records the scanned domain and never claims a proof.
-Radial integrals go through :func:`groundlab.radial.radial_integral`.
+Radial integrals go through :func:`groundlab.radial.radial_integral`; the
+Gaussian-weighted scan evaluates all its p at once through
+:func:`groundlab.radial.gaussian_integrals`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .measures import (GridDensity, PointCloudMeasure,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import radial_integral, segment
+from .radial import gaussian_integrals, radial_integral, segment
 
 __all__ = [
     "Certificate",
@@ -139,17 +141,28 @@ def _plain(obj):
 # radial integrals of the profile
 
 
-def _weighted_integral(potential, p, quad_tol):
-    """S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr and the absolute
-    mass of each tail decade; p = 0 gives the space integral."""
+def _radial_density(potential):
+    """W(r) r^{N-1} and its absolute value, as array functions."""
     n = potential.dimension
 
     def signed(r):
-        return float(potential(r)) * math.exp(-(p * r) ** 2) * r ** (n - 1)
+        return potential(r) * r ** (n - 1)
 
-    value, tail_masses = radial_integral(signed, quad_tol,
-                                         lambda r: abs(signed(r)))
-    return unit_sphere_area(n) * value, tail_masses
+    return signed, lambda r: np.abs(signed(r))
+
+
+def _weighted_integral(potential, p, quad_tol):
+    """S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr and the absolute
+    mass of each tail decade; p = 0 gives the space integral."""
+    signed, absolute = _radial_density(potential)
+
+    def weight(r):
+        return np.exp(-np.square(p * r))
+
+    value, tail_masses = radial_integral(
+        lambda r: signed(r) * weight(r), quad_tol,
+        lambda r: absolute(r) * weight(r))
+    return unit_sphere_area(potential.dimension) * value, tail_masses
 
 
 def space_integral(potential: RadialPotential,
@@ -352,15 +365,19 @@ def gaussian_criterion(potential: RadialPotential,
         details["advisory"] = ("profile grows at infinity; criterion "
                               "hypotheses unmet, verdict advisory")
 
+    # p = 0 and the whole grid are weighed on one set of nodes at once
+    signed, absolute = _radial_density(potential)
+    p_values = [0.0] + grid.tolist()
+    results = gaussian_integrals(signed, p_values, quad_tol, absolute)
+    area = unit_sphere_area(potential.dimension)
     entries = []
-    try:
-        entries.append((0.0, space_integral(potential, quad_tol)))
-    except NotAbsolutelyIntegrable as exc:
-        details["p_zero_skipped"] = str(exc)
-
-    for p in grid:
-        entries.append((float(p), weighted_space_integral(potential, p,
-                                                          quad_tol)))
+    for p, result in zip(p_values, results):
+        if p == 0.0 and isinstance(result, NotAbsolutelyIntegrable):
+            details["p_zero_skipped"] = str(result)
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            entries.append((p, area * result[0]))
 
     values = np.array([v for _, v in entries])
     best_idx = int(np.argmin(values))
@@ -534,7 +551,7 @@ def fourier_criterion(potential: RadialPotential,
     """
     n = potential.dimension
     try:
-        radial_integral(lambda r: float(potential(r)) ** 2 * r ** (n - 1),
+        radial_integral(lambda r: potential(r) ** 2 * r ** (n - 1),
                         quad_tol)
     except NotAbsolutelyIntegrable as exc:
         raise NotSquareIntegrable(
@@ -671,7 +688,8 @@ def ruc_search(potential: RadialPotential,
     multi-start descent; the minima m(n) are fitted to c + d/n.  A bounded
     sequence (m(n) >= -B/n, i.e. c near 0) indicates stability; m(n)
     approaching a negative constant (c < -catastrophic_tol) certifies a
-    negative-energy empirical measure.
+    negative-energy empirical measure, provided the best configuration's
+    energy is negative; otherwise the verdict is inconclusive.
 
     Verdicts for profiles singular at contact are advisory (recorded in
     details): the per-pair form ignores the diagonal that the continuum
@@ -735,6 +753,13 @@ def ruc_search(potential: RadialPotential,
                                        include_diagonal=False)
             details["certificate_note"] = ("energy reported without the "
                                            "self-interaction diagonal")
+        if not report.value < 0:
+            # the fit alone certifies nothing
+            details["certificate_note"] = (
+                f"fitted asymptote is negative but the best configuration's "
+                f"energy {report.value:.6g} is not")
+            return StabilityVerdict("ruc_search", "inconclusive", c_fit,
+                                    None, details)
         certificate = Certificate(
             kind="point_configuration", certified_value=report.value,
             measure=cloud, energy_report=report,

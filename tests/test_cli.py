@@ -102,6 +102,18 @@ def test_more_config_errors(tmp_path):
         ("stability", {"n_list": [8]}),
         ("stability", {"n_list": [1, 8]}),
         ("analyze", {"potential": {**MORSE_AGG, "dimension": "2"}}),
+        # out-of-range values, which used to crash, fail numerically or
+        # run an empty descent
+        ("analyze", {"output_dir": 5}),
+        ("analyze", {"output_dir": ""}),
+        ("analyze", {"quad_tol": -1}),
+        ("analyze", {"quad_tol": 0}),
+        ("stability", {"decision_tol": -1e-6}),
+        ("stability", {"optimizer_budget": 0}),
+        ("minimize", {"max_iter": -5}),
+        ("minimize", {"grad_tol": -1.0}),
+        ("scan", {"grid": {"G": [1.0]}, "max_iter": 0}),
+        ("scan", {"grid": {"G": [1.0]}, "grad_tol": -1.0}),
     ]
     for k, (command, extra) in enumerate(malformed):
         cfg = write_config(tmp_path, f"m{k}.json", {

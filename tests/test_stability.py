@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
-                       ball_witness, check_ruc, energy_grid,
+                       Tabulated, ball_witness, check_ruc, energy_grid,
                        energy_pointcloud, fourier_criterion,
-                       gaussian_criterion, integral_criterion,
+                       gaussian_criterion, integral_criterion, radial,
                        radial_fourier_transform, ruc_search, space_integral,
                        stability, unit_sphere_area, weighted_space_integral)
 from groundlab.errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
                               WitnessFailed)
-from conftest import CRITERION_ORDER, HE
+from conftest import CRITERION_ORDER, HE, REGRESSION_CASES
 
 
 def closed_form_morse_integral(G, L, N):
@@ -66,6 +66,146 @@ def test_weighted_integral_closed_form_mixture():
     expect = sum(amp * math.sqrt(math.pi / (1.0 / width**2 + p * p))
                  for amp, width in terms)
     assert weighted_space_integral(w, p) == pytest.approx(expect, rel=1e-8)
+
+
+def adaptive_weighted_integral(potential, p, quad_tol=1e-8):
+    """Reference: the decade-by-decade adaptive quad with the same gates,
+    one scalar quad call per segment, as radial integrals were computed
+    before the fixed Gauss-Legendre rules."""
+    n = potential.dimension
+
+    def signed(r):
+        return float(potential(r)) * math.exp(-(p * r) ** 2) * r ** (n - 1)
+
+    def both(lo, hi):
+        return (radial.segment(signed, lo, hi, quad_tol)[0],
+                radial.segment(lambda r: abs(signed(r)), lo, hi,
+                               quad_tol)[0])
+
+    edges = radial.ORIGIN_EDGES
+    near, masses = 0.0, []
+    for upper, lower in zip(edges, edges[1:]):
+        value, mass = both(lower, upper)
+        near += value
+        masses.append(sum(masses[-1:]) + mass)
+    assert radial.origin_growth(masses) <= radial.ORIGIN_GROWTH
+    far = 0.0
+    for k in range(8):
+        value, mass = both(10.0**k, 10.0 ** (k + 1))
+        far += value
+        if mass < max(quad_tol * 1e-2, 1e-12 * (1.0 + abs(far))):
+            return unit_sphere_area(n) * (near + far)
+    raise NotAbsolutelyIntegrable("reference tail did not converge")
+
+
+def test_fixed_rules_agree_with_adaptive_quadrature():
+    p_grid = [1e-3, 0.1, 1.0, 10.0, 1e3]
+    problems = []
+    for potential, _ in REGRESSION_CASES:
+        scan = gaussian_criterion(potential, p_grid=p_grid,
+                                  build_witness=False).details
+        assert scan["p_values"] == [0.0] + p_grid
+        single = [space_integral(potential)] + [
+            weighted_space_integral(potential, p) for p in p_grid]
+        for p, batched, alone in zip(scan["p_values"],
+                                     scan["weighted_integrals"], single):
+            want = adaptive_weighted_integral(potential, p)
+            for got in (batched, alone):
+                if abs(got - want) > 1e-7 * (1.0 + abs(want)):
+                    problems.append(f"{potential.label} p={p:g}: {got!r} "
+                                    f"vs adaptive {want!r}")
+    assert not problems, "\n".join(problems)
+
+
+def gaussmix_weighted_closed_form(w, p, cutoff=1e-10):
+    """Integral of W(|x|) exp(-p^2 |x|^2) over |x| >= cutoff, the domain
+    the radial segments cover, for a Gaussian mixture."""
+    total = 0.0
+    for amp, width in w.terms:
+        c = 1.0 / width**2 + p * p
+        tail = math.sqrt(math.pi) / (2.0 * math.sqrt(c)) * math.erfc(
+            math.sqrt(c) * cutoff)
+        radial_part = {1: tail,
+                       2: math.exp(-c * cutoff**2) / (2.0 * c),
+                       3: (cutoff * math.exp(-c * cutoff**2) + tail) / (2 * c)}
+        total += amp * radial_part[w.dimension]
+    return unit_sphere_area(w.dimension) * total
+
+
+def test_gaussian_scan_matches_gaussmix_closed_form():
+    for w, _ in REGRESSION_CASES:
+        if not isinstance(w, GaussianMix):
+            continue
+        scan = gaussian_criterion(w, build_witness=False).details
+        assert len(scan["p_values"]) == 201
+        want = [gaussmix_weighted_closed_form(w, p) for p in scan["p_values"]]
+        np.testing.assert_allclose(scan["weighted_integrals"], want,
+                                   rtol=1e-10, atol=0.0, err_msg=w.label)
+
+
+def test_gaussian_scan_drops_only_p_zero_for_heavy_tails():
+    # W ~ -2 r^-0.5 in the tail: the space integral diverges, every
+    # Gaussian-weighted one converges
+    w = PowerLaw(-0.5, -0.9, 1)
+    scan = gaussian_criterion(w, build_witness=False).details
+    assert "tail integral" in scan["p_zero_skipped"]
+    assert scan["p_values"] == stability._default_p_grid().tolist()
+    for k in (0, 100, 199):
+        assert scan["weighted_integrals"][k] == pytest.approx(
+            weighted_space_integral(w, scan["p_values"][k]), rel=1e-12)
+
+
+class CountingPotential:
+    """Delegates to a potential, counting scalar and array W calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.scalar_calls = 0
+        self.array_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __call__(self, radii):
+        if np.ndim(radii) == 0:
+            self.scalar_calls += 1
+        else:
+            self.array_calls += 1
+        return self.inner(radii)
+
+
+def test_gaussian_scan_evaluates_w_only_as_arrays(monkeypatch):
+    fallbacks, per_p = [], []
+    segment = radial.segment
+    monkeypatch.setattr(radial, "segment", lambda *args: (
+        fallbacks.append(args[1:3]) or segment(*args)))
+    weighted = stability.weighted_space_integral
+    monkeypatch.setattr(stability, "weighted_space_integral", lambda *args: (
+        per_p.append(args[1]) or weighted(*args)))
+    # the second profile changes sign near r = 0.86
+    for inner in (Morse(1.0, 2.0, 2), GaussianMix([(4.0, 2.0), (-7.0, 1.0)],
+                                                   1)):
+        potential = CountingPotential(inner)
+        verdict = gaussian_criterion(potential, build_witness=False)
+        assert verdict.outcome == HE
+        assert potential.scalar_calls == 0
+        assert 0 < potential.array_calls
+    assert fallbacks == []
+    assert per_p == []
+
+
+def test_kinked_profile_falls_back_to_adaptive_quad(monkeypatch):
+    # the knot at r = 2 puts a kink inside a panel of the decade [1, 10];
+    # the two rules disagree there, so that decade alone goes to quad
+    fallbacks = []
+    segment = radial.segment
+    monkeypatch.setattr(radial, "segment", lambda *args: (
+        fallbacks.append(args[1:3]) or segment(*args)))
+    w = Tabulated([0.0, 1.0, 2.0], [-1.0, 1.0, 0.0], 1)
+    # 2 * (int_0^1 (2r - 1) dr + int_1^2 (2 - r) dr) = 1, less the
+    # 2 * (-1e-10) below the innermost cutoff
+    assert space_integral(w) == pytest.approx(1.0 + 2e-10, abs=1e-12)
+    assert set(fallbacks) == {(1.0, 10.0)}
 
 
 def test_integral_criterion_three_outcomes():
@@ -270,6 +410,21 @@ def test_ruc_search_flags_catastrophic_attraction():
     # certified configuration re-evaluates to the stored energy
     again = energy_pointcloud(Morse(2.0, 1.0, 1), cert.measure)
     assert again.value == pytest.approx(cert.energy_report.value, rel=1e-12)
+
+
+def test_ruc_search_needs_a_negative_certificate(monkeypatch):
+    # a negative fitted asymptote alone does not make HE_satisfied: the
+    # configuration's energy must re-evaluate negative too
+    positive = energy_pointcloud(GaussianMix([(1.0, 1.0)], 1),
+                                 PointCloudMeasure.empirical([[0.0], [1.0]]))
+    monkeypatch.setattr(stability, "energy_pointcloud",
+                        lambda *args, **kwargs: positive)
+    verdict = ruc_search(Morse(2.0, 1.0, 1), n_list=(8, 16, 32),
+                         seeds=(0, 1), optimizer_budget=300)
+    assert verdict.numeric_value < -0.01
+    assert verdict.outcome == "inconclusive"
+    assert verdict.certificate is None
+    assert "is not" in verdict.details["certificate_note"]
 
 
 def test_ruc_search_bounded_for_weak_attraction():

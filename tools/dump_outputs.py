@@ -7,6 +7,10 @@ outputs of two checkouts and comparing them:
     PYTHONPATH=<new>/src python3 tools/dump_outputs.py dump <new> new.json
     python3 tools/dump_outputs.py compare old.json new.json
 
+``compare`` lists each non-numeric difference with both values, and
+groups numeric ones (CSV cells included) by field, with their count and
+largest absolute and relative deviation.
+
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure), ``probe_hypotheses`` of the same
@@ -21,6 +25,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -138,6 +144,48 @@ def differences(old, new, path=""):
     return [] if old == new else [(path, old, new)]
 
 
+def _cells(old, new, where):
+    """Differences inside one pair of values: numeric ones as (field,
+    |old - new|, relative deviation), the rest as None.  CSV lines are
+    split into cells; the field drops list indices and row numbers."""
+    field = re.sub(r"\[\d+\]", "[]", where)
+    if isinstance(old, str) and isinstance(new, str) and "," in old:
+        a, b = old.split(","), new.split(",")
+        if len(a) == len(b):
+            return [c for k, (x, y) in enumerate(zip(a, b)) if x != y
+                    for c in _cells(_float(x), _float(y),
+                                    f"{field} column {k}")]
+    if all(type(v) in (int, float) for v in (old, new)):
+        deviation = abs(old - new)
+        return [(field, deviation, deviation / abs(old) if old else math.inf)]
+    return [None]
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def summarize(found):
+    """Lines grouping numeric differences by field, with their count and
+    largest absolute and relative deviation; other differences verbatim."""
+    groups, lines = {}, []
+    for where, old, new in found:
+        for cell in _cells(old, new, where):
+            if cell is None:
+                lines.append(f"{where}\n  old: {old!r}\n  new: {new!r}")
+                break
+            count, largest, relative = groups.get(cell[0], (0, 0.0, 0.0))
+            groups[cell[0]] = (count + 1, max(largest, cell[1]),
+                               max(relative, cell[2]))
+    for field, (count, largest, relative) in sorted(groups.items()):
+        lines.append(f"{field}: {count} numbers moved, largest by "
+                     f"{largest:.3g} (relative {relative:.3g})")
+    return lines
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "dump":
         Path(argv[2]).write_text(json.dumps(dump(Path(argv[1])), indent=1,
@@ -146,8 +194,8 @@ def main(argv):
     if len(argv) == 3 and argv[0] == "compare":
         found = differences(json.loads(Path(argv[1]).read_text()),
                             json.loads(Path(argv[2]).read_text()))
-        for where, old, new in found:
-            print(f"{where}\n  old: {old!r}\n  new: {new!r}")
+        for line in summarize(found):
+            print(line)
         print(f"{len(found)} differences")
         return 1 if found else 0
     print(__doc__, file=sys.stderr)
