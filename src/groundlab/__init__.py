@@ -15,15 +15,15 @@ from .energy import EnergyReport, bilinear_form, energy_grid, energy_pointcloud
 from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
                      InvariantViolation, MassEscapes, NonDifferentiable,
                      NotAbsolutelyIntegrable, NotSquareIntegrable,
-                     OptimizerStalled, OscillatoryQuadratureFailure,
-                     ParticleCollision, QuadratureFailure, WitnessFailed)
+                     OptimizerStalled, ParticleCollision, QuadratureFailure,
+                     WitnessFailed)
 from .geometry import unit_ball_volume, unit_sphere_area
 from .groundstate import (MinimizationTrace, ScanRow, classify_trace,
                           ground_state_scan, minimize_particles)
 from .measures import (GridDensity, PointCloudMeasure, combine,
                        empirical_approximation, gaussian_witness_density,
                        levy_prokhorov_upper, modulated_witness_density,
-                       uniform_ball_density, vanishing_ball_sequence)
+                       uniform_ball_density)
 from .potentials import (GaussianMix, HypothesisReport, Morse, PowerLaw,
                          RadialPotential, Tabulated, probe_hypotheses)
 from .stability import (Certificate, RucCheck, StabilityVerdict,
@@ -39,15 +39,15 @@ __all__ = [
     "ConfigError", "DimensionUnsupported", "GroundlabError",
     "InvariantViolation", "MassEscapes",
     "NonDifferentiable", "NotAbsolutelyIntegrable", "NotSquareIntegrable",
-    "OptimizerStalled", "OscillatoryQuadratureFailure", "ParticleCollision",
-    "QuadratureFailure", "WitnessFailed",
+    "OptimizerStalled", "ParticleCollision", "QuadratureFailure",
+    "WitnessFailed",
     "unit_ball_volume", "unit_sphere_area",
     "MinimizationTrace", "ScanRow", "classify_trace", "ground_state_scan",
     "minimize_particles",
     "GridDensity", "PointCloudMeasure", "combine",
     "empirical_approximation", "gaussian_witness_density",
     "levy_prokhorov_upper", "modulated_witness_density",
-    "uniform_ball_density", "vanishing_ball_sequence",
+    "uniform_ball_density",
     "GaussianMix", "HypothesisReport", "Morse", "PowerLaw",
     "RadialPotential", "Tabulated", "probe_hypotheses",
     "Certificate", "RucCheck", "StabilityVerdict", "ball_witness",

@@ -26,21 +26,21 @@ Config keys and defaults (unknown keys are rejected):
                     {"family": "tabulated", "radii": [...], "values": [...],
                      "dimension": N}
     output_dir    nonempty str, default "out" (the --out flag overrides)
-    seeds         nonempty int list, default [0]
+    seeds         nonempty int list (not booleans), default [0]
     quad_tol      float > 0, default 1e-8
     decision_tol  float >= 0, default 1e-6
     stability:    criteria (list, subset of ["integral",
                   "gaussian_weighted", "fourier", "ruc_search"], default
                   all), p_grid (entries > 0), xi_grid (entries >= 0),
-                  build_witness (default true), n_list (at least two
-                  distinct sizes >= 2, default [8, 16, 32, 64]),
-                  optimizer_budget (>= 1, default 400)
+                  build_witness (true or false, default true), n_list
+                  (at least two distinct sizes >= 2, default [8, 16, 32,
+                  64]), optimizer_budget (>= 1, default 400)
     minimize:     n (default 16, must be >= 2), init (default
                   "random_ball"), max_iter (>= 1, default 500), grad_tol
                   (>= 0, default 1e-8)
     scan:         grid (required: {param: [values, ...]}), n (default 16),
                   max_iter (>= 1, default 400), grad_tol (>= 0, default
-                  1e-8), with_stability (default true)
+                  1e-8), with_stability (true or false, default true)
 Numbers must be finite.
 """
 
@@ -57,8 +57,7 @@ from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
                      InvariantViolation, NonDifferentiable,
                      NotAbsolutelyIntegrable,
                      NotSquareIntegrable, OptimizerStalled,
-                     OscillatoryQuadratureFailure, ParticleCollision,
-                     QuadratureFailure, WitnessFailed)
+                     ParticleCollision, QuadratureFailure, WitnessFailed)
 from .groundstate import classify_trace, ground_state_scan, minimize_particles
 from .measures import GridDensity, PointCloudMeasure
 from .potentials import (GaussianMix, Morse, PowerLaw, RadialPotential,
@@ -69,9 +68,8 @@ from .stability import (fourier_criterion, gaussian_criterion,
 __all__ = ["main", "build_potential", "load_config"]
 
 _NUMERICAL_ERRORS = (QuadratureFailure, NotAbsolutelyIntegrable,
-                     NotSquareIntegrable, OscillatoryQuadratureFailure,
-                     WitnessFailed, OptimizerStalled, ParticleCollision,
-                     NonDifferentiable)
+                     NotSquareIntegrable, WitnessFailed, OptimizerStalled,
+                     ParticleCollision, NonDifferentiable)
 
 _COMMON_KEYS = {"command", "potential", "output_dir", "seeds", "quad_tol",
                 "decision_tol"}
@@ -152,6 +150,14 @@ def _grid(raw: dict, key: str, positive: bool):
     return values
 
 
+def _flag(raw: dict, key: str, default: bool) -> bool:
+    """raw[key] (or default), which must be a JSON boolean."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read and validate a run config, filling documented defaults."""
     try:
@@ -186,7 +192,7 @@ def load_config(path) -> dict:
                           f"{config['output_dir']!r}")
     seeds = config["seeds"]
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(type(s) is int for s in seeds)):
         raise ConfigError("'seeds' must be a nonempty list of integers")
 
     if command == "stability":
@@ -205,7 +211,7 @@ def load_config(path) -> dict:
             "criteria": list(criteria),
             "p_grid": _grid(raw, "p_grid", positive=True),
             "xi_grid": _grid(raw, "xi_grid", positive=False),
-            "build_witness": bool(raw.get("build_witness", True)),
+            "build_witness": _flag(raw, "build_witness", True),
             "n_list": n_list,
             "optimizer_budget": _number(raw, "optimizer_budget", 400, int,
                                         minimum=1),
@@ -232,7 +238,7 @@ def load_config(path) -> dict:
             "n": _number(raw, "n", 16, int, minimum=2),
             "max_iter": _number(raw, "max_iter", 400, int, minimum=1),
             "grad_tol": _number(raw, "grad_tol", 1e-8, minimum=0.0),
-            "with_stability": bool(raw.get("with_stability", True)),
+            "with_stability": _flag(raw, "with_stability", True),
         })
     return config
 

@@ -13,11 +13,6 @@ class QuadratureFailure(GroundlabError):
     """An adaptive quadrature did not reach the requested tolerance."""
 
 
-class OscillatoryQuadratureFailure(QuadratureFailure):
-    """An oscillatory (cosine/Bessel/sinc weighted) quadrature failed its
-    self-consistency check."""
-
-
 class NotAbsolutelyIntegrable(GroundlabError):
     """The potential profile is not absolutely integrable over all of space."""
 

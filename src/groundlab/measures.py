@@ -8,8 +8,9 @@ Two concrete representations are used throughout the package:
 On top of those sit the constructive operations: cube-partition empirical
 approximation of an arbitrary target measure (:func:`empirical_approximation`),
 a box-family Levy-Prokhorov upper estimator (:func:`levy_prokhorov_upper`),
-and the two reference density sequences used by the stability module
-(:func:`vanishing_ball_sequence`, :func:`gaussian_witness_density`).
+and the witness densities the stability module builds
+(:func:`uniform_ball_density`, :func:`gaussian_witness_density`,
+:func:`modulated_witness_density`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "empirical_approximation",
     "levy_prokhorov_upper",
     "uniform_ball_density",
-    "vanishing_ball_sequence",
     "gaussian_witness_density",
     "modulated_witness_density",
 ]
@@ -290,18 +290,6 @@ def uniform_ball_density(radius: float, dimension: int,
     return _rasterized_radial(
         radius, dimension, cells_per_radius,
         lambda r: (r <= radius).astype(float))
-
-
-def vanishing_ball_sequence(index: int, dimension: int,
-                            cells_per_radius: int = 64) -> GridDensity:
-    """Uniform probability density on the ball of radius ``index``.
-
-    Element ``index`` of the spreading sequence: total mass 1, sup norm
-    falling like index**(-N).
-    """
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    return uniform_ball_density(float(index), dimension, cells_per_radius)
 
 
 def gaussian_witness_density(p: float, dimension: int,

@@ -3,19 +3,26 @@
 The origin piece (0, 1] is cut at 1e-2 ... 1e-10 and declared divergent
 when its absolute integral still grows by more than 10 % over the final
 cutoff; the tail [1, inf) is cut into decades and declared divergent when
-no decade up to radius 1e8 falls below the quadrature noise floor.
+no decade up to radius 1e8 falls below the quadrature noise floor.  The
+floor [0, 1e-10] below the last cutoff joins each value after the origin
+gate; no gate and no tail mass reads it.
 
-Each of these 17 segments is split into log-graded panels, four per
-decade, and a panel edge is added wherever the integrand changes sign, so
-that its absolute value has no kink inside a panel.  The integrand is
-evaluated once, as an array, on the nodes of an embedded pair of composite
-Gauss-Legendre rules (10 and 20 nodes per panel).  The 20-node sum is the
-segment's value and its distance from the 10-node sum the error estimate.
-A segment whose two rules disagree by more than quad_tol * max(1, |value|)
-is integrated again by one adaptive ``scipy.integrate.quad`` call
-(:func:`segment`).  :func:`gaussian_integrals` weighs one integrand with
-many Gaussian factors exp(-p^2 r^2) at once, as one matrix product over
-the shared nodes; every row keeps its own gates and fallbacks.
+Each of these 18 segments is split into log-graded panels, four per
+decade (the floor is one panel), and a panel edge is added wherever the
+integrand changes sign, so that its absolute value has no kink inside a
+panel.  The integrand is evaluated once, as an array, on the nodes of an
+embedded pair of composite Gauss-Legendre rules (10 and 20 nodes per
+panel).  The 20-node sum is the segment's value and its distance from the
+10-node sum the error estimate.  A segment whose two rules disagree by
+more than quad_tol * max(1, |value|) is integrated again by one adaptive
+``scipy.integrate.quad`` call (:func:`segment`).
+
+Many integrals of one integrand are weighed at once, each a row of factors
+over the shared nodes, formed a few MB at a time; every row keeps its own
+fallbacks.  :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and gates
+every row.  :func:`kernel_integrals` weighs with an oscillating kernel
+K(x r) over [0, upper], with no gate, on panels refined to at most half a
+period of the fastest kernel; the radial Fourier transforms use it.
 """
 
 from __future__ import annotations
@@ -28,35 +35,36 @@ from scipy.integrate import quad
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
 
 __all__ = ["segment", "origin_growth", "radial_integral",
-           "gaussian_integrals"]
+           "gaussian_integrals", "kernel_integrals"]
 
 # Cutoff edges of the origin piece, from 1 down to 1e-10.
 ORIGIN_EDGES = (1.0,) + tuple(10.0 ** (-decade) for decade in range(2, 11))
 ORIGIN_GROWTH = 0.10
 _TAIL_MAX_DECADE = 8
 
-# Segment bounds in increasing radius, 1e-10 ... 1 ... 1e8: segments
-# 0 .. _N_ORIGIN - 1 make up the origin piece, the rest the tail decades.
-_BOUNDS = ORIGIN_EDGES[::-1] + tuple(10.0**k for k in
-                                     range(1, _TAIL_MAX_DECADE + 1))
+# Segment bounds in increasing radius, 0, 1e-10 ... 1 ... 1e8: segment 0 is
+# the floor [0, 1e-10], segments 1 .. _N_ORIGIN make up the origin piece,
+# the rest the tail decades.
+_BOUNDS = (0.0,) + ORIGIN_EDGES[::-1] + tuple(10.0**k for k in
+                                              range(1, _TAIL_MAX_DECADE + 1))
 _N_ORIGIN = len(ORIGIN_EDGES) - 1
 _N_SEGMENTS = len(_BOUNDS) - 1
 _PANELS_PER_DECADE = 4
 _NODES = 10                 # per panel in the low rule; twice that in the high
 _PROBES_PER_DECADE = 32     # sign-change search grid
 _BISECTIONS = 48            # shrinks a probe bracket below 1e-13 relative
-_ROW_CHUNK = 64             # Gaussian factors formed at a time, ~1 MB
+_CHUNK_ELEMENTS = 1 << 18   # nodes, or row factors, formed at a time: 2 MB
 # Factors and weighted values below this are dropped before they are
 # multiplied: two of them make a subnormal number, which the processor
 # handles up to a hundred times slower, and a term this small moves no sum
 # or gate.
 _NEGLIGIBLE = 1e-150
 
-# Log-graded panel edges over all segments, and the two Gauss-Legendre
-# rules on [-1, 1].
-_PANEL_EDGES = np.unique(np.concatenate([
+# Log-graded panel edges over all segments (the floor is one panel), and the
+# two Gauss-Legendre rules on [-1, 1].
+_PANEL_EDGES = np.unique(np.concatenate([[0.0]] + [
     np.geomspace(lo, hi, 1 + round(_PANELS_PER_DECADE * math.log10(hi / lo)))
-    for lo, hi in zip(_BOUNDS, _BOUNDS[1:])]))
+    for lo, hi in zip(_BOUNDS[1:], _BOUNDS[2:])]))
 _RULES = tuple(np.polynomial.legendre.leggauss(n)
                for n in (_NODES, 2 * _NODES))
 
@@ -85,9 +93,9 @@ def origin_growth(estimates) -> float:
 
 def _sign_changes(func) -> np.ndarray:
     """Radii where the array function ``func`` changes sign, bracketed on a
-    log grid over the segments and narrowed by bisection."""
-    grid = np.geomspace(_BOUNDS[0], _BOUNDS[-1], 1 + round(
-        _PROBES_PER_DECADE * math.log10(_BOUNDS[-1] / _BOUNDS[0])))
+    log grid from 1e-10 to 1e8 and narrowed by bisection."""
+    grid = np.geomspace(_BOUNDS[1], _BOUNDS[-1], 1 + round(
+        _PROBES_PER_DECADE * math.log10(_BOUNDS[-1] / _BOUNDS[1])))
     sign = np.sign(func(grid))
     signed_at = np.flatnonzero(np.isfinite(sign) & (sign != 0))
     left, right = signed_at[:-1], signed_at[1:]
@@ -102,16 +110,16 @@ def _sign_changes(func) -> np.ndarray:
     return hi
 
 
-def _rule_pair(func):
-    """Nodes, weights and output column of both composite rules, in
-    increasing column order.  Column s holds the low rule on segment s,
-    column _N_SEGMENTS + s the high rule."""
-    edges = np.union1d(_PANEL_EDGES, _sign_changes(func))
+def _rule_pair(edges, bounds):
+    """Nodes, weights and output column of both composite rules on the
+    panels between consecutive ``edges``, in increasing column order.
+    Column s holds the low rule on segment [bounds[s], bounds[s + 1]],
+    column len(bounds) - 1 + s the high rule."""
     lo = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
-    owner = np.searchsorted(_BOUNDS, edges[:-1], side="right") - 1
+    owner = np.searchsorted(bounds, edges[:-1], side="right") - 1
     nodes, weights, columns = [], [], []
-    for offset, (x, w) in zip((0, _N_SEGMENTS), _RULES):
+    for offset, (x, w) in zip((0, len(bounds) - 1), _RULES):
         nodes.append((lo + half * (x + 1.0)).ravel())
         weights.append((half * w).ravel())
         columns.append(np.repeat(offset + owner, x.size))
@@ -123,33 +131,45 @@ def _flushed(a):
     return np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a)
 
 
-def _segment_sums(signed, absolute, p_values):
-    """Array (rows, 4, segments) of the low- and high-rule sums of
-    signed(r) exp(-p^2 r^2) and of the same with ``absolute``, one row per
-    p; the factors are formed _ROW_CHUNK rows at a time."""
-    r, w, column = _rule_pair(signed)
-    values = signed(r)
-    masses = values if absolute is None else absolute(r)
-    weighted = _flushed(np.stack([values * w, masses * w]))
-    starts = np.searchsorted(column, np.arange(2 * _N_SEGMENTS))
-    p = np.asarray(p_values, dtype=float)
-    sums = []
-    for k in range(0, p.size, _ROW_CHUNK):
-        exponents = np.square(np.outer(p[k:k + _ROW_CHUNK], r))
-        factors = _flushed(np.exp(-exponents))
-        sums.append(np.add.reduceat(factors[:, None, :] * weighted, starts,
-                                    axis=2))
-    return np.concatenate(sums).reshape(p.size, 4, _N_SEGMENTS)
+def _segment_sums(integrands, factor, scales, edges, bounds):
+    """Array (rows, integrands, 2, segments) of the low- and high-rule sums
+    of f(r) factor(x r), one row per x in ``scales``, for each array
+    function f in ``integrands``.  Nodes and factors are formed
+    _CHUNK_ELEMENTS at a time."""
+    x = np.asarray(scales, dtype=float)
+    sums = np.zeros((x.size, len(integrands), 2 * (len(bounds) - 1)))
+    step = max(1, _CHUNK_ELEMENTS // (3 * _NODES))
+    for first in range(0, edges.size - 1, step):
+        r, w, column = _rule_pair(edges[first:first + step + 1], bounds)
+        weighted = _flushed(np.stack([f(r) * w for f in integrands]))
+        present, starts = np.unique(column, return_index=True)
+        chunk = max(1, _CHUNK_ELEMENTS // r.size)
+        for k in range(0, x.size, chunk):
+            factors = _flushed(factor(np.outer(x[k:k + chunk], r)))
+            sums[k:k + chunk, :, present] += np.add.reduceat(
+                factors[:, None, :] * weighted, starts, axis=2)
+    return sums.reshape(x.size, len(integrands), 2, len(bounds) - 1)
+
+
+def _agreeing(sums, quad_tol):
+    """High-rule sums (rows, integrands, segments) and the (rows, segments)
+    mask of segments whose sums are finite and whose two rules agree to
+    quad_tol * max(1, |value|) for every integrand."""
+    low, high = sums[:, :, 0], sums[:, :, 1]
+    agree = (np.isfinite(sums).all(axis=2)
+             & (np.abs(high - low) <= quad_tol * np.maximum(1.0, np.abs(high))))
+    return high, agree.all(axis=1)
 
 
 def _gated(piece, quad_tol):
     """(integral, tail_masses) from ``piece(s)``, the (value, |value|
     mass) of segment s, with the origin-growth gate and the tail stopping
-    rule; NotAbsolutelyIntegrable when a gate trips."""
+    rule; NotAbsolutelyIntegrable when a gate trips.  The floor [0, 1e-10]
+    joins the value after the gate and no gate reads it."""
     near = 0.0
     abs_total = 0.0
     abs_estimates = []
-    for s in reversed(range(_N_ORIGIN)):
+    for s in reversed(range(1, _N_ORIGIN + 1)):
         value, mass = piece(s)
         near += value
         abs_total += mass
@@ -159,10 +179,11 @@ def _gated(piece, quad_tol):
         raise NotAbsolutelyIntegrable(
             f"integral near the origin still grew {growth:.1%} over the "
             f"final cutoff decade")
+    near += piece(0)[0]
 
     far = 0.0
     masses = []
-    for s in range(_N_ORIGIN, _N_SEGMENTS):
+    for s in range(_N_ORIGIN + 1, _N_SEGMENTS):
         value, mass = piece(s)
         far += value
         masses.append(mass)
@@ -171,6 +192,10 @@ def _gated(piece, quad_tol):
     raise NotAbsolutelyIntegrable(
         f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
         f"last decade contributed {masses[-1]:.3g}")
+
+
+def _gaussian(x):
+    return np.exp(-np.square(x))
 
 
 def gaussian_integrals(signed, p_values, quad_tol, absolute=None):
@@ -182,29 +207,22 @@ def gaussian_integrals(signed, p_values, quad_tol, absolute=None):
     them with one radius.  The sign changes of ``signed`` are the panel
     edges of every row, since the Gaussian factors are positive.
     """
-    sums = _segment_sums(signed, absolute, p_values)
-    value_lo, value_hi, mass_lo, mass_hi = np.moveaxis(sums, 1, 0)
-    agree = (np.isfinite(sums).all(axis=1)
-             & (np.abs(value_hi - value_lo)
-                <= quad_tol * np.maximum(1.0, np.abs(value_hi)))
-             & (np.abs(mass_hi - mass_lo)
-                <= quad_tol * np.maximum(1.0, np.abs(mass_hi))))
+    integrands = (signed,) if absolute is None else (signed, absolute)
+    edges = np.union1d(_PANEL_EDGES, _sign_changes(signed))
+    high, agree = _agreeing(_segment_sums(integrands, _gaussian, p_values,
+                                          edges, np.array(_BOUNDS)), quad_tol)
 
     rows = zip(np.asarray(p_values, dtype=float).tolist(), agree.tolist(),
-               value_hi.tolist(), mass_hi.tolist())
+               high.tolist())
     results = []
-    for p, ok, values, masses in rows:
-        def piece(s, p=p, ok=ok, values=values, masses=masses):
+    for p, ok, sums in rows:
+        def piece(s, p=p, ok=ok, sums=sums):
             if ok[s]:
-                return values[s], masses[s]
+                return sums[0][s], sums[-1][s]
             lo, hi = _BOUNDS[s], _BOUNDS[s + 1]
-            value = segment(lambda r: math.exp(-(p * r) ** 2) * signed(r),
-                            lo, hi, quad_tol)[0]
-            if absolute is None:
-                return value, value
-            return value, segment(
-                lambda r: math.exp(-(p * r) ** 2) * absolute(r), lo, hi,
-                quad_tol)[0]
+            values = [segment(lambda r: _gaussian(p * r) * f(r), lo, hi,
+                              quad_tol)[0] for f in integrands]
+            return values[0], values[-1]
 
         try:
             results.append(_gated(piece, quad_tol))
@@ -224,3 +242,29 @@ def radial_integral(signed, quad_tol, absolute=None):
     if isinstance(result, GroundlabError):
         raise result
     return result
+
+
+def kernel_integrals(signed, kernel, scales, upper, quad_tol) -> np.ndarray:
+    """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
+    ``scales``, with no gate.
+
+    The panels are those of :func:`gaussian_integrals` below ``upper``,
+    refined to a width of at most pi / max(scales), so that no panel holds
+    more than half a period of an oscillating kernel; the segments are the
+    floor, the origin decades and the tail decades, cut at ``upper``.  A
+    segment whose two rules disagree is integrated by :func:`segment`,
+    which raises QuadratureFailure when it fails.
+    """
+    x = np.asarray(scales, dtype=float)
+    bounds = np.array([b for b in _BOUNDS if b < upper] + [upper])
+    uniform = np.linspace(0.0, upper,
+                          1 + math.ceil(upper * float(x.max()) / math.pi))
+    edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed), uniform])
+    edges = np.union1d(edges[edges < upper], bounds)
+    high, agree = _agreeing(_segment_sums((signed,), kernel, x, edges,
+                                          bounds), quad_tol)
+    values = high[:, 0]
+    for k, s in zip(*np.nonzero(~agree)):
+        values[k, s] = segment(lambda r: kernel(x[k] * r) * signed(r),
+                               bounds[s], bounds[s + 1], quad_tol)[0]
+    return values.sum(axis=1)

@@ -22,7 +22,9 @@ which builds candidates lazily and keeps the first negative one.
 ``stable_indication`` records the scanned domain and never claims a proof.
 Radial integrals go through :func:`groundlab.radial.radial_integral`; the
 Gaussian-weighted scan evaluates all its p at once through
-:func:`groundlab.radial.gaussian_integrals`.
+:func:`groundlab.radial.gaussian_integrals`, and the Fourier transform all
+its frequencies through :func:`groundlab.radial.kernel_integrals`, with the
+kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -32,20 +34,20 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import pdist
+from scipy.special import j0
 
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
-                     OptimizerStalled, OscillatoryQuadratureFailure,
-                     QuadratureFailure, WitnessFailed)
+                     OptimizerStalled, QuadratureFailure, WitnessFailed)
 from .geometry import unit_ball_volume, unit_sphere_area
 from .measures import (GridDensity, PointCloudMeasure,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import gaussian_integrals, radial_integral, segment
+from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
+                     segment)
 
 __all__ = [
     "Certificate",
@@ -449,46 +451,8 @@ def _decay_radius(potential, cap: float = 1e5) -> float:
     return cap
 
 
-def _qawo(func, upper, xi, weight, quad_tol):
-    """Oscillatory-weighted quadrature with a retry and an error gate."""
-    for limit in (150, 500):
-        try:
-            value, err = quad(func, 0.0, upper, weight=weight, wvar=xi,
-                              limit=limit, epsabs=quad_tol,
-                              epsrel=quad_tol)
-        except Exception as exc:
-            raise OscillatoryQuadratureFailure(
-                f"oscillatory quadrature raised at xi={xi:g}: {exc}"
-            ) from exc
-        if math.isfinite(value) and abs(err) <= max(
-                quad_tol * 100, 5e-7 * (1.0 + abs(value))):
-            return value
-    raise OscillatoryQuadratureFailure(
-        f"oscillatory quadrature error {err:.3g} at xi={xi:g} exceeds the "
-        f"self-consistency gate")
-
-
-class _LineProjection:
-    """Integral of the profile along one coordinate, precomputed on fixed
-    Gauss-Legendre nodes; turns the planar transform into a cosine
-    transform."""
-
-    def __init__(self, potential, upper):
-        nodes_a, weights_a = np.polynomial.legendre.leggauss(200)
-        nodes_b, weights_b = np.polynomial.legendre.leggauss(200)
-        split = min(1.0, upper / 2.0)
-        self.nodes = np.concatenate([
-            0.5 * split * (nodes_a + 1.0),
-            split + 0.5 * (upper - split) * (nodes_b + 1.0)])
-        self.weights = np.concatenate([
-            0.5 * split * weights_a,
-            0.5 * (upper - split) * weights_b])
-        self.potential = potential
-
-    def __call__(self, x: float) -> float:
-        radii = np.hypot(x, self.nodes)
-        return 2.0 * float(np.dot(self.weights,
-                                  self.potential(radii)))
+# K_N(x): the radial kernel of the N-dimensional Fourier transform
+_FOURIER_KERNELS = {1: np.cos, 2: j0, 3: lambda x: np.sinc(x / math.pi)}
 
 
 def radial_fourier_transform(potential: RadialPotential,
@@ -497,33 +461,26 @@ def radial_fourier_transform(potential: RadialPotential,
     """Fourier transform of x -> W(|x|) on R^N, evaluated at radial
     frequencies (convention: integral of W(|x|) exp(-i xi.x) dx).
 
-    N=1 uses a cosine transform, N=2 integrates the line projection of the
-    profile against a cosine, N=3 uses the sine kernel.  The zero
+    FT(xi) = S_{N-1} int_0^R W(r) r^{N-1} K_N(xi r) dr with K_1 = cos,
+    K_2 = J_0 and K_3(x) = sin(x) / x, truncated at the radius R beyond
+    which |W| is negligible; all nonzero frequencies are weighed on one
+    set of nodes by :func:`groundlab.radial.kernel_integrals`.  The zero
     frequency delegates to :func:`space_integral`.
     """
     xi = np.asarray(frequencies, dtype=float)
     flat = np.atleast_1d(xi)
     if np.any(flat < 0):
         raise ValueError("frequencies must be nonnegative")
-    n = potential.dimension
-    upper = _decay_radius(potential)
     out = np.empty(flat.shape)
-
-    projection = _LineProjection(potential, upper) if n == 2 else None
-
-    for k, f in enumerate(flat):
-        if f == 0.0:
-            out[k] = space_integral(potential, quad_tol)
-            continue
-        if n == 1:
-            out[k] = 2.0 * _qawo(lambda r: float(potential(r)), upper, f,
-                                 "cos", quad_tol)
-        elif n == 2:
-            out[k] = 2.0 * _qawo(projection, upper, f, "cos", quad_tol)
-        else:
-            out[k] = (4.0 * math.pi / f) * _qawo(
-                lambda r: float(potential(r)) * r, upper, f, "sin",
-                quad_tol)
+    zero = flat == 0.0
+    if zero.any():
+        out[zero] = space_integral(potential, quad_tol)
+    if not zero.all():
+        n = potential.dimension
+        signed, _ = _radial_density(potential)
+        out[~zero] = unit_sphere_area(n) * kernel_integrals(
+            signed, _FOURIER_KERNELS[n], flat[~zero],
+            _decay_radius(potential), quad_tol)
     return float(out[0]) if xi.ndim == 0 else out
 
 
@@ -546,8 +503,7 @@ def fourier_criterion(potential: RadialPotential,
     the nonnegative-density energies.
 
     Raises NotSquareIntegrable when W^2 fails to integrate, and
-    OscillatoryQuadratureFailure when the transform quadrature cannot
-    certify itself.
+    QuadratureFailure when a fallback quadrature of the transform fails.
     """
     n = potential.dimension
     try:

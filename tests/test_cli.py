@@ -114,6 +114,11 @@ def test_more_config_errors(tmp_path):
         ("minimize", {"grad_tol": -1.0}),
         ("scan", {"grid": {"G": [1.0]}, "max_iter": 0}),
         ("scan", {"grid": {"G": [1.0]}, "grad_tol": -1.0}),
+        # strings and booleans are not coerced: "false" would switch
+        # witnesses on, and [true] would run seed 1
+        ("stability", {"build_witness": "false"}),
+        ("scan", {"grid": {"G": [1.0]}, "with_stability": "false"}),
+        ("analyze", {"seeds": [True]}),
     ]
     for k, (command, extra) in enumerate(malformed):
         cfg = write_config(tmp_path, f"m{k}.json", {

@@ -6,7 +6,7 @@ import pytest
 from groundlab import (GridDensity, PointCloudMeasure, combine,
                        empirical_approximation, gaussian_witness_density,
                        levy_prokhorov_upper, modulated_witness_density,
-                       uniform_ball_density, vanishing_ball_sequence)
+                       uniform_ball_density)
 from groundlab.errors import DimensionUnsupported
 
 
@@ -96,13 +96,13 @@ def test_uniform_ball_probability_and_support():
 
 
 def test_vanishing_sequence_spreads_mass():
-    peaks = [vanishing_ball_sequence(k, 1, cells_per_radius=64).max_value
+    peaks = [uniform_ball_density(k, 1, cells_per_radius=64).max_value
              for k in (1, 2, 4)]
     assert peaks[0] > peaks[1] > peaks[2]
     # uniform density on [-k, k] has height 1/(2k)
     assert peaks[2] == pytest.approx(1.0 / 8.0, rel=1e-12)
     with pytest.raises(ValueError):
-        vanishing_ball_sequence(0, 1)
+        uniform_ball_density(0, 1)
 
 
 def test_gaussian_witness_density_shape():

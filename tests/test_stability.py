@@ -1,7 +1,10 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
                        Tabulated, ball_witness, check_ruc, energy_grid,
@@ -117,9 +120,9 @@ def test_fixed_rules_agree_with_adaptive_quadrature():
     assert not problems, "\n".join(problems)
 
 
-def gaussmix_weighted_closed_form(w, p, cutoff=1e-10):
-    """Integral of W(|x|) exp(-p^2 |x|^2) over |x| >= cutoff, the domain
-    the radial segments cover, for a Gaussian mixture."""
+def gaussmix_weighted_closed_form(w, p, cutoff=0.0):
+    """Integral of W(|x|) exp(-p^2 |x|^2) over |x| >= cutoff for a
+    Gaussian mixture."""
     total = 0.0
     for amp, width in w.terms:
         c = 1.0 / width**2 + p * p
@@ -190,6 +193,10 @@ def test_gaussian_scan_evaluates_w_only_as_arrays(monkeypatch):
         assert verdict.outcome == HE
         assert potential.scalar_calls == 0
         assert 0 < potential.array_calls
+        # the transform rows share the engine's nodes in the same way
+        potential = CountingPotential(inner)
+        fourier_criterion(potential)
+        assert potential.scalar_calls == 0
     assert fallbacks == []
     assert per_p == []
 
@@ -202,9 +209,8 @@ def test_kinked_profile_falls_back_to_adaptive_quad(monkeypatch):
     monkeypatch.setattr(radial, "segment", lambda *args: (
         fallbacks.append(args[1:3]) or segment(*args)))
     w = Tabulated([0.0, 1.0, 2.0], [-1.0, 1.0, 0.0], 1)
-    # 2 * (int_0^1 (2r - 1) dr + int_1^2 (2 - r) dr) = 1, less the
-    # 2 * (-1e-10) below the innermost cutoff
-    assert space_integral(w) == pytest.approx(1.0 + 2e-10, abs=1e-12)
+    # 2 * (int_0^1 (2r - 1) dr + int_1^2 (2 - r) dr) = 1
+    assert space_integral(w) == pytest.approx(1.0, abs=1e-12)
     assert set(fallbacks) == {(1.0, 10.0)}
 
 
@@ -276,13 +282,90 @@ def test_gaussian_criterion_witness_energy_tracks_weighted_value():
                                                      rel=1e-2)
 
 
+def morse_fourier_transform(w, xi):
+    """Closed form of the Morse transform: e^{-r/L} transforms to
+    2L/(1+L^2 xi^2), 2 pi L^2/(1+L^2 xi^2)^{3/2} and 8 pi L^3/(1+L^2 xi^2)^2
+    in N = 1, 2, 3."""
+    def single(L):
+        q = 1.0 + (L * xi) ** 2
+        return {1: 2.0 * L / q, 2: 2.0 * math.pi * L**2 / q**1.5,
+                3: 8.0 * math.pi * L**3 / q**2}[w.dimension]
+    return single(1.0) - w.G * single(w.L)
+
+
+def criterion_frequencies():
+    """The frequencies fourier_criterion evaluates on its default grid."""
+    grid = stability._default_xi_grid()
+    return np.concatenate([grid, np.array([1.5, 2.0, 3.0]) * grid.max()])
+
+
 def test_fourier_transform_matches_gaussmix_closed_form():
-    xi = np.array([0.0, 0.7, 1.9, 4.0])
-    for dim in (1, 2, 3):
-        w = GaussianMix([(1.5, 1.0), (-0.6, 1.8)], dim)
-        got = radial_fourier_transform(w, xi)
-        np.testing.assert_allclose(got, w.fourier_transform(xi), rtol=1e-6,
-                                   atol=1e-9)
+    xi = criterion_frequencies()
+    # the long-range Morse profile decays by radius 1024, so its panels are
+    # evaluated in two blocks
+    for w in [w for w, _ in REGRESSION_CASES] + [Morse(0.5, 10.0, 2)]:
+        want = (w.fourier_transform(xi) if isinstance(w, GaussianMix)
+                else morse_fourier_transform(w, xi))
+        np.testing.assert_allclose(radial_fourier_transform(w, xi), want,
+                                   rtol=1e-12, atol=1e-13, err_msg=w.label)
+
+
+def qawo_fourier_transform(potential, frequencies, quad_tol=1e-8):
+    """Reference: one adaptive oscillatory-weighted quad (QAWO) per
+    frequency over [0, R], as transforms were computed before the fixed
+    rules.  N=1 is a cosine transform, N=3 a sine transform of W(r) r, and
+    N=2 a cosine transform of the line projection of the profile, itself
+    integrated on 400 fixed Gauss-Legendre nodes."""
+    n = potential.dimension
+    upper = stability._decay_radius(potential)
+    x, w = np.polynomial.legendre.leggauss(200)
+    split = min(1.0, upper / 2.0)
+    nodes = np.concatenate([0.5 * split * (x + 1.0),
+                            split + 0.5 * (upper - split) * (x + 1.0)])
+    weights = np.concatenate([0.5 * split * w, 0.5 * (upper - split) * w])
+
+    def projection(s):
+        return 2.0 * float(np.dot(weights, potential(np.hypot(s, nodes))))
+
+    def qawo(func, xi, weight):
+        value, err = quad(func, 0.0, upper, weight=weight, wvar=xi,
+                          limit=500, epsabs=quad_tol, epsrel=quad_tol)
+        assert err <= max(quad_tol * 100, 5e-7 * (1.0 + abs(value)))
+        return value
+
+    out = []
+    for xi in frequencies:
+        if n == 1:
+            out.append(2.0 * qawo(lambda r: float(potential(r)), xi, "cos"))
+        elif n == 2:
+            out.append(2.0 * qawo(projection, xi, "cos"))
+        else:
+            out.append(4.0 * math.pi / xi * qawo(
+                lambda r: float(potential(r)) * r, xi, "sin"))
+    return np.array(out)
+
+
+def test_fourier_transform_agrees_with_adaptive_oscillatory_quadrature():
+    # every third nonzero frequency, up to the last tail probe
+    xi = criterion_frequencies()[1::3]
+    problems = []
+    for potential, _ in REGRESSION_CASES:
+        got = radial_fourier_transform(potential, xi)
+        want = qawo_fourier_transform(potential, xi)
+        bad = np.abs(got - want) > 1e-9 * (1.0 + np.abs(want))
+        problems += [f"{potential.label} xi={f:g}: {g!r} vs QAWO {v!r}"
+                     for f, g, v in zip(xi[bad], got[bad], want[bad])]
+    assert not problems, "\n".join(problems)
+
+
+def test_only_radial_imports_scipy_integrate():
+    source = Path(stability.__file__).parent
+    importers = sorted(
+        path.name for path in source.glob("*.py")
+        if re.search(r"^\s*(from\s+scipy\.integrate\s+import|import\s+"
+                     r"scipy\.integrate|from\s+scipy\s+import\s+.*\b"
+                     r"integrate\b)", path.read_text(), re.MULTILINE))
+    assert importers == ["radial.py"]
 
 
 def test_fourier_transform_scalar_input_gives_scalar_output():
