@@ -487,7 +487,11 @@ def main(argv=None) -> int:
             config["seeds"] = [args.seed_override]
         out_dir = Path(args.out if args.out is not None
                        else config["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir}: {exc}") from exc
 
         handler = {"analyze": cmd_analyze, "stability": cmd_stability,
                    "minimize": cmd_minimize, "scan": cmd_scan}[

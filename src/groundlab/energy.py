@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import QuadratureFailure
+from .geometry import pair_distances, pair_indices
 from .measures import GridDensity, PointCloudMeasure
 from .potentials import RadialPotential
 
@@ -67,9 +68,9 @@ def energy_pointcloud(potential: RadialPotential, mu: PointCloudMeasure,
     n = mu.size
     off = 0.0
     if n > 1:
-        dists = pdist(mu.points)
+        dists = pair_distances(mu.points)
         pair_w = (mu.weights[:, None] * mu.weights[None, :])[
-            np.triu_indices(n, 1)]
+            pair_indices(n)]
         off = 2.0 * float(np.dot(pair_w, potential(dists)))
 
     diagonal = 0.0

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (InvariantViolation, NonDifferentiable,
                      ParticleCollision)
+from .geometry import pair_distances, pair_indices
 from .measures import PointCloudMeasure
 from .potentials import RadialPotential
 
@@ -90,27 +90,52 @@ class MinimizationTrace:
 
 
 def _pair_energy_terms(config, clamp):
-    d = pdist(config)
+    d = pair_distances(config)
     if clamp:
         d = np.maximum(d, _MIN_SEPARATION)
     return d
 
 
+def _pair_energy(potential, d, n):
+    return (2.0 / n**2) * float(potential(d).sum())
+
+
 def _energy(potential, config, clamp):
+    d = _pair_energy_terms(config, clamp)
+    return _pair_energy(potential, d, config.shape[0])
+
+
+def _square_form(values, n):
+    """Symmetric n x n matrix of condensed pair values, zero diagonal."""
+    rows, cols = pair_indices(n)
+    mat = np.zeros((n, n))
+    mat[rows, cols] = values
+    mat[cols, rows] = values
+    return mat
+
+
+def _descent_state(potential, config, clamp):
+    """Energy, gradient, pair distances and dW/dr at them, from one pass
+    over the pairs of ``config``."""
     n = config.shape[0]
     d = _pair_energy_terms(config, clamp)
-    return (2.0 / n**2) * float(np.sum(potential(d)))
+    energy = _pair_energy(potential, d, n)
+    slopes = potential.derivative(d)
+    mat = _square_form(slopes / d, n)
+    diffs = config[:, None, :] - config[None, :, :]
+    grad = (2.0 / n**2) * np.einsum("ij,ijd->id", mat, diffs)
+    return energy, grad, d, slopes
 
 
 def _energy_and_gradient(potential, config, clamp):
-    n, dim = config.shape
-    d = _pair_energy_terms(config, clamp)
-    energy = (2.0 / n**2) * float(np.sum(potential(d)))
-    slopes = potential.derivative(d)
-    mat = squareform(slopes / d)
-    diffs = config[:, None, :] - config[None, :, :]
-    grad = (2.0 / n**2) * np.einsum("ij,ijd->id", mat, diffs)
+    energy, grad, _, _ = _descent_state(potential, config, clamp)
     return energy, grad
+
+
+def _centred(config):
+    # the bits of config - config.mean(axis=0), which sums and divides the
+    # same way, without np.mean's Python layers
+    return config - np.add.reduce(config, axis=0) / config.shape[0]
 
 
 def preferred_spacing(potential: RadialPotential) -> float:
@@ -179,6 +204,11 @@ def minimize_particles(potential: RadialPotential, n: int,
     1e-10 inside the energy, which keeps collapsing clusters finite and
     gradients defined.
 
+    Each configuration's pair distances are computed once, by
+    :func:`~groundlab.geometry.pair_distances`: a trial step's feed its
+    energy, an accepted step's its energy, gradient and recorded largest
+    pair distance, and the start's dW/dr values also set the first step.
+
     Args:
         potential: differentiable radial potential.
         n: particle count, >= 2.
@@ -200,16 +230,15 @@ def minimize_particles(potential: RadialPotential, n: int,
     clamp = math.isfinite(potential.value_at_zero)
 
     config = _initial_config(potential, n, dim, init, seed)
-    config = config - config.mean(axis=0)
+    config = _centred(config)
 
-    energy, grad = _energy_and_gradient(potential, config, clamp)
-    d0 = _pair_energy_terms(config, clamp)
-    slope_scale = float(np.max(np.abs(potential.derivative(d0))))
+    energy, grad, d, slopes = _descent_state(potential, config, clamp)
+    slope_scale = float(np.abs(slopes).max())
     step = 1.0 / (n * slope_scale) if slope_scale > 0 else 1.0
 
     energies = [energy]
     q90 = [_q90_radius(config)]
-    max_pd = [float(np.max(d0))]
+    max_pd = [float(d.max())]
     steps = [0.0]
     stride = max(1, max_iter // 128)
     snapshots = [(0, config.copy())]
@@ -219,11 +248,11 @@ def minimize_particles(potential: RadialPotential, n: int,
     converged = False
 
     for it in range(1, max_iter + 1):
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = float(np.abs(grad).max())
         if grad_norm < grad_tol:
             converged = True
             break
-        gsq = float(np.sum(grad * grad))
+        gsq = float((grad * grad).sum())
         trial = step * 2.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -236,9 +265,9 @@ def minimize_particles(potential: RadialPotential, n: int,
         if not accepted:
             break
 
-        config = candidate - candidate.mean(axis=0)
+        config = _centred(candidate)
         step = trial
-        energy, grad = _energy_and_gradient(potential, config, clamp)
+        energy, grad, d, _ = _descent_state(potential, config, clamp)
         if not math.isfinite(energy):
             raise ParticleCollision(
                 "energy became non-finite after an accepted step")
@@ -249,7 +278,7 @@ def minimize_particles(potential: RadialPotential, n: int,
 
         energies.append(energy)
         q90.append(_q90_radius(config))
-        max_pd.append(float(np.max(_pair_energy_terms(config, clamp))))
+        max_pd.append(float(d.max()))
         steps.append(trial)
         if it % stride == 0:
             snapshots.append((it, config.copy()))
@@ -277,22 +306,40 @@ def minimize_particles(potential: RadialPotential, n: int,
 
 
 def _q90_radius(config) -> float:
-    radii = np.linalg.norm(config - config.mean(axis=0), axis=1)
-    return float(np.quantile(radii, 0.9))
+    centred = _centred(config)
+    # np.linalg.norm(centred, axis=1) evaluates this same expression
+    return _quantile90(np.sqrt(np.add.reduce(centred * centred, axis=1)))
+
+
+def _quantile90(values) -> float:
+    """``np.quantile(values, 0.9)`` bit for bit, from one sort: numpy's
+    linear interpolation between the order statistics around the virtual
+    index 0.9 * (n - 1), evaluated from the nearer end."""
+    ordered = np.sort(values)
+    if math.isnan(ordered[-1]):
+        return math.nan
+    position = (ordered.size - 1) * 0.9
+    low = math.floor(position)
+    t = position - low
+    a = float(ordered[low])
+    b = float(ordered[min(low + 1, ordered.size - 1)])
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
 
 
 def _median_nn_distance(config) -> float:
     n = config.shape[0]
     if n < 2:
         return 0.0
-    d = squareform(pdist(config))
+    d = _square_form(pair_distances(config), n)
     np.fill_diagonal(d, math.inf)
     return float(np.median(d.min(axis=1)))
 
 
 def _two_means(config, iterations: int = 60):
     """Deterministic 2-means: seeded from the most separated pair."""
-    d = squareform(pdist(config))
+    d = _square_form(pair_distances(config), config.shape[0])
     i, j = np.unravel_index(np.argmax(d), d.shape)
     centers = np.stack([config[i], config[j]])
     labels = np.zeros(config.shape[0], dtype=int)
@@ -391,8 +438,8 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
         diams = []
         for c in (0, 1):
             members = trace.final_config[labels == c]
-            diams.append(float(pdist(members).max()) if members.shape[0] > 1
-                         else 0.0)
+            diams.append(float(pair_distances(members).max())
+                         if members.shape[0] > 1 else 0.0)
         diameter = max(max(diams), 1e-9 * scale_ref, 10 * _MIN_SEPARATION)
         if gap / diameter >= cluster_gap_ratio and gap > 1e-3 * scale_ref:
             frac_end = n0 / trace.final_config.shape[0]

@@ -73,7 +73,7 @@ class RadialPotential:
     def __call__(self, radii):
         """Evaluate W at one radius or an array of radii (values may be +inf)."""
         arr = np.asarray(radii, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("radii must be nonnegative")
         out = self._profile(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -81,7 +81,7 @@ class RadialPotential:
     def derivative(self, radii):
         """Evaluate dW/dr at strictly positive radii."""
         arr = np.asarray(radii, dtype=float)
-        if np.any(arr <= 0):
+        if (arr <= 0).any():
             raise ValueError("derivative is evaluated at radii > 0")
         out = self._profile_derivative(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -35,13 +35,12 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.spatial.distance import pdist
 from scipy.special import j0
 
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
                      OptimizerStalled, QuadratureFailure, WitnessFailed)
-from .geometry import unit_ball_volume, unit_sphere_area
+from .geometry import pair_distances, unit_ball_volume, unit_sphere_area
 from .measures import (GridDensity, PointCloudMeasure,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
@@ -623,7 +622,7 @@ def check_ruc(potential: RadialPotential, config: PointCloudMeasure,
     if not np.allclose(config.weights, config.weights[0], rtol=0.0,
                        atol=1e-12):
         raise ValueError("per-pair bound is defined for equal weights")
-    distances = pdist(config.points)
+    distances = pair_distances(config.points)
     if np.any(distances == 0.0):
         raise ValueError("points must be distinct")
     value = float(np.sum(potential(distances))) / n**2

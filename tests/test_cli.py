@@ -68,6 +68,17 @@ def test_command_subcommand_mismatch(tmp_path):
     assert main(["stability", "--config", cfg]) == 2
 
 
+def test_uncreatable_output_directory_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "analyze", "potential": MORSE_AGG})
+    occupied = tmp_path / "taken"
+    occupied.write_text("a file, not a directory")
+    for out in (occupied, occupied / "below"):
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        assert "output directory" in capsys.readouterr().err
+    assert occupied.read_text() == "a file, not a directory"
+
+
 def test_more_config_errors(tmp_path):
     missing = write_config(tmp_path, "a.json", {"command": "analyze"})
     assert main(["analyze", "--config", missing]) == 2

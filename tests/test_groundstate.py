@@ -1,14 +1,17 @@
 import math
 
+from collections import deque
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
                        Tabulated, classify_trace, ground_state_scan,
                        groundstate, minimize_particles)
 from groundlab.errors import InvariantViolation, NonDifferentiable
 from groundlab.groundstate import _energy, _energy_and_gradient, \
-    preferred_spacing
+    _quantile90, preferred_spacing
 
 
 def test_two_particle_optimum_powerlaw():
@@ -250,3 +253,155 @@ def test_scan_propagates_invariant_violations(monkeypatch):
     with pytest.raises(InvariantViolation):
         ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=6,
                           seeds=(0,), with_stability=False)
+
+
+def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
+    """The descent loop with one scipy ``pdist`` per trial energy, one for
+    the gradient, one for the recorded largest pair distance and one more
+    for the slope scale, and ``np.quantile`` for the q90 radius.  The
+    production loop reuses one distance vector per configuration and must
+    reproduce this one bit for bit."""
+    clamp = math.isfinite(potential.value_at_zero)
+
+    def terms(config):
+        d = pdist(config)
+        return np.maximum(d, 1e-10) if clamp else d
+
+    def energy_of(config):
+        return (2.0 / n**2) * float(np.sum(potential(terms(config))))
+
+    def energy_and_gradient(config):
+        d = terms(config)
+        energy = (2.0 / n**2) * float(np.sum(potential(d)))
+        mat = squareform(potential.derivative(d) / d)
+        diffs = config[:, None, :] - config[None, :, :]
+        return energy, (2.0 / n**2) * np.einsum("ij,ijd->id", mat, diffs)
+
+    def q90(config):
+        radii = np.linalg.norm(config - config.mean(axis=0), axis=1)
+        return float(np.quantile(radii, 0.9))
+
+    config = groundstate._initial_config(potential, n, potential.dimension,
+                                         init, seed)
+    config = config - config.mean(axis=0)
+    energy, grad = energy_and_gradient(config)
+    d0 = terms(config)
+    slope_scale = float(np.max(np.abs(potential.derivative(d0))))
+    step = 1.0 / (n * slope_scale) if slope_scale > 0 else 1.0
+    energies, radii, max_pd, steps = [energy], [q90(config)], \
+        [float(np.max(d0))], [0.0]
+    stride = max(1, max_iter // 128)
+    snapshots = [(0, config.copy())]
+    tail = deque(maxlen=129)
+    for it in range(1, max_iter + 1):
+        if float(np.max(np.abs(grad))) < grad_tol:
+            break
+        gsq = float(np.sum(grad * grad))
+        trial = step * 2.0
+        accepted = False
+        for _ in range(48):
+            candidate = config - trial * grad
+            if energy_of(candidate) <= energy - 1e-4 * trial * gsq:
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
+            break
+        config = candidate - candidate.mean(axis=0)
+        step = trial
+        energy, grad = energy_and_gradient(config)
+        energies.append(energy)
+        radii.append(q90(config))
+        max_pd.append(float(np.max(terms(config))))
+        steps.append(trial)
+        if it % stride == 0:
+            snapshots.append((it, config.copy()))
+        tail.append((it, config.copy()))
+    merged = dict(snapshots)
+    merged.update(dict(tail))
+    merged[len(energies) - 1] = config.copy()
+    return {"energies": np.asarray(energies), "q90_radii": np.asarray(radii),
+            "max_pair_distances": np.asarray(max_pd),
+            "step_sizes": np.asarray(steps), "final_config": config,
+            "snapshots": sorted(merged.items())}
+
+
+@pytest.mark.parametrize("potential, n, init", [
+    (Morse(2.0, 1.0, 1), 16, "lattice"),
+    (Morse(2.0, 1.0, 1), 16, "random_ball"),
+    (Morse(2.0, 1.0, 1), 16, "two_cluster"),
+    (Morse(1.0, 2.0, 3), 16, "random_ball"),
+    (PowerLaw(2.0, -0.5, 2), 16, "lattice"),  # W(0) = inf: no clamp
+    (Morse(1.0, 2.0, 2), 64, "two_cluster"),
+    # an expanding profile, and n not a power of two
+    (Morse(0.5, 1.0, 2), 24, "random_ball"),
+], ids=lambda v: getattr(v, "label", v))
+def test_descent_reproduces_the_reference_loop_bit_for_bit(potential, n,
+                                                           init):
+    trace = minimize_particles(potential, n, init=init, seed=1, max_iter=300)
+    want = reference_descent(potential, n, init, seed=1, max_iter=300)
+    for name in ("energies", "q90_radii", "max_pair_distances",
+                 "step_sizes", "final_config"):
+        assert np.array_equal(getattr(trace, name), want[name]), name
+    assert [k for k, _ in trace.snapshots] == [k for k, _ in
+                                               want["snapshots"]]
+    for (k, got), (_, config) in zip(trace.snapshots, want["snapshots"]):
+        assert np.array_equal(got, config), k
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 10, 11, 16, 64, 257))
+def test_quantile90_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    # numpy interpolates from the upper end when the weight is >= 0.5; from
+    # the lower end about one draw in eight rounds differently at n = 2..4
+    for scale in (1e-12, 1.0, 1e3):
+        for _ in range(50):
+            values = scale * rng.exponential(size=n)
+            assert _quantile90(values) == float(np.quantile(values, 0.9))
+    ties = np.repeat([0.5, 2.0], (n + 1) // 2)[:n]
+    assert _quantile90(ties) == float(np.quantile(ties, 0.9))
+    with_nan = rng.exponential(size=n)
+    with_nan[0] = math.nan
+    assert math.isnan(_quantile90(with_nan))
+
+
+class CountingMorse(Morse):
+    """Morse profile counting its pair-energy and derivative evaluations."""
+
+    def __init__(self, *args, pairs):
+        super().__init__(*args)
+        self.pairs = pairs
+        self.energy_calls = 0
+        self.derivative_calls = 0
+
+    def __call__(self, radii):
+        if np.shape(radii) == (self.pairs,):
+            self.energy_calls += 1
+        return super().__call__(radii)
+
+    def derivative(self, radii):
+        self.derivative_calls += 1
+        return super().derivative(radii)
+
+
+def test_descent_computes_each_configuration_once(monkeypatch):
+    kernel_calls = []
+    kernel = groundstate.pair_distances
+
+    def counted(points):
+        kernel_calls.append(points.shape)
+        return kernel(points)
+
+    monkeypatch.setattr(groundstate, "pair_distances", counted)
+    n = 16
+    potential = CountingMorse(2.0, 1.0, 1, pairs=n * (n - 1) // 2)
+    trace = minimize_particles(potential, n, init="lattice", seed=0,
+                               max_iter=200)
+    assert trace.iterations == 200
+    # the start and every accepted step evaluate dW/dr once, and the
+    # slope scale reuses the start's values
+    assert potential.derivative_calls == trace.iterations + 1
+    # one distance pass per configuration whose energy is evaluated: the
+    # start, every trial step, every accepted (recentred) step
+    assert len(kernel_calls) == potential.energy_calls
+    assert potential.energy_calls > 2 * trace.iterations

@@ -14,9 +14,13 @@ largest absolute and relative deviation.
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure), ``probe_hypotheses`` of the same
-potentials, and seven CLI runs: exit code, stdout and every output file
-(JSON without its timestamp, CSV verbatim, others hashed).  The battery
-takes a few minutes and peaks near 1.2 GB (the 3-d ball witness).
+potentials, seven CLI runs (exit code, stdout and every output file: JSON
+without its timestamp, CSV verbatim, others hashed), and the jobs of
+perfbench's ``descent`` workload with start seed 0: for each of the 19
+``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
+configuration, a hash of its snapshots and its ``classify_trace`` label,
+and the two ``ruc_search`` verdicts with their per-pair minima.  The
+battery takes a few minutes and peaks near 1.2 GB (the 3-d ball witness).
 """
 
 from __future__ import annotations
@@ -57,6 +61,27 @@ CLI_RUNS = {
         "grid": {"G": [0.25, 0.5, 1.0, 2.0], "L": [0.5, 1.0, 2.0]},
         "n": 16, "seeds": [0, 1, 2]},
 }
+
+# (family, parameters, dimension) of the descent benchmark's profiles
+DESCENT_PROFILES = (
+    ("morse", (1.0, 2.0), 1),
+    ("morse", (1.0, 2.0), 2),
+    ("morse", (1.0, 2.0), 3),
+    ("morse", (0.5, 1.0), 2),
+    ("morse", (2.0, 1.0), 1),
+    ("powerlaw", (2.0, 1.0), 2),
+    ("powerlaw", (2.0, -0.5), 2),
+)
+INIT_KINDS = ("lattice", "random_ball", "two_cluster")
+# (profile index, n, init, seed): each profile but Morse(2,1,1) once at
+# n = 16 with the inits in turn, Morse(2,1,1) from each init with three
+# seeds at n = 16 and one at n = 64, Morse(1,2,1) at n = 256
+DESCENT_JOBS = (
+    [(p, 16, INIT_KINDS[p % 3], 0) for p in (0, 1, 2, 3, 5, 6)]
+    + [(4, 16, init, k) for k in range(3) for init in INIT_KINDS]
+    + [(4, 64, init, 0) for init in INIT_KINDS]
+    + [(0, 256, "two_cluster", 0)])
+RUC_PROFILES = (1, 3)  # Morse(1,2,2) and Morse(0.5,1,2)
 
 
 def _measure_hash(measure):
@@ -107,6 +132,36 @@ def _cli_run(main, config):
                 "files": files}
 
 
+def _descents():
+    from groundlab import (Morse, PowerLaw, classify_trace,
+                           minimize_particles, ruc_search)
+
+    families = {"morse": Morse, "powerlaw": PowerLaw}
+    profiles = [families[family](*params, dimension)
+                for family, params, dimension in DESCENT_PROFILES]
+    jobs = []
+    for p, n, init, seed in DESCENT_JOBS:
+        trace = minimize_particles(profiles[p], n, init=init, seed=seed,
+                                   max_iter=2000)
+        snapshots = hashlib.sha1()
+        for k, config in trace.snapshots:
+            snapshots.update(str(k).encode())
+            snapshots.update(config.tobytes())
+        jobs.append({
+            "job": f"{profiles[p].label} n={n} {init} seed={seed}",
+            "label": classify_trace(trace),
+            "converged": trace.converged,
+            "energies": trace.energies.tolist(),
+            "q90_radii": trace.q90_radii.tolist(),
+            "max_pair_distances": trace.max_pair_distances.tolist(),
+            "step_sizes": trace.step_sizes.tolist(),
+            "final_config": trace.final_config.tolist(),
+            "snapshots_sha1": snapshots.hexdigest()})
+    ruc = [_outcome(lambda: ruc_search(profiles[p], seeds=(0, 1, 2)))
+           for p in RUC_PROFILES]
+    return {"jobs": jobs, "ruc_search": ruc}
+
+
 def dump(root: Path) -> dict:
     sys.path.insert(0, str(root / "tests"))
     from conftest import REGRESSION_CASES
@@ -126,7 +181,8 @@ def dump(root: Path) -> dict:
     probes = [_outcome(lambda: probe_hypotheses(w))
               for w, _ in REGRESSION_CASES]
     cli = {name: _cli_run(main, config) for name, config in CLI_RUNS.items()}
-    return {"battery": battery, "probes": probes, "cli": cli}
+    return {"battery": battery, "probes": probes, "cli": cli,
+            "descent": _descents()}
 
 
 def differences(old, new, path=""):
