@@ -12,8 +12,9 @@ deterministic CSV/JSON reports into an output directory:
 * ``scan``      -- phase table over a parameter grid.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 internal
-invariant violation.  Outputs are byte-identical across reruns of the same
-config except for the timestamp inside each JSON metadata block.
+invariant violation or any other unexpected error.  Outputs are
+byte-identical across reruns of the same config except for the timestamp
+inside each JSON metadata block.
 
 Config keys and defaults (unknown keys are rejected):
 
@@ -26,7 +27,8 @@ Config keys and defaults (unknown keys are rejected):
                     {"family": "tabulated", "radii": [...], "values": [...],
                      "dimension": N}
     output_dir    nonempty str, default "out" (the --out flag overrides)
-    seeds         nonempty int list (not booleans), default [0]
+    seeds         nonempty list of integers >= 0 (not booleans), default
+                  [0]; --seed-override must be >= 0 too
     quad_tol      float > 0, default 1e-8
     decision_tol  float >= 0, default 1e-6
     stability:    criteria (list, subset of ["integral",
@@ -38,10 +40,13 @@ Config keys and defaults (unknown keys are rejected):
     minimize:     n (default 16, must be >= 2), init (default
                   "random_ball"), max_iter (>= 1, default 500), grad_tol
                   (>= 0, default 1e-8)
-    scan:         grid (required: {param: [values, ...]}), n (default 16),
-                  max_iter (>= 1, default 400), grad_tol (>= 0, default
-                  1e-8), with_stability (true or false, default true)
-Numbers must be finite.
+    scan:         grid (required: {param: [values, ...]}, each param a key
+                  of the potential's family other than "family"), n
+                  (default 16), max_iter (>= 1, default 400), grad_tol
+                  (>= 0, default 1e-8), with_stability (true or false,
+                  default true)
+Numbers must be finite and are never booleans; n, max_iter and
+optimizer_budget must be integers.
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ def _reject_unknown(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def build_potential(block) -> RadialPotential:
-    """Construct a potential from its config block, strictly validated."""
+def _family_keys(block) -> set:
+    """Keys of the potential block's family, or ConfigError."""
     if not isinstance(block, dict):
         raise ConfigError("'potential' must be an object")
     family = block.get("family")
@@ -104,8 +109,15 @@ def build_potential(block) -> RadialPotential:
         raise ConfigError(
             f"'potential.family' must be one of {sorted(_FAMILY_KEYS)}, "
             f"got {family!r}")
-    _reject_unknown(block, _FAMILY_KEYS[family], f"potential ({family})")
-    missing = sorted(_FAMILY_KEYS[family] - set(block))
+    return _FAMILY_KEYS[family]
+
+
+def build_potential(block) -> RadialPotential:
+    """Construct a potential from its config block, strictly validated."""
+    keys = _family_keys(block)
+    family = block["family"]
+    _reject_unknown(block, keys, f"potential ({family})")
+    missing = sorted(keys - set(block))
     if missing:
         raise ConfigError(f"missing key(s) {missing} in potential block")
     dimension = block["dimension"]
@@ -124,8 +136,14 @@ def build_potential(block) -> RadialPotential:
 def _number(raw: dict, key: str, default, kind=float, minimum=-math.inf,
             strict=False):
     """raw[key] (or default) as a finite ``kind`` that is >= minimum, or
-    > minimum when ``strict``."""
+    > minimum when ``strict``.  Booleans are refused, and an int ``kind``
+    refuses numbers with a fractional part instead of truncating them."""
     value = raw.get(key, default)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"'{key}' must be "
+                          f"{'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -192,8 +210,9 @@ def load_config(path) -> dict:
                           f"{config['output_dir']!r}")
     seeds = config["seeds"]
     if (not isinstance(seeds, list) or not seeds
-            or not all(type(s) is int for s in seeds)):
-        raise ConfigError("'seeds' must be a nonempty list of integers")
+            or not all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"'seeds' must be a nonempty list of integers "
+                          f">= 0, got {seeds!r}")
 
     if command == "stability":
         criteria = raw.get("criteria", list(_ALL_CRITERIA))
@@ -233,6 +252,8 @@ def load_config(path) -> dict:
                 or not all(isinstance(v, list) and v for v in grid.values())):
             raise ConfigError("'grid' must map parameter names to nonempty "
                               "value lists")
+        _reject_unknown(grid, _family_keys(raw["potential"]) - {"family"},
+                        "scan grid (parameters of the potential's family)")
         config.update({
             "grid": grid,
             "n": _number(raw, "n", 16, int, minimum=2),
@@ -484,6 +505,9 @@ def main(argv=None) -> int:
                 f"config 'command' is {config['command']!r} but the "
                 f"subcommand given is {args.subcommand!r}")
         if args.seed_override is not None:
+            if args.seed_override < 0:
+                raise ConfigError(f"--seed-override must be >= 0, got "
+                                  f"{args.seed_override}")
             config["seeds"] = [args.seed_override]
         out_dir = Path(args.out if args.out is not None
                        else config["output_dir"])
@@ -510,6 +534,9 @@ def main(argv=None) -> int:
     except GroundlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

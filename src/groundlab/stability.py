@@ -16,9 +16,10 @@ Four routes, each sufficient but not necessary, each producing a
 
 A verdict of ``HE_satisfied`` is always backed by a certificate: either a
 certified negative integral/scan value, or an explicit measure whose energy
-re-evaluates negative through the energy module.  Every witness ladder
-(ball, Gaussian, modulated) is verified on one path, :func:`_verified`,
-which builds candidates lazily and keeps the first negative one.
+re-evaluates negative.  Every witness ladder (ball, Gaussian, modulated) is
+verified on one path, :func:`_verified`, which builds candidates lazily and
+keeps the first negative one; every witness energy comes from
+:func:`groundlab.energy.energy_grid`, the one grid-energy path.
 ``stable_indication`` records the scanned domain and never claims a proof.
 Radial integrals go through :func:`groundlab.radial.radial_integral`; the
 Gaussian-weighted scan evaluates all its p at once through
@@ -41,9 +42,8 @@ from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
                      OptimizerStalled, QuadratureFailure, WitnessFailed)
 from .geometry import pair_distances, unit_ball_volume, unit_sphere_area
-from .measures import (GridDensity, PointCloudMeasure,
-                       gaussian_witness_density, modulated_witness_density,
-                       uniform_ball_density)
+from .measures import (PointCloudMeasure, gaussian_witness_density,
+                       modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
 from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
                      segment)
@@ -192,11 +192,6 @@ def weighted_space_integral(potential: RadialPotential, p: float,
 # witness verification
 
 
-def _witness_energy(potential, density: GridDensity) -> EnergyReport:
-    mode = "direct" if density.values.size <= 4096 else "radial_fast"
-    return energy_grid(potential, density, quad_mode=mode)
-
-
 def _verified(potential, candidates):
     """Certificate of the first candidate density whose energy re-evaluates
     negative, or None.
@@ -208,7 +203,7 @@ def _verified(potential, candidates):
     for kind, build, info in candidates:
         density = build()
         try:
-            report = _witness_energy(potential, density)
+            report = energy_grid(potential, density, quad_mode="radial_fast")
         except QuadratureFailure:
             continue
         if report.value < 0:
@@ -259,7 +254,7 @@ def ball_witness(potential: RadialPotential, R: float, n_scale: int,
 
     radius = float(n_scale * R)
     density = _ball_density(potential, radius, _profile_scale(potential))
-    report = _witness_energy(potential, density)
+    report = energy_grid(potential, density, quad_mode="radial_fast")
     if not report.value < 0:
         raise WitnessFailed(
             f"ball witness energy {report.value:.6g} is not negative at "

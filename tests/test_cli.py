@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from groundlab import PointCloudMeasure
+from groundlab import PointCloudMeasure, cli
 from groundlab.cli import main
 
 MORSE_AGG = {"family": "morse", "G": 1.0, "L": 2.0, "dimension": 2}
@@ -130,11 +130,62 @@ def test_more_config_errors(tmp_path):
         ("stability", {"build_witness": "false"}),
         ("scan", {"grid": {"G": [1.0]}, "with_stability": "false"}),
         ("analyze", {"seeds": [True]}),
+        ("analyze", {"quad_tol": True}),
+        # negative seeds used to crash inside numpy's generator
+        ("minimize", {"seeds": [-1]}),
+        # integer keys are not truncated: 4.7 used to run n = 4 and true
+        # one iteration
+        ("minimize", {"n": 4.7}),
+        ("minimize", {"max_iter": True}),
+        ("scan", {"grid": {"G": [1.0]}, "n": 8.5}),
+        ("stability", {"optimizer_budget": 10.5}),
+        ("stability", {"optimizer_budget": False}),
     ]
     for k, (command, extra) in enumerate(malformed):
         cfg = write_config(tmp_path, f"m{k}.json", {
             "command": command, "potential": MORSE_AGG, **extra})
         assert main([command, "--config", cfg]) == 2, extra
+    negative_override = write_config(tmp_path, "h.json", {
+        "command": "minimize", "potential": MORSE_AGG})
+    assert main(["minimize", "--config", negative_override,
+                 "--seed-override", "-1"]) == 2
+
+
+def test_integral_float_counts_as_an_integer(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "minimize", "potential": POWERLAW, "n": 2.0,
+        "max_iter": 50.0, "output_dir": str(out)})
+    assert main(["minimize", "--config", cfg]) == 0
+    assert PointCloudMeasure.from_csv(out / "final_config.csv").size == 2
+
+
+def test_scan_grid_names_must_be_family_parameters(tmp_path, capsys):
+    for k, (potential, grid) in enumerate([
+            (MORSE_AGG, {"X": [1, 2]}),
+            (MORSE_AGG, {"G": [1.0], "family": ["powerlaw"]}),
+            ({"family": "yukawa", "G": 1.0}, {"G": [1.0]})]):
+        out = tmp_path / f"out{k}"
+        cfg = write_config(tmp_path, f"s{k}.json", {
+            "command": "scan", "potential": potential, "grid": grid,
+            "output_dir": str(out)})
+        assert main(["scan", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "phase_table.csv").exists()
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(config, out_dir, args):
+        raise RuntimeError("handler bug\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "analyze", "potential": MORSE_AGG,
+        "output_dir": str(tmp_path / "out")})
+    assert main(["analyze", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "RuntimeError" in err and "handler bug" in err
 
 
 def test_stability_writes_verdicts_and_certificate(tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
                        Tabulated, bilinear_form, combine, energy_grid,
-                       energy_pointcloud, uniform_ball_density)
+                       energy_pointcloud, gaussian_witness_density,
+                       modulated_witness_density, uniform_ball_density)
+from groundlab.energy import _offset_kernel, _self_cell_average
 
 
 def test_two_atom_oracle():
@@ -97,20 +100,103 @@ def test_grid_energy_matches_closed_form_1d():
     assert got == pytest.approx(expect, rel=1e-4)
 
 
-def test_grid_energy_modes_agree():
+def direct_grid_energy(potential, rho):
+    """The O(M^2) double sum over all cell-center pairs: the reference the
+    grouped-by-offset energy_grid must reproduce."""
+    masses = (rho.values * rho.cell_volume).ravel()
+    centers = rho.cell_centers()
+    kernel = potential(cdist(centers, centers))
+    np.fill_diagonal(kernel, 0.0)
+    self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
+    diagonal = float(np.sum(masses**2)) * self_avg
+    return float(masses @ kernel @ masses) + diagonal
+
+
+def meshgrid_kernel(potential, shape, h):
+    """Offset kernel built from float meshgrids of the offsets."""
+    offsets = np.meshgrid(*[np.arange(-(e - 1), e) for e in shape],
+                          indexing="ij")
+    radii = h * np.sqrt(sum(o.astype(float)**2 for o in offsets))
+    kernel = potential(radii)
+    kernel[tuple(e - 1 for e in shape)] = 0.0
+    return kernel
+
+
+GRID_CASES = [
+    ("ball-1d", Morse(1.2, 1.0, 1),
+     lambda: uniform_ball_density(1.5, 1, cells_per_radius=500)),
+    ("ball-2d", Morse(1.2, 1.0, 2),
+     lambda: uniform_ball_density(1.5, 2, cells_per_radius=16)),
+    ("gaussian-2d", Morse(1.0, 2.0, 2),
+     lambda: gaussian_witness_density(0.2, 2)),
+    ("modulated-2d", GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 2),
+     lambda: modulated_witness_density(0.3, 2.0, 2)),
+    ("ball-3d", Morse(1.0, 2.0, 3),
+     lambda: uniform_ball_density(2.0, 3, cells_per_radius=6)),
+    ("singular-2d", PowerLaw(2.0, -0.5, 2),
+     lambda: uniform_ball_density(1.0, 2, cells_per_radius=10)),
+]
+
+
+@pytest.mark.parametrize("potential, build", [c[1:] for c in GRID_CASES],
+                         ids=[c[0] for c in GRID_CASES])
+def test_grid_energy_matches_direct_double_sum(potential, build):
+    rho = build()
+    report = energy_grid(potential, rho)
+    assert math.isfinite(report.value)
+    assert report.value == pytest.approx(direct_grid_energy(potential, rho),
+                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("potential, build", [c[1:] for c in GRID_CASES],
+                         ids=[c[0] for c in GRID_CASES])
+def test_offset_kernel_matches_meshgrid_kernel_bit_for_bit(potential, build):
+    rho = build()
+    shape, h = rho.values.shape, rho.cell_width
+    assert np.array_equal(_offset_kernel(potential, shape, h),
+                          meshgrid_kernel(potential, shape, h))
+
+
+class CountingMorse(Morse):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.points = 0
+
+    def _profile(self, radii):
+        self.points += radii.size
+        return super()._profile(radii)
+
+
+@pytest.mark.parametrize("dimension, cells", [(1, 4096), (2, 128), (3, 32)])
+def test_offset_kernel_evaluates_w_at_most_once_per_offset(dimension, cells):
+    # the table over every integer up to max |o|^2 would take (e - 1)^2
+    # evaluations on a 1-d grid of e cells
+    w = CountingMorse(1.0, 2.0, dimension)
+    shape = (cells,) * dimension
+    kernel = _offset_kernel(w, shape, 0.1)
+    assert w.points <= min(kernel.size, dimension * (cells - 1)**2 + 1)
+
+
+def test_grid_cases_cover_the_stated_shapes():
+    assert GRID_CASES[0][2]().values.shape == (1000,)
+    assert GRID_CASES[2][2]().values.shape == (60, 60)
+    assert GRID_CASES[4][2]().values.shape == (12, 12, 12)
+    assert PowerLaw(2.0, -0.5, 2).value_at_zero == math.inf
+
+
+def test_grid_energy_has_one_mode():
     w = Morse(1.2, 1.0, 2)
     rho = uniform_ball_density(1.5, 2, cells_per_radius=16)
-    direct = energy_grid(w, rho, quad_mode="direct").value
-    fast = energy_grid(w, rho, quad_mode="radial_fast").value
-    assert fast == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        energy_grid(w, rho, quad_mode="something")
+    for mode in ("direct", "something"):
+        with pytest.raises(ValueError):
+            energy_grid(w, rho, quad_mode=mode)
+    assert energy_grid(w, rho, quad_mode="radial_fast") == energy_grid(w, rho)
 
 
 def test_grid_energy_reports_mode_and_diagonal():
     w = GaussianMix([(1.0, 1.0)], 1)
     rho = uniform_ball_density(1.0, 1, cells_per_radius=32)
     report = energy_grid(w, rho)
-    assert report.mode == "grid-direct"
+    assert report.mode == "grid-radial_fast"
     assert report.diagonal_contribution > 0.0
     assert report.to_dict()["potential_label"] == w.label
