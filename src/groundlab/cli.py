@@ -91,6 +91,10 @@ _FAMILY_KEYS = {
     "gaussmix": {"family", "terms", "dimension"},
     "tabulated": {"family", "radii", "values", "dimension"},
 }
+# list depth of each potential parameter: a number, a list of numbers, or
+# a list of [amplitude, width] pairs
+_PARAMETER_DEPTH = {"a": 0, "r": 0, "G": 0, "L": 0, "dimension": 0,
+                    "radii": 1, "values": 1, "terms": 2}
 _ALL_CRITERIA = ("integral", "gaussian_weighted", "fourier", "ruc_search")
 
 
@@ -112,6 +116,27 @@ def _family_keys(block) -> set:
     return _FAMILY_KEYS[family]
 
 
+def _is_json_number(value) -> bool:
+    """True for a JSON number; booleans and numeric strings are not."""
+    return type(value) in (int, float)
+
+
+def _check_parameter(key: str, value, where: str):
+    """ConfigError unless value is a potential parameter of the right
+    shape: nested lists of JSON numbers, as deep as the key requires."""
+    def numbers(v, depth):
+        if depth == 0:
+            return _is_json_number(v)
+        return isinstance(v, list) and all(numbers(x, depth - 1) for x in v)
+
+    depth = _PARAMETER_DEPTH[key]
+    if not numbers(value, depth):
+        shape = ("a number", "a list of numbers",
+                 "a list of [amplitude, width] number pairs")[depth]
+        raise ConfigError(f"'{key}' in {where} must be {shape}, "
+                          f"got {value!r}")
+
+
 def build_potential(block) -> RadialPotential:
     """Construct a potential from its config block, strictly validated."""
     keys = _family_keys(block)
@@ -120,6 +145,8 @@ def build_potential(block) -> RadialPotential:
     missing = sorted(keys - set(block))
     if missing:
         raise ConfigError(f"missing key(s) {missing} in potential block")
+    for key in sorted(keys - {"family"}):
+        _check_parameter(key, block[key], "the potential block")
     dimension = block["dimension"]
     try:
         if family == "powerlaw":
@@ -136,18 +163,19 @@ def build_potential(block) -> RadialPotential:
 def _number(raw: dict, key: str, default, kind=float, minimum=-math.inf,
             strict=False):
     """raw[key] (or default) as a finite ``kind`` that is >= minimum, or
-    > minimum when ``strict``.  Booleans are refused, and an int ``kind``
-    refuses numbers with a fractional part instead of truncating them."""
+    > minimum when ``strict``.  The value must be a JSON number: booleans
+    and numeric strings are refused, and an int ``kind`` refuses numbers
+    with a fractional part instead of truncating them."""
     value = raw.get(key, default)
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    if not _is_json_number(value) or (kind is int and isinstance(value, float)
+                                      and not value.is_integer()):
         raise ConfigError(f"'{key}' must be "
                           f"{'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"'{key}' must be finite, got {value!r}") from None
     too_small = number <= minimum if strict else number < minimum
     if not math.isfinite(number) or too_small:
         raise ConfigError(f"'{key}' must be a finite number "
@@ -160,7 +188,7 @@ def _grid(raw: dict, key: str, positive: bool):
     """Optional nonempty list of numbers, each > 0 (positive) or >= 0."""
     values = raw.get(key)
     if values is not None and not (isinstance(values, list) and values and all(
-            type(v) in (int, float) and (v > 0 or v == 0 and not positive)
+            _is_json_number(v) and (v > 0 or v == 0 and not positive)
             for v in values)):
         raise ConfigError(f"'{key}' must be a nonempty list of "
                           f"{'positive' if positive else 'nonnegative'} "
@@ -254,6 +282,12 @@ def load_config(path) -> dict:
                               "value lists")
         _reject_unknown(grid, _family_keys(raw["potential"]) - {"family"},
                         "scan grid (parameters of the potential's family)")
+        for key, values in grid.items():
+            for value in values:
+                _check_parameter(key, value, "the scan grid")
+        base = raw["potential"]
+        for key in sorted(base.keys() & _PARAMETER_DEPTH.keys()):
+            _check_parameter(key, base[key], "the potential block")
         config.update({
             "grid": grid,
             "n": _number(raw, "n", 16, int, minimum=2),

@@ -5,11 +5,15 @@ product measure.  For atomic measures this is a double sum; the diagonal
 terms contribute W(0) times the sum of squared weights and can be included
 or dropped via a flag (self-interaction is physical for diffuse measures,
 spurious for particle systems).  For grid densities the double integral is
-evaluated cell-pairwise at cell centers, grouped by lattice offset: an FFT
-autocorrelation of the cell masses gives the mass at each offset, and W is
-evaluated at most once per offset, from a table over the integer squared
-offset lengths where that table is the smaller.  The self-cell term is a
-fixed-seed Monte Carlo average of W over intra-cell displacements.
+evaluated cell-pairwise at cell centers, grouped by lattice offset: the sum
+over offsets o of K(o) = W(h |o|) times the autocorrelation of the cell
+masses is taken in frequency space by Parseval, as one real FFT of the
+zero-padded masses against the spectrum of K.  K is even in every axis, so
+its spectrum is the type-I DCT of K on the nonnegative octant of offsets,
+and W is evaluated at most once per octant offset, from a table over the
+integer squared offset lengths where that table is the smaller.  The
+self-cell term is a fixed-seed Monte Carlo average of W over intra-cell
+displacements.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import dctn, next_fast_len, rfftn
 from scipy.spatial.distance import cdist
 
 from .errors import QuadratureFailure
@@ -131,23 +135,24 @@ def _self_cell_average(potential, cell_width, dimension) -> float:
     return float(samples.mean())
 
 
-def _offset_kernel(potential, shape, h) -> np.ndarray:
-    """W(h |o|) for every lattice offset o of a grid of the given shape,
-    indexed from -(e - 1) to e - 1 per axis, with the zero offset set to 0.
+def _octant_kernel(potential, shape, h) -> np.ndarray:
+    """W(h |o|) for the lattice offsets o with 0 <= o_i < e_i of a grid of
+    the given shape, with the zero offset set to 0.
 
-    |o|^2 is an exact integer.  When the integers up to its maximum are
-    fewer than the offsets, as on every grid of two or three dimensions
-    with equal sides, W is evaluated once per integer and gathered from
-    that table.  Otherwise W is evaluated at each offset: a 1-d grid of e
-    cells has 2e - 1 offsets but (e - 1)^2 such integers.  Both give the
-    same bits.
+    This is the nonnegative octant of the even kernel K the grid energy
+    weights the mass autocorrelation by.  |o|^2 is an exact integer.  When
+    the integers up to its maximum are fewer than the octant's offsets, as
+    on 3-d grids with equal sides, W is evaluated once per integer and
+    gathered from that table.  Otherwise W is evaluated at each offset: a
+    1-d grid of e cells has e offsets but (e - 1)^2 such integers.  Both
+    give the same bits.
     """
-    sq = sum(np.ix_(*[np.arange(-(e - 1), e)**2 for e in shape]))
+    sq = sum(np.ix_(*[np.arange(e)**2 for e in shape]))
     if sq.max() < sq.size:
         kernel = potential(h * np.sqrt(np.arange(sq.max() + 1)))[sq]
     else:
         kernel = potential(h * np.sqrt(sq))
-    kernel[tuple(e - 1 for e in shape)] = 0.0
+    kernel[(0,) * len(shape)] = 0.0
     return kernel
 
 
@@ -155,11 +160,18 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
                 quad_mode: str = "radial_fast") -> EnergyReport:
     """Energy of a piecewise-constant density.
 
-    Cell pairs interact at their centers' distance.  Their masses are
-    grouped by lattice offset through an FFT autocorrelation and weighted
-    by :func:`_offset_kernel`; the self-cell term is the Monte Carlo
-    average of W over two uniform points of one cell.  ``"radial_fast"``
-    is the only ``quad_mode``; any other value raises ValueError.
+    Cell pairs interact at their centers' distance.  The off-diagonal part
+    sum_o K(o) A(o), with A the autocorrelation of the cell masses and K
+    from :func:`_octant_kernel`, is computed by Parseval as
+    sum_k K^(k) |M^(k)|^2 / prod(P).  M^ is the real FFT of the masses
+    zero-padded to P_i = 2 next_fast_len(e_i) >= 2 e_i - 1 cells per axis,
+    so the circular correlation does not wrap.  K^ is the type-I DCT of the
+    octant kernel zero-padded to P_i / 2 + 1 entries, which is the DFT of
+    its even extension: frequency k of a leading axis reads octant entry
+    min(k, P_i - k), and the half axis of the real FFT weights its entries
+    1, 2, ..., 2, 1.  The self-cell term is the Monte Carlo average of W
+    over two uniform points of one cell.  ``"radial_fast"`` is the only
+    ``quad_mode``; any other value raises ValueError.
     """
     if potential.dimension != rho.dimension:
         raise ValueError("potential and density dimensions differ")
@@ -170,10 +182,18 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
     diagonal = float(np.sum(masses**2)) * self_avg
 
-    corr = fftconvolve(masses, np.flip(masses), mode="full")
-    weighted = _offset_kernel(potential, masses.shape, rho.cell_width)
-    weighted *= corr
-    off = float(np.sum(weighted))
+    pads = [2 * next_fast_len(e, real=True) for e in masses.shape]
+    spectrum = rfftn(masses, pads)
+    power = spectrum.real**2 + spectrum.imag**2
+    del spectrum
+    # the half axis of the real FFT stands for both signs of its frequency
+    power[..., 1:pads[-1] // 2] *= 2.0
+
+    kernel = np.pad(_octant_kernel(potential, masses.shape, rho.cell_width),
+                    [(0, p // 2 + 1 - e) for p, e in zip(pads, masses.shape)])
+    folds = [np.minimum(np.arange(p), p - np.arange(p)) for p in pads[:-1]]
+    power *= dctn(kernel, type=1)[np.ix_(*folds)]
+    off = float(np.sum(power)) / math.prod(pads)
 
     return EnergyReport(
         value=off + diagonal,

@@ -140,6 +140,37 @@ def test_more_config_errors(tmp_path):
         ("scan", {"grid": {"G": [1.0]}, "n": 8.5}),
         ("stability", {"optimizer_budget": 10.5}),
         ("stability", {"optimizer_budget": False}),
+        # numbers must be JSON numbers: numeric strings used to be converted
+        ("minimize", {"n": "3"}),
+        ("minimize", {"max_iter": "20"}),
+        ("minimize", {"quad_tol": "1e-8"}),
+        ("minimize", {"grad_tol": "0"}),
+        ("stability", {"decision_tol": "1e-6"}),
+        ("stability", {"optimizer_budget": "10"}),
+        # potential parameters given as strings or booleans used to run,
+        # "G": true as G = 1
+        ("analyze", {"potential": {**MORSE_AGG, "G": "1"}}),
+        ("analyze", {"potential": {**MORSE_AGG, "L": "2"}}),
+        ("analyze", {"potential": {**MORSE_AGG, "G": True}}),
+        ("analyze", {"potential": {**MORSE_AGG, "dimension": True}}),
+        ("analyze", {"potential": {**POWERLAW, "a": "2"}}),
+        ("analyze", {"potential": {**POWERLAW, "r": "1"}}),
+        ("analyze", {"potential": {"family": "gaussmix", "dimension": 1,
+                                   "terms": [["1", 1.0]]}}),
+        ("analyze", {"potential": {"family": "gaussmix", "dimension": 1,
+                                   "terms": [[1.0, True]]}}),
+        ("analyze", {"potential": {"family": "tabulated", "dimension": 1,
+                                   "radii": ["0", "1"],
+                                   "values": [1.0, 0.0]}}),
+        ("analyze", {"potential": {"family": "tabulated", "dimension": 1,
+                                   "radii": [0.0, 1.0],
+                                   "values": [1.0, "0"]}}),
+        # so must scan grid values and the scanned potential's parameters,
+        # which used to turn into rows labelled error
+        ("scan", {"grid": {"G": ["0.5", "1"]}}),
+        ("scan", {"grid": {"G": [0.5, True]}}),
+        ("scan", {"grid": {"L": [1.0]},
+                  "potential": {**MORSE_AGG, "G": "1"}}),
     ]
     for k, (command, extra) in enumerate(malformed):
         cfg = write_config(tmp_path, f"m{k}.json", {

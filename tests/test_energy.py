@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.spatial.distance import cdist
 
-from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
-                       Tabulated, bilinear_form, combine, energy_grid,
-                       energy_pointcloud, gaussian_witness_density,
-                       modulated_witness_density, uniform_ball_density)
-from groundlab.energy import _offset_kernel, _self_cell_average
+import groundlab
+from groundlab import (GaussianMix, GridDensity, Morse, PointCloudMeasure,
+                       PowerLaw, Tabulated, bilinear_form, combine,
+                       energy_grid, energy_pointcloud,
+                       gaussian_witness_density, modulated_witness_density,
+                       uniform_ball_density)
+from groundlab.energy import _octant_kernel, _self_cell_average
 
 
 def test_two_atom_oracle():
@@ -100,20 +107,33 @@ def test_grid_energy_matches_closed_form_1d():
     assert got == pytest.approx(expect, rel=1e-4)
 
 
-def direct_grid_energy(potential, rho):
-    """The O(M^2) double sum over all cell-center pairs: the reference the
-    grouped-by-offset energy_grid must reproduce."""
+def direct_grid_energy(potential, rho, rows=1024):
+    """The O(M^2) double sum over all cell-center pairs, in blocks of rows:
+    the reference the spectral energy_grid must reproduce."""
     masses = (rho.values * rho.cell_volume).ravel()
     centers = rho.cell_centers()
-    kernel = potential(cdist(centers, centers))
-    np.fill_diagonal(kernel, 0.0)
+    off = 0.0
+    for start in range(0, masses.size, rows):
+        block = slice(start, start + rows)
+        kernel = potential(cdist(centers[block], centers))
+        kernel[np.arange(kernel.shape[0]),
+               np.arange(start, start + kernel.shape[0])] = 0.0
+        off += float(masses[block] @ kernel @ masses)
     self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
-    diagonal = float(np.sum(masses**2)) * self_avg
-    return float(masses @ kernel @ masses) + diagonal
+    return off + float(np.sum(masses**2)) * self_avg
+
+
+def random_density(shape, seed):
+    """Seeded random nonnegative cell values on a grid about [-2, 2]^N."""
+    h = 4.0 / max(shape)
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=shape)
+    return GridDensity(-0.5 * h * np.array(shape), h,
+                       values / (values.sum() * h**len(shape)))
 
 
 def meshgrid_kernel(potential, shape, h):
-    """Offset kernel built from float meshgrids of the offsets."""
+    """Offset kernel built from float meshgrids of the offsets, indexed from
+    -(e - 1) to e - 1 per axis, with the zero offset set to 0."""
     offsets = np.meshgrid(*[np.arange(-(e - 1), e) for e in shape],
                           indexing="ij")
     radii = h * np.sqrt(sum(o.astype(float)**2 for o in offsets))
@@ -135,6 +155,12 @@ GRID_CASES = [
      lambda: uniform_ball_density(2.0, 3, cells_per_radius=6)),
     ("singular-2d", PowerLaw(2.0, -0.5, 2),
      lambda: uniform_ball_density(1.0, 2, cells_per_radius=10)),
+    ("random-3d-9x14x5", Morse(1.0, 2.0, 3),
+     lambda: random_density((9, 14, 5), 71)),
+    ("random-1d-1021", Morse(1.2, 1.0, 1),
+     lambda: random_density((1021,), 72)),
+    ("random-2d-97x97", GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 2),
+     lambda: random_density((97, 97), 73)),
 ]
 
 
@@ -153,8 +179,9 @@ def test_grid_energy_matches_direct_double_sum(potential, build):
 def test_offset_kernel_matches_meshgrid_kernel_bit_for_bit(potential, build):
     rho = build()
     shape, h = rho.values.shape, rho.cell_width
-    assert np.array_equal(_offset_kernel(potential, shape, h),
-                          meshgrid_kernel(potential, shape, h))
+    octant = tuple(slice(e - 1, None) for e in shape)
+    assert np.array_equal(_octant_kernel(potential, shape, h),
+                          meshgrid_kernel(potential, shape, h)[octant])
 
 
 class CountingMorse(Morse):
@@ -173,7 +200,7 @@ def test_offset_kernel_evaluates_w_at_most_once_per_offset(dimension, cells):
     # evaluations on a 1-d grid of e cells
     w = CountingMorse(1.0, 2.0, dimension)
     shape = (cells,) * dimension
-    kernel = _offset_kernel(w, shape, 0.1)
+    kernel = _octant_kernel(w, shape, 0.1)
     assert w.points <= min(kernel.size, dimension * (cells - 1)**2 + 1)
 
 
@@ -182,6 +209,21 @@ def test_grid_cases_cover_the_stated_shapes():
     assert GRID_CASES[2][2]().values.shape == (60, 60)
     assert GRID_CASES[4][2]().values.shape == (12, 12, 12)
     assert PowerLaw(2.0, -0.5, 2).value_at_zero == math.inf
+    assert GRID_CASES[6][2]().values.shape == (9, 14, 5)
+    # the padded lengths are not twice the extents
+    for k, shape in ((7, (1021,)), (8, (97, 97))):
+        assert GRID_CASES[k][2]().values.shape == shape
+        assert next_fast_len(shape[0], real=True) > shape[0]
+
+
+def test_importing_groundlab_leaves_scipy_signal_unloaded():
+    # scipy.signal alone used to cost more than a second of every start-up
+    src = str(Path(groundlab.__file__).resolve().parents[1])
+    code = "import sys, groundlab; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
 
 
 def test_grid_energy_has_one_mode():
