@@ -26,11 +26,10 @@ from .measures import (GridDensity, PointCloudMeasure, combine,
                        uniform_ball_density)
 from .potentials import (GaussianMix, HypothesisReport, Morse, PowerLaw,
                          RadialPotential, Tabulated, probe_hypotheses)
-from .stability import (Certificate, RucCheck, StabilityVerdict,
-                        ball_witness, check_ruc, fourier_criterion,
-                        gaussian_criterion, integral_criterion,
-                        radial_fourier_transform, ruc_search,
-                        space_integral, weighted_space_integral)
+from .stability import (Certificate, RucCheck, StabilityVerdict, check_ruc,
+                        fourier_criterion, gaussian_criterion,
+                        integral_criterion, radial_fourier_transform,
+                        ruc_search, space_integral, weighted_space_integral)
 
 __version__ = "0.1.0"
 
@@ -50,9 +49,9 @@ __all__ = [
     "uniform_ball_density",
     "GaussianMix", "HypothesisReport", "Morse", "PowerLaw",
     "RadialPotential", "Tabulated", "probe_hypotheses",
-    "Certificate", "RucCheck", "StabilityVerdict", "ball_witness",
-    "check_ruc", "fourier_criterion", "gaussian_criterion",
-    "integral_criterion", "radial_fourier_transform", "ruc_search",
-    "space_integral", "weighted_space_integral",
+    "Certificate", "RucCheck", "StabilityVerdict", "check_ruc",
+    "fourier_criterion", "gaussian_criterion", "integral_criterion",
+    "radial_fourier_transform", "ruc_search", "space_integral",
+    "weighted_space_integral",
     "__version__",
 ]

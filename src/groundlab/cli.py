@@ -41,7 +41,9 @@ Config keys and defaults (unknown keys are rejected):
                   "random_ball"), max_iter (>= 1, default 500), grad_tol
                   (>= 0, default 1e-8)
     scan:         grid (required: {param: [values, ...]}, each param a key
-                  of the potential's family other than "family"), n
+                  of the potential's family other than "family"; the
+                  potential block and the grid together give every key of
+                  the family, and the block no other key), n
                   (default 16), max_iter (>= 1, default 400), grad_tol
                   (>= 0, default 1e-8), with_stability (true or false,
                   default true)
@@ -280,12 +282,18 @@ def load_config(path) -> dict:
                 or not all(isinstance(v, list) and v for v in grid.values())):
             raise ConfigError("'grid' must map parameter names to nonempty "
                               "value lists")
-        _reject_unknown(grid, _family_keys(raw["potential"]) - {"family"},
+        base = raw["potential"]
+        family_keys = _family_keys(base)
+        _reject_unknown(grid, family_keys - {"family"},
                         "scan grid (parameters of the potential's family)")
+        _reject_unknown(base, family_keys, f"potential ({base['family']})")
+        missing = sorted(family_keys - set(base) - set(grid))
+        if missing:
+            raise ConfigError(f"missing key(s) {missing} in potential block "
+                              f"and scan grid")
         for key, values in grid.items():
             for value in values:
                 _check_parameter(key, value, "the scan grid")
-        base = raw["potential"]
         for key in sorted(base.keys() & _PARAMETER_DEPTH.keys()):
             _check_parameter(key, base[key], "the potential block")
         config.update({
@@ -395,8 +403,7 @@ def cmd_stability(config, out_dir: Path, args) -> int:
                 else:
                     verdict = ruc_search(
                         potential, config["n_list"], config["seeds"],
-                        config["optimizer_budget"],
-                        config["decision_tol"])
+                        config["optimizer_budget"])
         except _NUMERICAL_ERRORS as exc:
             skip_reason = f"{type(exc).__name__}: {exc}"
             if not isinstance(exc, precondition_misses):

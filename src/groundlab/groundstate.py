@@ -39,6 +39,10 @@ _MIN_SEPARATION = 1e-10
 _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 48
 _INIT_KINDS = ("lattice", "random_ball", "two_cluster")
+# classify_trace: radius growth that reads as vanishing, and the gap to
+# cluster diameter ratio that reads as dichotomy
+_GROWTH_FACTOR = 2.0
+_CLUSTER_GAP_RATIO = 3.0
 
 
 @dataclass
@@ -356,20 +360,18 @@ def _two_means(config, iterations: int = 60):
     return labels, centers
 
 
-def classify_trace(trace: MinimizationTrace, window: int | None = None,
-                   growth_factor: float = 2.0,
-                   cluster_gap_ratio: float = 3.0,
-                   return_details: bool = False):
+def classify_trace(trace: MinimizationTrace, return_details: bool = False):
     """Label one trace: 'tight' | 'vanishing' | 'dichotomy' | 'undecided'.
 
-    vanishing: the q90 radius grew by ``growth_factor`` over the trailing
-    window and nearest-neighbour spacings grew with it, or the run
-    converged after expanding both bulk radius and spacing by that factor
-    overall (forces die once a spreading gas outruns the interaction
-    range, freezing the trace mid-expansion).  dichotomy: the final
-    configuration splits into two clusters whose separation dwarfs their
-    diameters by ``cluster_gap_ratio``, with stable membership over the
-    window.  tight: the configuration collapsed outright (checked first),
+    The trailing window is the last quarter of the active iterations (at
+    least 2).  vanishing: the q90 radius grew by ``_GROWTH_FACTOR`` (2)
+    over the trailing window and nearest-neighbour spacings grew with it,
+    or the run converged after expanding both bulk radius and spacing by
+    that factor overall (forces die once a spreading gas outruns the
+    interaction range, freezing the trace mid-expansion).  dichotomy: the
+    final configuration splits into two clusters whose separation dwarfs
+    their diameters by ``_CLUSTER_GAP_RATIO`` (3), with stable membership
+    over the window.  tight: the configuration collapsed outright (checked first),
     or the q90 radius moved less than 10% over the window.  The rest are
     checked in the order above.
 
@@ -386,9 +388,7 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
                         > 1e-12 * np.maximum(q[1:], 1e-300))[0]
     end = int(moving[-1]) + 1 if moving.size else len(q) - 1
     total = end + 1
-    if window is None:
-        window = max(2, total // 4)
-    window = min(window, total)
+    window = min(max(2, total // 4), total)
     w_start = total - window
 
     details = {"window": window, "active_end": end}
@@ -410,7 +410,7 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
         details["route"] = "collapse"
         return answer("tight")
     # vanishing route A: sustained outward drift across the last window
-    if q[w_start] > 0 and q[end] >= growth_factor * q[w_start]:
+    if q[w_start] > 0 and q[end] >= _GROWTH_FACTOR * q[w_start]:
         nn_first = _median_nn_distance(window_snaps[0][1])
         nn_last = _median_nn_distance(window_snaps[-1][1])
         if nn_last >= 1.25 * nn_first and nn_last > 0:
@@ -418,10 +418,10 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
             details["radius_growth"] = float(q[end] / q[w_start])
             return answer("vanishing")
     # vanishing route B: converged runs that expanded throughout
-    if trace.converged and q[0] > 0 and q[end] >= growth_factor * q[0]:
+    if trace.converged and q[0] > 0 and q[end] >= _GROWTH_FACTOR * q[0]:
         nn_start = _median_nn_distance(snaps[0][1])
         nn_end = _median_nn_distance(snaps[-1][1])
-        if nn_start > 0 and nn_end >= growth_factor * nn_start:
+        if nn_start > 0 and nn_end >= _GROWTH_FACTOR * nn_start:
             details["route"] = "frozen-expansion"
             details["radius_growth"] = float(q[end] / q[0])
             return answer("vanishing")
@@ -441,7 +441,7 @@ def classify_trace(trace: MinimizationTrace, window: int | None = None,
             diams.append(float(pair_distances(members).max())
                          if members.shape[0] > 1 else 0.0)
         diameter = max(max(diams), 1e-9 * scale_ref, 10 * _MIN_SEPARATION)
-        if gap / diameter >= cluster_gap_ratio and gap > 1e-3 * scale_ref:
+        if gap / diameter >= _CLUSTER_GAP_RATIO and gap > 1e-3 * scale_ref:
             frac_end = n0 / trace.final_config.shape[0]
             stable = True
             sep_start = None

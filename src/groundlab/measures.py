@@ -10,7 +10,9 @@ approximation of an arbitrary target measure (:func:`empirical_approximation`),
 a box-family Levy-Prokhorov upper estimator (:func:`levy_prokhorov_upper`),
 and the witness densities the stability module builds
 (:func:`uniform_ball_density`, :func:`gaussian_witness_density`,
-:func:`modulated_witness_density`).
+:func:`modulated_witness_density`).  All three witnesses come from one
+rasterizer, which samples a profile of the squared radius (and the first
+coordinate) at the cell centers of a centred cube and normalizes it.
 """
 
 from __future__ import annotations
@@ -195,13 +197,8 @@ class GridDensity:
     def cell_centers(self) -> np.ndarray:
         """All cell centers as an (M, N) array in C order."""
         axes = [self.axis_centers(d) for d in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def as_pointcloud(self) -> PointCloudMeasure:
-        """Collapse every cell to an atom at its center carrying the cell mass."""
-        return PointCloudMeasure(self.cell_centers(),
-                                 self.values.ravel() * self.cell_volume)
+        return np.stack(np.broadcast_arrays(*np.ix_(*axes)),
+                        axis=-1).reshape(-1, self.dimension)
 
     def box_mass(self, lower, upper) -> float:
         """Exact mass of the axis box [lower, upper] under this density."""
@@ -263,23 +260,29 @@ class GridDensity:
 # reference density sequences
 
 
-def _rasterized_radial(radius, dimension, cells_per_radius, profile):
-    """Cell-center sampling of a radial profile on [-radius, radius]^N,
-    renormalized to unit mass."""
+_GAUSSIAN_CELLS_PER_SIGMA = 6
+_GAUSSIAN_RADIUS_SIGMAS = 5.0
+_MODULATED_RADIUS_SIGMAS = 4.0
+
+
+def _rasterized(radius, dimension, per_half, profile):
+    """Cell-center sampling of ``profile(rsq, x1)`` on [-radius, radius]^N
+    with ``per_half`` cells per half-axis, renormalized to unit mass.
+
+    ``rsq`` holds the squared distance of each cell center from the origin
+    and ``x1`` the first coordinate, shaped to broadcast against ``rsq``.
+    """
     check_dimension(dimension)
-    if radius <= 0 or cells_per_radius < 1:
-        raise ValueError("radius must be > 0 and cells_per_radius >= 1")
-    h = radius / cells_per_radius
-    per_axis = 2 * cells_per_radius
-    origin = np.full(dimension, -radius)
-    axis = -radius + h * (np.arange(per_axis) + 0.5)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    rsq = sum(m**2 for m in mesh)
-    values = profile(np.sqrt(rsq))
+    if radius <= 0 or per_half < 1:
+        raise ValueError("radius must be > 0 and per_half >= 1")
+    h = radius / per_half
+    axis = -radius + h * (np.arange(2 * per_half) + 0.5)
+    rsq = sum(np.ix_(*[axis**2] * dimension))
+    values = profile(rsq, axis.reshape((-1,) + (1,) * (dimension - 1)))
     mass = values.sum() * h**dimension
     if mass <= 0:
         raise ValueError("profile has no mass on the requested grid")
-    return GridDensity(origin, h, values / mass)
+    return GridDensity(np.full(dimension, -radius), h, values / mass)
 
 
 def uniform_ball_density(radius: float, dimension: int,
@@ -287,57 +290,53 @@ def uniform_ball_density(radius: float, dimension: int,
     """Uniform probability density on the centered ball of the given radius,
     rasterized by cell-center sampling and renormalized to unit mass."""
     radius = float(radius)
-    return _rasterized_radial(
+    return _rasterized(
         radius, dimension, cells_per_radius,
-        lambda r: (r <= radius).astype(float))
+        lambda rsq, x1: (np.sqrt(rsq) <= radius).astype(float))
 
 
-def gaussian_witness_density(p: float, dimension: int,
-                             cells_per_sigma: int = 6,
-                             radius_sigmas: float = 5.0) -> GridDensity:
+def gaussian_witness_density(p: float, dimension: int) -> GridDensity:
     """Isotropic Gaussian probability density with exponent -2 p^2 |x|^2.
 
-    Standard deviation per axis is 1/(2p); the grid truncates at
-    ``radius_sigmas`` standard deviations and renormalizes to unit mass.
+    Standard deviation per axis is sigma = 1/(2p); the grid truncates at
+    ``_GAUSSIAN_RADIUS_SIGMAS`` (5) standard deviations, with
+    ``_GAUSSIAN_CELLS_PER_SIGMA`` (6) cells per sigma, and renormalizes to
+    unit mass.
     """
     if p <= 0:
         raise ValueError("p must be > 0")
+
+    def profile(rsq, x1):
+        r = np.sqrt(rsq)
+        return np.exp(-2.0 * p * p * r * r)
+
     sigma = 1.0 / (2.0 * p)
-    radius = radius_sigmas * sigma
-    cpr = max(1, int(round(cells_per_sigma * radius_sigmas)))
-    return _rasterized_radial(
-        radius, dimension, cpr,
-        lambda r: np.exp(-2.0 * p * p * r * r))
+    return _rasterized(
+        _GAUSSIAN_RADIUS_SIGMAS * sigma, dimension,
+        round(_GAUSSIAN_CELLS_PER_SIGMA * _GAUSSIAN_RADIUS_SIGMAS), profile)
 
 
-def modulated_witness_density(p: float, wave_number: float, dimension: int,
-                              radius_sigmas: float = 4.0) -> GridDensity:
+def modulated_witness_density(p: float, wave_number: float,
+                              dimension: int) -> GridDensity:
     """Gaussian envelope modulated along the first axis:
     density proportional to exp(-2 p^2 |x|^2) * (1 + cos(wave_number x1)).
 
     The modulation concentrates the density's spectrum near the given wave
-    number.  Cell width resolves both the envelope (sigma/3) and the
-    oscillation (an eighth of its period).
+    number.  The grid truncates at ``_MODULATED_RADIUS_SIGMAS`` (4)
+    standard deviations sigma = 1/(2p), and its cell width resolves both the
+    envelope (sigma/3) and the oscillation (an eighth of its period).
     """
-    check_dimension(dimension)
     if p <= 0:
         raise ValueError("p must be > 0")
     if wave_number <= 0:
         raise ValueError("wave_number must be > 0")
     sigma = 1.0 / (2.0 * p)
-    radius = radius_sigmas * sigma
+    radius = _MODULATED_RADIUS_SIGMAS * sigma
     h = min(sigma / 3.0, (2.0 * math.pi / wave_number) / 8.0)
-    per_half = int(math.ceil(radius / h))
-    h = radius / per_half
-    axis = -radius + h * (np.arange(2 * per_half) + 0.5)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    rsq = sum(m**2 for m in mesh)
-    values = np.exp(-2.0 * p * p * rsq) * (1.0 + np.cos(wave_number * mesh[0]))
-    mass = values.sum() * h**dimension
-    if mass <= 0:
-        raise ValueError("modulated profile has no mass on the grid")
-    origin = np.full(dimension, -radius)
-    return GridDensity(origin, h, values / mass)
+    return _rasterized(
+        radius, dimension, int(math.ceil(radius / h)),
+        lambda rsq, x1: (np.exp(-2.0 * p * p * rsq)
+                         * (1.0 + np.cos(wave_number * x1))))
 
 
 # ---------------------------------------------------------------------------

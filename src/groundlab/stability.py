@@ -41,7 +41,7 @@ from scipy.special import j0
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
                      OptimizerStalled, QuadratureFailure, WitnessFailed)
-from .geometry import pair_distances, unit_ball_volume, unit_sphere_area
+from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
@@ -58,7 +58,6 @@ __all__ = [
     "integral_criterion",
     "gaussian_criterion",
     "fourier_criterion",
-    "ball_witness",
     "check_ruc",
     "ruc_search",
 ]
@@ -68,6 +67,10 @@ DECISION_TOL = 1e-6
 
 _BALL_CELL_CAP = {1: 4096, 2: 512, 3: 64}
 _BALL_SCALES = (4, 8, 16, 32)
+# largest radius the doubling scan of _decay_radius reaches
+_DECAY_RADIUS_CAP = 1e5
+# ruc_search certifies only a fitted asymptote below -_CATASTROPHIC_TOL
+_CATASTROPHIC_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -231,36 +234,6 @@ def _ball_density(potential, radius, scale):
     cap = _BALL_CELL_CAP[potential.dimension]
     cells = int(min(cap, max(16, math.ceil(radius / h_target))))
     return uniform_ball_density(radius, potential.dimension, cells)
-
-
-def ball_witness(potential: RadialPotential, R: float, n_scale: int,
-                 quad_tol: float = QUAD_TOL):
-    """Uniform density on the ball of radius n_scale * R and its energy.
-
-    For a negative space integral and R capturing most of the potential's
-    mass, the energy of the spread-out ball is close to
-    (space integral) / (volume of the ball), hence negative for large
-    n_scale.  Raises WitnessFailed when the space integral is nonnegative
-    (no such witness can exist) or when the computed energy fails to come
-    out negative.
-    """
-    total = space_integral(potential, quad_tol)
-    if total >= 0:
-        raise WitnessFailed(
-            f"space integral {total:.6g} is nonnegative; ball witness "
-            f"refused")
-    if R <= 0 or n_scale < 1:
-        raise ValueError("R must be > 0 and n_scale >= 1")
-
-    radius = float(n_scale * R)
-    density = _ball_density(potential, radius, _profile_scale(potential))
-    report = energy_grid(potential, density, quad_mode="radial_fast")
-    if not report.value < 0:
-        raise WitnessFailed(
-            f"ball witness energy {report.value:.6g} is not negative at "
-            f"n_scale={n_scale} (expected about "
-            f"{total / (unit_ball_volume(potential.dimension) * radius**potential.dimension):.3g})")
-    return density, report
 
 
 def _choose_ball_radius(potential, value, tail_masses, quad_tol):
@@ -432,17 +405,18 @@ def gaussian_criterion(potential: RadialPotential,
 # Fourier sign criterion
 
 
-def _decay_radius(potential, cap: float = 1e5) -> float:
-    """Radius beyond which |W| is negligible, found by doubling scan."""
+def _decay_radius(potential) -> float:
+    """Radius beyond which |W| is negligible, found by doubling scan up to
+    ``_DECAY_RADIUS_CAP``."""
     probe = np.logspace(-3, 0, 32)
     base = float(np.max(np.abs(potential(probe)))) + 1.0
     r = 1.0
-    while r < cap:
+    while r < _DECAY_RADIUS_CAP:
         window = np.linspace(r, 2 * r, 64)
         if float(np.max(np.abs(potential(window)))) < 1e-15 * base:
             return 2.0 * r
         r *= 2.0
-    return cap
+    return _DECAY_RADIUS_CAP
 
 
 # K_N(x): the radial kernel of the N-dimensional Fourier transform
@@ -629,17 +603,16 @@ def check_ruc(potential: RadialPotential, config: PointCloudMeasure,
 def ruc_search(potential: RadialPotential,
                n_list: Sequence[int] = (8, 16, 32, 64),
                seeds: Sequence[int] = (0, 1, 2),
-               optimizer_budget: int = 400,
-               decision_tol: float = DECISION_TOL,
-               catastrophic_tol: float = 1e-3) -> StabilityVerdict:
+               optimizer_budget: int = 400) -> StabilityVerdict:
     """Estimate the asymptote of minimal per-pair energies in n.
 
     For each n the per-pair energy (1/n^2) sum_{i<j} W is minimized by
     multi-start descent; the minima m(n) are fitted to c + d/n.  A bounded
     sequence (m(n) >= -B/n, i.e. c near 0) indicates stability; m(n)
-    approaching a negative constant (c < -catastrophic_tol) certifies a
-    negative-energy empirical measure, provided the best configuration's
-    energy is negative; otherwise the verdict is inconclusive.
+    approaching a negative constant (c below -``_CATASTROPHIC_TOL``, -1e-3)
+    certifies a negative-energy empirical measure, provided the best
+    configuration's energy is negative; otherwise the verdict is
+    inconclusive.
 
     Verdicts for profiles singular at contact are advisory (recorded in
     details): the per-pair form ignores the diagonal that the continuum
@@ -655,7 +628,7 @@ def ruc_search(potential: RadialPotential,
 
     details: dict = {"n_list": n_values, "seeds": list(seeds),
                      "optimizer_budget": optimizer_budget,
-                     "catastrophic_tol": catastrophic_tol,
+                     "catastrophic_tol": _CATASTROPHIC_TOL,
                      "potential": potential.label}
     if not math.isfinite(potential.value_at_zero):
         details["advisory"] = ("profile is singular at contact; per-pair "
@@ -690,7 +663,7 @@ def ruc_search(potential: RadialPotential,
     details["fit_c"] = c_fit
     details["fit_d"] = d_fit
 
-    if c_fit < -catastrophic_tol:
+    if c_fit < -_CATASTROPHIC_TOL:
         config = best_overall[1]
         cloud = PointCloudMeasure.empirical(config)
         with_diag = (energy_pointcloud(potential, cloud,

@@ -195,7 +195,9 @@ def test_scan_grid_names_must_be_family_parameters(tmp_path, capsys):
     for k, (potential, grid) in enumerate([
             (MORSE_AGG, {"X": [1, 2]}),
             (MORSE_AGG, {"G": [1.0], "family": ["powerlaw"]}),
-            ({"family": "yukawa", "G": 1.0}, {"G": [1.0]})]):
+            ({"family": "yukawa", "G": 1.0}, {"G": [1.0]}),
+            ({**MORSE_AGG, "X": 5}, {"G": [0.5]}),
+            ({"family": "morse", "G": 1.0, "dimension": 1}, {"G": [0.5]})]):
         out = tmp_path / f"out{k}"
         cfg = write_config(tmp_path, f"s{k}.json", {
             "command": "scan", "potential": potential, "grid": grid,

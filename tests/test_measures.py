@@ -131,6 +131,62 @@ def test_modulated_witness_density_oscillates():
         modulated_witness_density(0.25, 0.0, 1)
 
 
+def _meshgrid_witness(radius, dimension, per_half, profile):
+    """The witness rasterizer as written with N float meshgrids: the
+    reference whose bits the builders must keep."""
+    h = radius / per_half
+    axis = -radius + h * (np.arange(2 * per_half) + 0.5)
+    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
+    rsq = sum(m**2 for m in mesh)
+    values = profile(rsq, mesh[0])
+    mass = values.sum() * h**dimension
+    return np.full(dimension, -radius), h, values / mass
+
+
+def _ball_reference(radius, dimension, cells):
+    return _meshgrid_witness(
+        radius, dimension, cells,
+        lambda rsq, x1: (np.sqrt(rsq) <= radius).astype(float))
+
+
+def _gaussian_reference(p, dimension):
+    sigma = 1.0 / (2.0 * p)
+
+    def profile(rsq, x1):
+        r = np.sqrt(rsq)
+        return np.exp(-2.0 * p * p * r * r)
+
+    return _meshgrid_witness(5.0 * sigma, dimension, 30, profile)
+
+
+def _modulated_reference(p, wave_number, dimension):
+    sigma = 1.0 / (2.0 * p)
+    radius = 4.0 * sigma
+    h = min(sigma / 3.0, (2.0 * math.pi / wave_number) / 8.0)
+    return _meshgrid_witness(
+        radius, dimension, int(math.ceil(radius / h)),
+        lambda rsq, x1: (np.exp(-2.0 * p * p * rsq)
+                         * (1.0 + np.cos(wave_number * x1))))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_witness_builders_keep_the_meshgrid_bits(dimension):
+    cases = []
+    for radius, cells in ((1.0, 8), (2.5, 13), (4.0, 16)):
+        cases.append((uniform_ball_density(radius, dimension, cells),
+                      _ball_reference(radius, dimension, cells)))
+    for p in (0.05, 0.3, 1.0, 2.7, 10.0):
+        cases.append((gaussian_witness_density(p, dimension),
+                      _gaussian_reference(p, dimension)))
+    for p, k in ((0.25, 3.0), (0.5, 1.0), (1.3, 6.5)):
+        cases.append((modulated_witness_density(p, k, dimension),
+                      _modulated_reference(p, k, dimension)))
+    for rho, (origin, width, values) in cases:
+        assert np.array_equal(rho.values, values)
+        assert np.array_equal(rho.origin, origin)
+        assert rho.cell_width == width
+
+
 def test_empirical_approximation_contract():
     target = PointCloudMeasure([[0.0], [1.0], [2.5]], [0.2, 0.3, 0.5])
     approx = empirical_approximation(target, 0.1, n_min=50, seed=3)

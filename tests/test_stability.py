@@ -7,13 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
-                       Tabulated, ball_witness, check_ruc, energy_grid,
-                       energy_pointcloud, fourier_criterion,
-                       gaussian_criterion, integral_criterion, radial,
-                       radial_fourier_transform, ruc_search, space_integral,
-                       stability, unit_sphere_area, weighted_space_integral)
-from groundlab.errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
-                              WitnessFailed)
+                       Tabulated, check_ruc, energy_grid, energy_pointcloud,
+                       fourier_criterion, gaussian_criterion,
+                       integral_criterion, radial, radial_fourier_transform,
+                       ruc_search, space_integral, stability,
+                       unit_sphere_area, weighted_space_integral)
+from groundlab.errors import NotAbsolutelyIntegrable, NotSquareIntegrable
 from conftest import CRITERION_ORDER, HE, REGRESSION_CASES
 
 
@@ -237,22 +236,12 @@ def test_integral_criterion_materializes_ball_density():
     cert = verdict.certificate
     assert cert.kind == "ball_density"
     assert cert.measure is not None
+    assert cert.measure.total_mass == pytest.approx(1.0, abs=1e-12)
     assert cert.energy_report.value < 0.0
     # re-evaluating the stored density reproduces the certified energy
     again = energy_grid(Morse(1.0, 2.0, 2), cert.measure,
                         quad_mode="radial_fast")
     assert again.value == pytest.approx(cert.energy_report.value, rel=1e-9)
-
-
-def test_ball_witness_reference_configuration():
-    density, report = ball_witness(Morse(1.0, 2.0, 2), R=20.0, n_scale=8)
-    assert report.value < 0.0
-    assert density.total_mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ball_witness_refuses_nonnegative_profiles():
-    with pytest.raises(WitnessFailed):
-        ball_witness(GaussianMix([(1.0, 1.0)], 1), R=4.0, n_scale=4)
 
 
 def test_gaussian_criterion_values_match_closed_form():
