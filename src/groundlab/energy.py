@@ -7,13 +7,16 @@ or dropped via a flag (self-interaction is physical for diffuse measures,
 spurious for particle systems).  For grid densities the double integral is
 evaluated cell-pairwise at cell centers, grouped by lattice offset: the sum
 over offsets o of K(o) = W(h |o|) times the autocorrelation of the cell
-masses is taken in frequency space by Parseval, as one real FFT of the
-zero-padded masses against the spectrum of K.  K is even in every axis, so
-its spectrum is the type-I DCT of K on the nonnegative octant of offsets,
-and W is evaluated at most once per octant offset, from a table over the
-integer squared offset lengths where that table is the smaller.  The
-self-cell term is a fixed-seed Monte Carlo average of W over intra-cell
-displacements.
+masses is taken in frequency space by Parseval.  K is even in every axis,
+so its spectrum is the type-I DCT of K on the nonnegative octant of
+offsets, and the sum splits exactly over the even and odd parts of the
+masses about the grid centre (symmetric convolution, Martucci 1994): each
+part is a half grid transformed by type-II DCTs along its even axes and
+DSTs along its odd ones, and a part that is exactly zero, such as every odd
+part of a mirror-symmetric witness, is skipped.  W is evaluated at most
+once per octant offset, from a table over the integer squared offset
+lengths where that table is the smaller.  The self-cell term is a
+fixed-seed Monte Carlo average of W over intra-cell displacements.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, next_fast_len, rfftn
+from scipy.fft import dct, dctn, dst, next_fast_len
 from scipy.spatial.distance import cdist
 
 from .errors import QuadratureFailure
@@ -156,20 +159,49 @@ def _octant_kernel(potential, shape, h) -> np.ndarray:
     return kernel
 
 
+def _parity_components(masses):
+    """The nonzero parity components of ``masses``, an array of even
+    extents, as (parities, half-grid array) pairs.
+
+    Each axis of e cells is folded about its centre into the upper half
+    plus the mirrored lower half (parity 0, the even part) and the upper
+    half minus it (parity 1, the odd part); a component that is exactly
+    zero is dropped together with everything it would fold into.
+    """
+    parts = [((), masses)]
+    for axis in range(masses.ndim):
+        folded = []
+        for parities, part in parts:
+            lower, upper = np.split(part, 2, axis=axis)
+            lower = np.flip(lower, axis)
+            for parity, half in enumerate((upper + lower, upper - lower)):
+                if half.any():
+                    folded.append((parities + (parity,), half))
+        parts = folded
+    return parts
+
+
 def energy_grid(potential: RadialPotential, rho: GridDensity,
                 quad_mode: str = "radial_fast") -> EnergyReport:
     """Energy of a piecewise-constant density.
 
     Cell pairs interact at their centers' distance.  The off-diagonal part
     sum_o K(o) A(o), with A the autocorrelation of the cell masses and K
-    from :func:`_octant_kernel`, is computed by Parseval as
-    sum_k K^(k) |M^(k)|^2 / prod(P).  M^ is the real FFT of the masses
-    zero-padded to P_i = 2 next_fast_len(e_i) >= 2 e_i - 1 cells per axis,
-    so the circular correlation does not wrap.  K^ is the type-I DCT of the
-    octant kernel zero-padded to P_i / 2 + 1 entries, which is the DFT of
-    its even extension: frequency k of a leading axis reads octant entry
-    min(k, P_i - k), and the half axis of the real FFT weights its entries
-    1, 2, ..., 2, 1.  The self-cell term is the Monte Carlo average of W
+    from :func:`_octant_kernel`, is computed by Parseval over a period of
+    2 L_i cells per axis, L_i = next_fast_len(e_i) for the extent e_i made
+    even by one zero cell, so the circular correlation does not wrap.  K is
+    even in every axis, so the sum splits exactly over the parity
+    components of the masses about the grid centre (see
+    :func:`_parity_components`); the cross terms vanish.  On a component
+    the DFT over the period is, up to a phase, the type-II DCT (even axes)
+    or DST (odd axes) of its half grid zero-padded to L_i.  K^ is the
+    type-I DCT of the octant kernel zero-padded to L_i + 1 entries, the DFT
+    of its even extension, weighted 1, 2, ..., 2, 1 per axis for the two
+    signs of each frequency.  An even axis reads its rows 0..L_i - 1, an
+    odd axis rows 1..L_i, since DST index j is frequency j + 1, and the sum
+    of K^ T^2 over the components is divided by 4^N prod(2 L_i).  Zero
+    components are skipped, so a mirror-symmetric density transforms only
+    its even component.  The self-cell term is the Monte Carlo average of W
     over two uniform points of one cell.  ``"radial_fast"`` is the only
     ``quad_mode``; any other value raises ValueError.
     """
@@ -182,23 +214,30 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
     diagonal = float(np.sum(masses**2)) * self_avg
 
-    pads = [2 * next_fast_len(e, real=True) for e in masses.shape]
-    spectrum = rfftn(masses, pads)
-    power = spectrum.real**2 + spectrum.imag**2
-    del spectrum
-    # the half axis of the real FFT stands for both signs of its frequency
-    power[..., 1:pads[-1] // 2] *= 2.0
+    masses = np.pad(masses, [(0, e % 2) for e in masses.shape])
+    lengths = [next_fast_len(e, real=True) for e in masses.shape]
+    kernel = np.pad(_octant_kernel(potential, rho.extents, rho.cell_width),
+                    [(0, n + 1 - e) for n, e in zip(lengths, rho.extents)])
+    spectrum = dctn(kernel, type=1)
+    del kernel
+    # frequencies 1..L-1 stand for both of their signs
+    for axis in range(spectrum.ndim):
+        spectrum[(slice(None),) * axis + (slice(1, -1),)] *= 2.0
 
-    kernel = np.pad(_octant_kernel(potential, masses.shape, rho.cell_width),
-                    [(0, p // 2 + 1 - e) for p, e in zip(pads, masses.shape)])
-    folds = [np.minimum(np.arange(p), p - np.arange(p)) for p in pads[:-1]]
-    power *= dctn(kernel, type=1)[np.ix_(*folds)]
-    off = float(np.sum(power)) / math.prod(pads)
+    off = 0.0
+    for parities, part in _parity_components(masses):
+        for axis, (parity, n) in enumerate(zip(parities, lengths)):
+            part = (dst if parity else dct)(part, type=2, n=n, axis=axis)
+        part *= part
+        part *= spectrum[tuple(slice(p, p + n)
+                               for p, n in zip(parities, lengths))]
+        off += float(np.sum(part))
+    off /= 4**len(lengths) * math.prod(2 * n for n in lengths)
 
     return EnergyReport(
         value=off + diagonal,
         diagonal_contribution=diagonal,
-        pair_count=masses.size * (masses.size - 1) // 2,
+        pair_count=rho.values.size * (rho.values.size - 1) // 2,
         potential_label=potential.label,
         mode=f"grid-{quad_mode}",
     )

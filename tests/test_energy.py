@@ -15,6 +15,7 @@ from groundlab import (GaussianMix, GridDensity, Morse, PointCloudMeasure,
                        energy_grid, energy_pointcloud,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
+from groundlab import energy
 from groundlab.energy import _octant_kernel, _self_cell_average
 
 
@@ -161,6 +162,17 @@ GRID_CASES = [
      lambda: random_density((1021,), 72)),
     ("random-2d-97x97", GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 2),
      lambda: random_density((97, 97), 73)),
+    ("random-2d-1x6", Morse(1.2, 1.0, 2), lambda: random_density((1, 6), 74)),
+    ("random-3d-3x1x2", Morse(1.0, 2.0, 3),
+     lambda: random_density((3, 1, 2), 75)),
+    ("random-2d-2x9", GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 2),
+     lambda: random_density((2, 9), 76)),
+    ("random-3d-7x5x3", Morse(1.0, 2.0, 3),
+     lambda: random_density((7, 5, 3), 77)),
+    ("single-cell-3d", Morse(1.0, 2.0, 3),
+     lambda: random_density((1, 1, 1), 78)),
+    ("zero-2d", Morse(1.2, 1.0, 2),
+     lambda: GridDensity([-1.0, -1.0], 0.25, np.zeros((8, 5)))),
 ]
 
 
@@ -170,8 +182,9 @@ def test_grid_energy_matches_direct_double_sum(potential, build):
     rho = build()
     report = energy_grid(potential, rho)
     assert math.isfinite(report.value)
+    # abs=0: the all-zero grid must give exactly 0
     assert report.value == pytest.approx(direct_grid_energy(potential, rho),
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("potential, build", [c[1:] for c in GRID_CASES],
@@ -214,6 +227,47 @@ def test_grid_cases_cover_the_stated_shapes():
     for k, shape in ((7, (1021,)), (8, (97, 97))):
         assert GRID_CASES[k][2]().values.shape == shape
         assert next_fast_len(shape[0], real=True) > shape[0]
+    # extents of 1 and 2, odd extents on every axis, one cell, no mass
+    shapes = [(1, 6), (3, 1, 2), (2, 9), (7, 5, 3), (1, 1, 1), (8, 5)]
+    assert [GRID_CASES[k][2]().values.shape for k in range(9, 15)] == shapes
+    assert not GRID_CASES[14][2]().values.any()
+
+
+def counted_transforms(monkeypatch):
+    """Count the type-II DCT and DST calls energy_grid makes."""
+    calls = {"dct": 0, "dst": 0}
+
+    def counting(name):
+        transform = getattr(energy, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(energy, name, counting(name))
+    return calls
+
+
+def test_mirror_symmetric_ball_transforms_only_its_even_component(
+        monkeypatch):
+    rho = uniform_ball_density(2.0, 3, cells_per_radius=6)
+    assert np.array_equal(rho.values, rho.values[::-1, ::-1, ::-1])
+    calls = counted_transforms(monkeypatch)
+    energy_grid(Morse(1.0, 2.0, 3), rho)
+    assert calls == {"dct": 3, "dst": 0}
+
+
+def test_gaussian_witness_transforms_odd_components_and_matches_oracle(
+        monkeypatch):
+    w = Morse(1.0, 2.0, 2)
+    rho = gaussian_witness_density(0.2, 2)
+    assert not np.array_equal(rho.values, rho.values[::-1, ::-1])
+    calls = counted_transforms(monkeypatch)
+    value = energy_grid(w, rho).value
+    assert calls["dst"] > 0
+    assert value == pytest.approx(direct_grid_energy(w, rho), rel=1e-12)
 
 
 def test_importing_groundlab_leaves_scipy_signal_unloaded():

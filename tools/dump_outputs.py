@@ -20,8 +20,7 @@ perfbench's ``descent`` workload with start seed 0: for each of the 19
 ``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
 configuration, a hash of its snapshots and its ``classify_trace`` label,
 and the two ``ruc_search`` verdicts with their per-pair minima.  A dump
-takes about 12 s on a 2-vCPU x86-64 box, and its peak RSS is about 410 MB
-(the 3-d ball witness's 256^3 real FFT).
+takes about 14 s on a 2-vCPU x86-64 box, and its peak RSS is about 190 MB.
 """
 
 from __future__ import annotations
