@@ -68,7 +68,7 @@ from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
 from .groundstate import classify_trace, ground_state_scan, minimize_particles
 from .measures import GridDensity, PointCloudMeasure
 from .potentials import (GaussianMix, Morse, PowerLaw, RadialPotential,
-                         Tabulated, probe_hypotheses)
+                         Tabulated, _probe_tail, probe_hypotheses)
 from .stability import (fourier_criterion, gaussian_criterion,
                         integral_criterion, ruc_search)
 
@@ -119,8 +119,12 @@ def _family_keys(block) -> set:
 
 
 def _is_json_number(value) -> bool:
-    """True for a JSON number; booleans and numeric strings are not."""
-    return type(value) in (int, float)
+    """True for a JSON number that is finite as a float; booleans, numeric
+    strings and the Infinity and NaN that json.loads accepts are not."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_parameter(key: str, value, where: str):
@@ -164,22 +168,18 @@ def build_potential(block) -> RadialPotential:
 
 def _number(raw: dict, key: str, default, kind=float, minimum=-math.inf,
             strict=False):
-    """raw[key] (or default) as a finite ``kind`` that is >= minimum, or
-    > minimum when ``strict``.  The value must be a JSON number: booleans
-    and numeric strings are refused, and an int ``kind`` refuses numbers
-    with a fractional part instead of truncating them."""
+    """raw[key] (or default) as a ``kind`` that is >= minimum, or
+    > minimum when ``strict``.  The value must be a finite JSON number:
+    booleans and numeric strings are refused, and an int ``kind`` refuses
+    numbers with a fractional part instead of truncating them."""
     value = raw.get(key, default)
     if not _is_json_number(value) or (kind is int and isinstance(value, float)
                                       and not value.is_integer()):
         raise ConfigError(f"'{key}' must be "
                           f"{'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
-    try:
-        number = kind(value)
-    except OverflowError:
-        raise ConfigError(f"'{key}' must be finite, got {value!r}") from None
-    too_small = number <= minimum if strict else number < minimum
-    if not math.isfinite(number) or too_small:
+    number = kind(value)
+    if number < minimum or strict and number == minimum:
         raise ConfigError(f"'{key}' must be a finite number "
                           f"{'>' if strict else '>='} {minimum:g}, "
                           f"got {value!r}")
@@ -363,8 +363,7 @@ def _write_certificate(certificate, out_dir: Path, criterion: str):
 
 def cmd_stability(config, out_dir: Path, args) -> int:
     potential = build_potential(config["potential"])
-    probe = probe_hypotheses(potential, config["quad_tol"])
-    grows = probe.tail_class == "H3a"
+    grows = _probe_tail(potential)[0] == "H3a"
 
     precondition_misses = (NotAbsolutelyIntegrable, NotSquareIntegrable,
                           NonDifferentiable)

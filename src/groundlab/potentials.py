@@ -12,6 +12,8 @@ on pair distances.  Four families are provided:
 ``|W(|x|)|`` near the origin, the behaviour of the tail (growth to +inf,
 decay to 0, or neither) and the infimum of the profile over (0, inf).  Those
 three facts drive which stability criteria downstream modules may apply.
+The contact integrals are |W| r^{N-1} masses between the origin cutoffs,
+computed by :mod:`groundlab.radial`; this module calls no quadrature.
 """
 
 from __future__ import annotations
@@ -343,16 +345,19 @@ class HypothesisReport:
         }
 
 
-def _tail_probe_class(probes):
-    """Classify the far field from sampled values alone."""
-    values = [v for _, v in probes]
-    if all(abs(v) < _TAIL_DECAY_TOL for v in values):
-        return "H3b"
+def _probe_tail(potential):
+    """(tail class, far-field probes): the family's closed form when it
+    has one, else the class read from the probes alone."""
+    probes = tuple((r, float(potential(r))) for r in _TAIL_PROBE_RADII)
+    if potential.tail_class:
+        return potential.tail_class, probes
+    if all(abs(v) < _TAIL_DECAY_TOL for _, v in probes):
+        return "H3b", probes
     beyond = [v for r, v in probes if r >= 1e3]
     growing = all(b > a for a, b in zip(beyond, beyond[1:]))
     if growing and beyond[-1] > beyond[0] and beyond[-1] > 0:
-        return "H3a"
-    return "neither"
+        return "H3a", probes
+    return "neither", probes
 
 
 def _locate_infimum(potential):
@@ -383,7 +388,7 @@ def probe_hypotheses(potential: RadialPotential,
 
     Args:
         potential: profile to probe.
-        quad_tol: tolerance passed to the segment quadratures.
+        quad_tol: tolerance of the radial quadrature near the origin.
 
     Returns:
         A :class:`HypothesisReport`.  Raises :class:`QuadratureFailure` only
@@ -391,43 +396,26 @@ def probe_hypotheses(potential: RadialPotential,
         estimate.
     """
     n = potential.dimension
-
-    def integrand(r):
-        return abs(float(potential(r))) * r ** (n - 1)
-
-    # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a failed or
-    # imprecise segment stops the refinement and leaves it unclean
-    estimates = []
-    total = 0.0
-    clean = True
-    edges = radial.ORIGIN_EDGES
-    for upper, lower in zip(edges, edges[1:]):
-        try:
-            piece, err = radial.segment(integrand, lower, upper, quad_tol)
-        except QuadratureFailure:
-            clean = False
-            break
-        if abs(err) > max(quad_tol, 1e-6 * abs(piece)) * 1e3:
-            clean = False
-            break
-        total += piece
-        estimates.append(total)
+    masses = radial._segment_integrals(
+        lambda r: potential(r) * r ** (n - 1), radial.ORIGIN_EDGES[::-1],
+        quad_tol, absolute=True)[0]
+    # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a segment
+    # whose quadrature failed stops the refinement and leaves it unclean
+    estimates = [e for e in np.cumsum(masses[::-1]).tolist() if e < math.inf]
     if not estimates:
         raise QuadratureFailure(
             f"near-origin quadrature produced no estimate for "
             f"{potential.label}")
 
     area = unit_sphere_area(n)
-    if not clean or len(estimates) < 2:
+    if len(estimates) < masses.size:
         verdict = "inconclusive"
     elif radial.origin_growth(estimates) > radial.ORIGIN_GROWTH:
         verdict = "fails"
     else:
         verdict = "holds"
-    local_integral = area * estimates[-1]
 
-    probes = tuple((r, float(potential(r))) for r in _TAIL_PROBE_RADII)
-    tail = potential.tail_class or _tail_probe_class(probes)
+    tail, probes = _probe_tail(potential)
 
     infimum, inf_radius = _locate_infimum(potential)
 
@@ -438,7 +426,7 @@ def probe_hypotheses(potential: RadialPotential,
     return HypothesisReport(
         lower_semicontinuity=lsc,
         local_integrability=verdict,
-        local_integral=float(local_integral),
+        local_integral=area * estimates[-1],
         decade_estimates=tuple(area * e for e in estimates),
         tail_class=tail,
         tail_probes=probes,

@@ -22,7 +22,9 @@ over the shared nodes, formed a few MB at a time; every row keeps its own
 fallbacks.  :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and gates
 every row.  :func:`kernel_integrals` weighs with an oscillating kernel
 K(x r) over [0, upper], with no gate, on panels refined to at most half a
-period of the fastest kernel; the radial Fourier transforms use it.
+period of the fastest kernel; the radial Fourier transforms use it, and the
+contact probe and the ball-radius search read per-segment |W| masses from
+the same engine.  No other module calls ``quad``.
 """
 
 from __future__ import annotations
@@ -244,27 +246,43 @@ def radial_integral(signed, quad_tol, absolute=None):
     return result
 
 
-def kernel_integrals(signed, kernel, scales, upper, quad_tol) -> np.ndarray:
-    """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
-    ``scales``, with no gate.
-
-    The panels are those of :func:`gaussian_integrals` below ``upper``,
-    refined to a width of at most pi / max(scales), so that no panel holds
-    more than half a period of an oscillating kernel; the segments are the
-    floor, the origin decades and the tail decades, cut at ``upper``.  A
-    segment whose two rules disagree is integrated by :func:`segment`,
-    which raises QuadratureFailure when it fails.
-    """
+def _segment_integrals(signed, bounds, quad_tol, absolute=False,
+                       kernel=_gaussian, scales=(0.0,)) -> np.ndarray:
+    """Array (rows, segments) of the integrals of f(r) kernel(x r) over
+    [bounds[s], bounds[s + 1]], one row per x in ``scales`` (by default f
+    alone), where f is ``signed``, or |signed| when ``absolute``.  Panels
+    are cut at the bounds and the sign changes of ``signed``, and are at
+    most pi / max(scales) wide, half a period of an oscillating kernel.  A
+    segment whose rules disagree goes to :func:`segment`, and reads NaN
+    when that fails too."""
     x = np.asarray(scales, dtype=float)
-    bounds = np.array([b for b in _BOUNDS if b < upper] + [upper])
-    uniform = np.linspace(0.0, upper,
-                          1 + math.ceil(upper * float(x.max()) / math.pi))
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[0], bounds[-1]
+    uniform = np.linspace(lo, hi,
+                          1 + math.ceil((hi - lo) * float(x.max()) / math.pi))
     edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed), uniform])
-    edges = np.union1d(edges[edges < upper], bounds)
-    high, agree = _agreeing(_segment_sums((signed,), kernel, x, edges,
-                                          bounds), quad_tol)
+    edges = np.union1d(edges[(edges > lo) & (edges < hi)], bounds)
+    f = (lambda r: np.abs(signed(r))) if absolute else signed
+    high, agree = _agreeing(_segment_sums((f,), kernel, x, edges, bounds),
+                            quad_tol)
     values = high[:, 0]
     for k, s in zip(*np.nonzero(~agree)):
-        values[k, s] = segment(lambda r: kernel(x[k] * r) * signed(r),
-                               bounds[s], bounds[s + 1], quad_tol)[0]
-    return values.sum(axis=1)
+        try:
+            values[k, s] = segment(lambda r: kernel(x[k] * r) * f(r),
+                                   bounds[s], bounds[s + 1], quad_tol)[0]
+        except QuadratureFailure:
+            values[k, s] = math.nan
+    return values
+
+
+def kernel_integrals(signed, kernel, scales, upper, quad_tol) -> np.ndarray:
+    """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
+    ``scales``, with no gate, from the floor, origin and tail segments of
+    :func:`gaussian_integrals` cut at ``upper``; QuadratureFailure when a
+    segment's fallback quadrature fails."""
+    bounds = [b for b in _BOUNDS if b < upper] + [upper]
+    values = _segment_integrals(signed, bounds, quad_tol, kernel=kernel,
+                                scales=scales).sum(axis=1)
+    if not np.isfinite(values).all():
+        raise QuadratureFailure(f"quadrature failed below {upper:g}")
+    return values

@@ -45,8 +45,8 @@ from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
-                     segment)
+from .radial import (_segment_integrals, gaussian_integrals, kernel_integrals,
+                     radial_integral)
 
 __all__ = [
     "Certificate",
@@ -238,22 +238,16 @@ def _ball_density(potential, radius, scale):
 
 def _choose_ball_radius(potential, value, tail_masses, quad_tol):
     """Smallest power-of-two radius R whose exterior holds at most a
-    quarter of |value| worth of |W| mass; ``tail_masses`` are the space
-    integral's per-decade |W| r^{N-1} masses beyond radius 1."""
-    n = potential.dimension
-    area = unit_sphere_area(n)
-
-    def absolute(r):
-        return abs(float(potential(r))) * r ** (n - 1)
-
-    tail_total = sum(tail_masses)
-    for k in range(0, 24):
-        R = float(2**k)
-        head = segment(absolute, 1.0, R, quad_tol)[0] if R > 1 else 0.0
-        remainder = max(tail_total - head, 0.0)
-        if area * remainder <= abs(value) / 4.0:
-            return R
-    return float(2**24)
+    quarter of |value| worth of |W| mass (2**24 if none up to 2**23 does);
+    ``tail_masses`` are the space integral's per-decade |W| r^{N-1} masses
+    beyond radius 1, and heads[k] the mass over [1, 2**k]."""
+    radii = 2.0 ** np.arange(24)
+    signed, _ = _radial_density(potential)
+    masses = _segment_integrals(signed, radii, quad_tol, absolute=True)[0]
+    heads = np.concatenate([[0.0], np.cumsum(masses)])
+    remainder = np.maximum(sum(tail_masses) - heads, 0.0)
+    fits = unit_sphere_area(potential.dimension) * remainder <= abs(value) / 4
+    return float(radii[fits.argmax()]) if fits.any() else float(2**24)
 
 
 def integral_criterion(potential: RadialPotential,

@@ -171,6 +171,14 @@ def test_more_config_errors(tmp_path):
         ("scan", {"grid": {"G": [0.5, True]}}),
         ("scan", {"grid": {"L": [1.0]},
                   "potential": {**MORSE_AGG, "G": "1"}}),
+        # json.loads accepts Infinity and NaN: they used to crash, run, or
+        # fail numerically, and a NaN scan cell was labelled
+        ("stability", {"xi_grid": [math.inf]}),
+        ("stability", {"p_grid": [math.inf]}),
+        ("stability", {"potential": {**MORSE_AGG, "G": math.inf}}),
+        ("scan", {"grid": {"G": [math.nan]}}),
+        # an integer too large for a float used to crash on conversion
+        ("analyze", {"potential": {**MORSE_AGG, "G": 10**400}}),
     ]
     for k, (command, extra) in enumerate(malformed):
         cfg = write_config(tmp_path, f"m{k}.json", {

@@ -121,6 +121,25 @@ def test_probe_exponent_constraint_keeps_contact_integrable():
     assert report.local_integrability == "holds"
 
 
+class BlindBelowMicron(Morse):
+    """Morse profile that reads NaN below r = 1e-6."""
+
+    def _profile(self, radii):
+        return np.where(radii < 1e-6, np.nan, super()._profile(radii))
+
+
+def test_probe_inconclusive_when_contact_quadrature_fails():
+    # the five cutoffs down to 1e-6 give estimates; the segment below
+    # fails and stops the refinement
+    report = probe_hypotheses(BlindBelowMicron(1.0, 2.0, 2))
+    assert report.local_integrability == "inconclusive"
+    assert len(report.decade_estimates) == 5
+    assert report.local_integral == report.decade_estimates[-1]
+    # 2 pi int_0^1 (exp(-r/2) - exp(-r)) r dr, less 1e-18 below 1e-6
+    want = 2.0 * math.pi * (3.0 - 6.0 * math.exp(-0.5) + 2.0 * math.exp(-1.0))
+    assert report.local_integral == pytest.approx(want, rel=1e-12)
+
+
 def test_probe_tail_and_infimum_powerlaw():
     report = probe_hypotheses(PowerLaw(2.0, 1.0, 1))
     assert report.tail_class == "H3a"

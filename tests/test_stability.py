@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
                        Tabulated, check_ruc, energy_grid, energy_pointcloud,
                        fourier_criterion, gaussian_criterion,
-                       integral_criterion, radial, radial_fourier_transform,
-                       ruc_search, space_integral, stability,
-                       unit_sphere_area, weighted_space_integral)
+                       integral_criterion, probe_hypotheses, radial,
+                       radial_fourier_transform, ruc_search, space_integral,
+                       stability, unit_sphere_area, weighted_space_integral)
 from groundlab.errors import NotAbsolutelyIntegrable, NotSquareIntegrable
 from conftest import CRITERION_ORDER, HE, REGRESSION_CASES
 
@@ -355,6 +355,22 @@ def test_only_radial_imports_scipy_integrate():
                      r"scipy\.integrate|from\s+scipy\s+import\s+.*\b"
                      r"integrate\b)", path.read_text(), re.MULTILINE))
     assert importers == ["radial.py"]
+
+
+def test_w_is_integrated_only_on_the_radial_engine(monkeypatch):
+    # the contact probe and the ball-radius search share the engine's
+    # rules; neither runs an adaptive quad of its own on these profiles
+    calls = []
+    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (
+        calls.append(args[1:3]) or quad(*args, **kwargs)))
+    for w in (Morse(1.0, 2.0, 1), Morse(1.0, 2.0, 2), Morse(1.0, 2.0, 3),
+              GaussianMix([(2.0, 1.0), (-1.0, 2.0)], 2)):
+        probe_hypotheses(w)
+        verdict = integral_criterion(w, build_witness=True)
+        assert verdict.certificate.kind == "ball_density"
+    # its growing tail makes integral_criterion raise, so it is probed only
+    probe_hypotheses(PowerLaw(2.0, -1.0, 3))
+    assert calls == []
 
 
 def test_fourier_transform_scalar_input_gives_scalar_output():
