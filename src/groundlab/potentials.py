@@ -19,6 +19,7 @@ computed by :mod:`groundlab.radial`; this module calls no quadrature.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -396,19 +397,24 @@ def probe_hypotheses(potential: RadialPotential,
         estimate.
     """
     n = potential.dimension
-    masses = radial._segment_integrals(
+    read = radial.segment_reader(
         lambda r: potential(r) * r ** (n - 1), radial.ORIGIN_EDGES[::-1],
-        quad_tol, absolute=True)[0]
+        quad_tol, (np.abs,))
     # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a segment
-    # whose quadrature failed stops the refinement and leaves it unclean
-    estimates = [e for e in np.cumsum(masses[::-1]).tolist() if e < math.inf]
+    # whose quadrature fails stops the refinement and leaves it unclean
+    segments = len(radial.ORIGIN_EDGES) - 1
+    estimates, total = [], 0.0
+    with suppress(QuadratureFailure):
+        for s in reversed(range(segments)):
+            total += read(0, s)[0]
+            estimates.append(total)
     if not estimates:
         raise QuadratureFailure(
             f"near-origin quadrature produced no estimate for "
             f"{potential.label}")
 
     area = unit_sphere_area(n)
-    if len(estimates) < masses.size:
+    if len(estimates) < segments:
         verdict = "inconclusive"
     elif radial.origin_growth(estimates) > radial.ORIGIN_GROWTH:
         verdict = "fails"

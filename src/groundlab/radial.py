@@ -13,18 +13,21 @@ integrand changes sign, so that its absolute value has no kink inside a
 panel.  The integrand is evaluated once, as an array, on the nodes of an
 embedded pair of composite Gauss-Legendre rules (10 and 20 nodes per
 panel).  The 20-node sum is the segment's value and its distance from the
-10-node sum the error estimate.  A segment whose two rules disagree by
-more than quad_tol * max(1, |value|) is integrated again by one adaptive
-``scipy.integrate.quad`` call (:func:`segment`).
+10-node sum the error estimate.  The absolute value of the integrand is
+taken from the same node values.
 
-Many integrals of one integrand are weighed at once, each a row of factors
-over the shared nodes, formed a few MB at a time; every row keeps its own
-fallbacks.  :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and gates
-every row.  :func:`kernel_integrals` weighs with an oscillating kernel
-K(x r) over [0, upper], with no gate, on panels refined to at most half a
-period of the fastest kernel; the radial Fourier transforms use it, and the
-contact probe and the ball-radius search read per-segment |W| masses from
-the same engine.  No other module calls ``quad``.
+One engine, :func:`segment_reader`, forms the rule sums of every segment of
+many integrals at once, each a row of factors over the shared nodes, a few
+MB at a time.  Its reader returns one (row, segment) at a time, and only a
+segment whose two rules disagree by more than quad_tol * max(1, |value|)
+is integrated again, when it is read, by one adaptive
+``scipy.integrate.quad`` call per integrand (:func:`segment`); a failure
+raises there, so a caller that stops at it makes no further call.
+:func:`gaussian_integrals` weighs with exp(-p^2 r^2) and reads every row
+through the gates; :func:`kernel_integrals` weighs with an oscillating
+kernel K(x r) over [0, upper], with no gate, on panels refined to at most
+half a period of the fastest kernel; the contact probe and the ball-radius
+search read per-segment |W| masses.  No other module calls ``quad``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from scipy.integrate import quad
 
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
 
-__all__ = ["segment", "origin_growth", "radial_integral",
+__all__ = ["segment", "origin_growth", "segment_reader", "radial_integral",
            "gaussian_integrals", "kernel_integrals"]
 
 # Cutoff edges of the origin piece, from 1 down to 1e-10.
@@ -133,34 +136,63 @@ def _flushed(a):
     return np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a)
 
 
-def _segment_sums(integrands, factor, scales, edges, bounds):
-    """Array (rows, integrands, 2, segments) of the low- and high-rule sums
-    of f(r) factor(x r), one row per x in ``scales``, for each array
-    function f in ``integrands``.  Nodes and factors are formed
-    _CHUNK_ELEMENTS at a time."""
-    x = np.asarray(scales, dtype=float)
-    sums = np.zeros((x.size, len(integrands), 2 * (len(bounds) - 1)))
+def _segment_sums(signed, parts, factor, x, edges, bounds):
+    """Array (rows, parts, 2, segments) of the low- and high-rule sums of
+    part(signed(r)) factor(x r), one row per entry of the array ``x``, for
+    each ufunc in ``parts``.  ``signed`` is evaluated once per node, and
+    nodes and factors are formed _CHUNK_ELEMENTS at a time."""
+    sums = np.zeros((x.size, len(parts), 2 * (len(bounds) - 1)))
     step = max(1, _CHUNK_ELEMENTS // (3 * _NODES))
     for first in range(0, edges.size - 1, step):
         r, w, column = _rule_pair(edges[first:first + step + 1], bounds)
-        weighted = _flushed(np.stack([f(r) * w for f in integrands]))
+        values = signed(r) * w
+        weighted = _flushed(np.stack([part(values) for part in parts]))
         present, starts = np.unique(column, return_index=True)
         chunk = max(1, _CHUNK_ELEMENTS // r.size)
         for k in range(0, x.size, chunk):
             factors = _flushed(factor(np.outer(x[k:k + chunk], r)))
             sums[k:k + chunk, :, present] += np.add.reduceat(
                 factors[:, None, :] * weighted, starts, axis=2)
-    return sums.reshape(x.size, len(integrands), 2, len(bounds) - 1)
+    return sums.reshape(x.size, len(parts), 2, len(bounds) - 1)
 
 
-def _agreeing(sums, quad_tol):
-    """High-rule sums (rows, integrands, segments) and the (rows, segments)
-    mask of segments whose sums are finite and whose two rules agree to
-    quad_tol * max(1, |value|) for every integrand."""
+def _gaussian(x):
+    return np.exp(-np.square(x))
+
+
+def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
+                   scales=(0.0,), extra_edges=()):
+    """Reader ``read(row, s)`` of the integrals of part(signed(r)) factor(x r)
+    over [bounds[s], bounds[s + 1]], one for each ufunc in ``parts``
+    (np.positive: the signed integrand, np.abs: its absolute value), with x
+    the entry ``row`` of ``scales``; by default the plain integrals.
+
+    Panels are cut at the log-graded edges, the bounds, the sign changes of
+    ``signed`` and ``extra_edges``.  Every rule sum is formed here, with
+    ``signed`` evaluated once, as an array, on the nodes of both rules.  A
+    read returns the 20-node sums when the two rules agree to
+    quad_tol * max(1, |value|) on every part; otherwise it calls
+    :func:`segment` once per part and raises its QuadratureFailure.
+    """
+    x = np.asarray(scales, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed), extra_edges])
+    edges = np.union1d(edges[(edges > bounds[0]) & (edges < bounds[-1])],
+                       bounds)
+    sums = _segment_sums(signed, parts, factor, x, edges, bounds)
     low, high = sums[:, :, 0], sums[:, :, 1]
     agree = (np.isfinite(sums).all(axis=2)
              & (np.abs(high - low) <= quad_tol * np.maximum(1.0, np.abs(high))))
-    return high, agree.all(axis=1)
+    agree, high = agree.all(axis=1).tolist(), high.tolist()
+
+    def read(row, s):
+        if agree[row][s]:
+            return [part_sums[s] for part_sums in high[row]]
+        return [segment(lambda r: factor(x[row] * r) * part(signed(r)),
+                        bounds[s], bounds[s + 1], quad_tol)[0]
+                for part in parts]
+
+    return read
 
 
 def _gated(piece, quad_tol):
@@ -196,93 +228,49 @@ def _gated(piece, quad_tol):
         f"last decade contributed {masses[-1]:.3g}")
 
 
-def _gaussian(x):
-    return np.exp(-np.square(x))
-
-
-def gaussian_integrals(signed, p_values, quad_tol, absolute=None):
+def gaussian_integrals(signed, p_values, quad_tol):
     """For each p, (integral of signed(r) exp(-p^2 r^2) over (0, inf),
     tail_masses) as in :func:`radial_integral`, or the GroundlabError its
     gates or its fallback quadrature raised.
 
-    ``signed`` and ``absolute`` take and return arrays; the fallback calls
-    them with one radius.  The sign changes of ``signed`` are the panel
-    edges of every row, since the Gaussian factors are positive.
+    ``signed`` takes and returns arrays; the fallback calls it with one
+    radius.  Its sign changes are the panel edges of every row, since the
+    Gaussian factors are positive.
     """
-    integrands = (signed,) if absolute is None else (signed, absolute)
-    edges = np.union1d(_PANEL_EDGES, _sign_changes(signed))
-    high, agree = _agreeing(_segment_sums(integrands, _gaussian, p_values,
-                                          edges, np.array(_BOUNDS)), quad_tol)
-
-    rows = zip(np.asarray(p_values, dtype=float).tolist(), agree.tolist(),
-               high.tolist())
+    read = segment_reader(signed, _BOUNDS, quad_tol, (np.positive, np.abs),
+                          scales=p_values)
     results = []
-    for p, ok, sums in rows:
-        def piece(s, p=p, ok=ok, sums=sums):
-            if ok[s]:
-                return sums[0][s], sums[-1][s]
-            lo, hi = _BOUNDS[s], _BOUNDS[s + 1]
-            values = [segment(lambda r: _gaussian(p * r) * f(r), lo, hi,
-                              quad_tol)[0] for f in integrands]
-            return values[0], values[-1]
-
+    for row in range(len(p_values)):
         try:
-            results.append(_gated(piece, quad_tol))
+            results.append(_gated(lambda s, row=row: read(row, s), quad_tol))
         except GroundlabError as exc:
             results.append(exc)
     return results
 
 
-def radial_integral(signed, quad_tol, absolute=None):
+def radial_integral(signed, quad_tol):
     """(integral of ``signed`` over (0, inf), tail_masses), where
-    tail_masses[k] integrates ``absolute`` = |signed| over [10**k,
-    10**(k+1)].  ``absolute=None`` means signed is nonnegative.  Both take
-    and return arrays.  NotAbsolutelyIntegrable when a gate trips,
+    tail_masses[k] integrates |signed| over [10**k, 10**(k+1)]; ``signed``
+    takes and returns arrays.  NotAbsolutelyIntegrable when a gate trips,
     QuadratureFailure when a fallback quadrature fails.
     """
-    result = gaussian_integrals(signed, [0.0], quad_tol, absolute)[0]
+    result = gaussian_integrals(signed, [0.0], quad_tol)[0]
     if isinstance(result, GroundlabError):
         raise result
     return result
 
 
-def _segment_integrals(signed, bounds, quad_tol, absolute=False,
-                       kernel=_gaussian, scales=(0.0,)) -> np.ndarray:
-    """Array (rows, segments) of the integrals of f(r) kernel(x r) over
-    [bounds[s], bounds[s + 1]], one row per x in ``scales`` (by default f
-    alone), where f is ``signed``, or |signed| when ``absolute``.  Panels
-    are cut at the bounds and the sign changes of ``signed``, and are at
-    most pi / max(scales) wide, half a period of an oscillating kernel.  A
-    segment whose rules disagree goes to :func:`segment`, and reads NaN
-    when that fails too."""
-    x = np.asarray(scales, dtype=float)
-    bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[0], bounds[-1]
-    uniform = np.linspace(lo, hi,
-                          1 + math.ceil((hi - lo) * float(x.max()) / math.pi))
-    edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed), uniform])
-    edges = np.union1d(edges[(edges > lo) & (edges < hi)], bounds)
-    f = (lambda r: np.abs(signed(r))) if absolute else signed
-    high, agree = _agreeing(_segment_sums((f,), kernel, x, edges, bounds),
-                            quad_tol)
-    values = high[:, 0]
-    for k, s in zip(*np.nonzero(~agree)):
-        try:
-            values[k, s] = segment(lambda r: kernel(x[k] * r) * f(r),
-                                   bounds[s], bounds[s + 1], quad_tol)[0]
-        except QuadratureFailure:
-            values[k, s] = math.nan
-    return values
-
-
 def kernel_integrals(signed, kernel, scales, upper, quad_tol) -> np.ndarray:
     """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
     ``scales``, with no gate, from the floor, origin and tail segments of
-    :func:`gaussian_integrals` cut at ``upper``; QuadratureFailure when a
-    segment's fallback quadrature fails."""
+    :func:`gaussian_integrals` cut at ``upper``, on panels at most
+    pi / max(scales) wide, half a period of the fastest kernel;
+    QuadratureFailure when a segment's fallback quadrature fails."""
+    x = np.asarray(scales, dtype=float)
     bounds = [b for b in _BOUNDS if b < upper] + [upper]
-    values = _segment_integrals(signed, bounds, quad_tol, kernel=kernel,
-                                scales=scales).sum(axis=1)
-    if not np.isfinite(values).all():
-        raise QuadratureFailure(f"quadrature failed below {upper:g}")
-    return values
+    uniform = np.linspace(0.0, upper,
+                          1 + math.ceil(upper * float(x.max()) / math.pi))
+    read = segment_reader(signed, bounds, quad_tol, (np.positive,), kernel,
+                          x, uniform)
+    return np.array([[read(k, s)[0] for s in range(len(bounds) - 1)]
+                     for k in range(x.size)]).sum(axis=1)

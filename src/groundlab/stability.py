@@ -21,16 +21,18 @@ verified on one path, :func:`_verified`, which builds candidates lazily and
 keeps the first negative one; every witness energy comes from
 :func:`groundlab.energy.energy_grid`, the one grid-energy path.
 ``stable_indication`` records the scanned domain and never claims a proof.
-Radial integrals go through :func:`groundlab.radial.radial_integral`; the
-Gaussian-weighted scan evaluates all its p at once through
-:func:`groundlab.radial.gaussian_integrals`, and the Fourier transform all
-its frequencies through :func:`groundlab.radial.kernel_integrals`, with the
-kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3.
+Every radial integral reads the one lazy per-segment table of
+:mod:`groundlab.radial`: the space integral, each weighted integral and the
+whole Gaussian-weighted scan are rows of
+:func:`groundlab.radial.gaussian_integrals`, and the Fourier transform
+weighs all its frequencies through :func:`groundlab.radial.kernel_integrals`,
+with the kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,8 +47,8 @@ from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import (_segment_integrals, gaussian_integrals, kernel_integrals,
-                     radial_integral)
+from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
+                     segment_reader)
 
 __all__ = [
     "Certificate",
@@ -146,26 +148,19 @@ def _plain(obj):
 
 
 def _radial_density(potential):
-    """W(r) r^{N-1} and its absolute value, as array functions."""
+    """W(r) r^{N-1} as an array function."""
     n = potential.dimension
-
-    def signed(r):
-        return potential(r) * r ** (n - 1)
-
-    return signed, lambda r: np.abs(signed(r))
+    return lambda r: potential(r) * r ** (n - 1)
 
 
 def _weighted_integral(potential, p, quad_tol):
     """S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr and the absolute
-    mass of each tail decade; p = 0 gives the space integral."""
-    signed, absolute = _radial_density(potential)
-
-    def weight(r):
-        return np.exp(-np.square(p * r))
-
-    value, tail_masses = radial_integral(
-        lambda r: signed(r) * weight(r), quad_tol,
-        lambda r: absolute(r) * weight(r))
+    mass of each tail decade; p = 0 gives the space integral.  It is the
+    row p of the Gaussian-weighted scan, bit for bit."""
+    result = gaussian_integrals(_radial_density(potential), [p], quad_tol)[0]
+    if isinstance(result, Exception):
+        raise result
+    value, tail_masses = result
     return unit_sphere_area(potential.dimension) * value, tail_masses
 
 
@@ -238,16 +233,21 @@ def _ball_density(potential, radius, scale):
 
 def _choose_ball_radius(potential, value, tail_masses, quad_tol):
     """Smallest power-of-two radius R whose exterior holds at most a
-    quarter of |value| worth of |W| mass (2**24 if none up to 2**23 does);
-    ``tail_masses`` are the space integral's per-decade |W| r^{N-1} masses
-    beyond radius 1, and heads[k] the mass over [1, 2**k]."""
-    radii = 2.0 ** np.arange(24)
-    signed, _ = _radial_density(potential)
-    masses = _segment_integrals(signed, radii, quad_tol, absolute=True)[0]
-    heads = np.concatenate([[0.0], np.cumsum(masses)])
-    remainder = np.maximum(sum(tail_masses) - heads, 0.0)
-    fits = unit_sphere_area(potential.dimension) * remainder <= abs(value) / 4
-    return float(radii[fits.argmax()]) if fits.any() else float(2**24)
+    quarter of |value| worth of |W| mass, or 2**24 if none up to 2**23
+    does before the quadrature of a shell fails; ``tail_masses`` are the
+    space integral's per-decade |W| r^{N-1} masses beyond radius 1, and
+    ``head`` the mass over [1, R]."""
+    radii = 2.0 ** np.arange(25)
+    read = segment_reader(_radial_density(potential), radii, quad_tol,
+                          (np.abs,))
+    area = unit_sphere_area(potential.dimension)
+    total, head = sum(tail_masses), 0.0
+    with suppress(QuadratureFailure):
+        for k, radius in enumerate(radii[:-1].tolist()):
+            if area * max(total - head, 0.0) <= abs(value) / 4:
+                return radius
+            head += read(0, k)[0]
+    return float(radii[-1])
 
 
 def integral_criterion(potential: RadialPotential,
@@ -329,9 +329,9 @@ def gaussian_criterion(potential: RadialPotential,
                               "hypotheses unmet, verdict advisory")
 
     # p = 0 and the whole grid are weighed on one set of nodes at once
-    signed, absolute = _radial_density(potential)
     p_values = [0.0] + grid.tolist()
-    results = gaussian_integrals(signed, p_values, quad_tol, absolute)
+    results = gaussian_integrals(_radial_density(potential), p_values,
+                                 quad_tol)
     area = unit_sphere_area(potential.dimension)
     entries = []
     for p, result in zip(p_values, results):
@@ -439,9 +439,8 @@ def radial_fourier_transform(potential: RadialPotential,
         out[zero] = space_integral(potential, quad_tol)
     if not zero.all():
         n = potential.dimension
-        signed, _ = _radial_density(potential)
         out[~zero] = unit_sphere_area(n) * kernel_integrals(
-            signed, _FOURIER_KERNELS[n], flat[~zero],
+            _radial_density(potential), _FOURIER_KERNELS[n], flat[~zero],
             _decay_radius(potential), quad_tol)
     return float(out[0]) if xi.ndim == 0 else out
 

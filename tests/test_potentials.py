@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from groundlab import (GaussianMix, Morse, PowerLaw, Tabulated,
-                       probe_hypotheses)
+                       probe_hypotheses, radial)
 from groundlab.errors import DimensionUnsupported, NonDifferentiable
 
 
@@ -128,10 +130,22 @@ class BlindBelowMicron(Morse):
         return np.where(radii < 1e-6, np.nan, super()._profile(radii))
 
 
-def test_probe_inconclusive_when_contact_quadrature_fails():
+def test_probe_inconclusive_when_contact_quadrature_fails(monkeypatch):
     # the five cutoffs down to 1e-6 give estimates; the segment below
-    # fails and stops the refinement
-    report = probe_hypotheses(BlindBelowMicron(1.0, 2.0, 2))
+    # fails and stops the refinement after one fallback quadrature
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    original = radial.quad
+    monkeypatch.setattr(radial, "quad", counting)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = probe_hypotheses(BlindBelowMicron(1.0, 2.0, 2))
+    assert calls == [(1e-7, 1e-6)]
+    assert [w.category for w in caught] == [IntegrationWarning]
     assert report.local_integrability == "inconclusive"
     assert len(report.decade_estimates) == 5
     assert report.local_integral == report.decade_estimates[-1]

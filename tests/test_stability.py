@@ -111,6 +111,9 @@ def test_fixed_rules_agree_with_adaptive_quadrature():
             weighted_space_integral(potential, p) for p in p_grid]
         for p, batched, alone in zip(scan["p_values"],
                                      scan["weighted_integrals"], single):
+            if batched != alone:
+                problems.append(f"{potential.label} p={p:g}: scan {batched!r} "
+                                f"vs single {alone!r}")
             want = adaptive_weighted_integral(potential, p)
             for got in (batched, alone):
                 if abs(got - want) > 1e-7 * (1.0 + abs(want)):
@@ -413,15 +416,42 @@ def test_fourier_criterion_unverifiable_dip_stays_inconclusive():
 
 
 def _count_radial_integrals(monkeypatch):
+    """Records one "signed" per row of a Gaussian-weighted integral (the
+    space integral is the row p = 0) and one "squared" per plain radial
+    integral (the W^2 check)."""
     calls = []
-    original = stability.radial_integral
+    scan, plain = stability.gaussian_integrals, stability.radial_integral
 
-    def counting(signed, quad_tol, absolute=None):
-        calls.append("squared" if absolute is None else "signed")
-        return original(signed, quad_tol, absolute)
+    def counting_scan(signed, p_values, quad_tol):
+        calls.extend(["signed"] * len(p_values))
+        return scan(signed, p_values, quad_tol)
 
-    monkeypatch.setattr(stability, "radial_integral", counting)
+    def counting_plain(signed, quad_tol):
+        calls.append("squared")
+        return plain(signed, quad_tol)
+
+    monkeypatch.setattr(stability, "gaussian_integrals", counting_scan)
+    monkeypatch.setattr(stability, "radial_integral", counting_plain)
     return calls
+
+
+class RadiusRecording(Morse):
+    """Morse profile that records every radius it is evaluated at."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.radii = []
+
+    def _profile(self, radii):
+        self.radii.extend(radii.tolist())
+        return super()._profile(radii)
+
+
+def test_space_integral_evaluates_each_radius_once():
+    # the |W| masses come from the signed values at the same nodes
+    w = RadiusRecording(1.0, 2.0, 2)
+    assert space_integral(w) == pytest.approx(-6.0 * math.pi, rel=1e-9)
+    assert len(w.radii) == len(set(w.radii))
 
 
 def test_integral_criterion_integrates_once(monkeypatch):
