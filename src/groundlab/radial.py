@@ -25,9 +25,10 @@ is integrated again, when it is read, by one adaptive
 raises there, so a caller that stops at it makes no further call.
 :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and reads every row
 through the gates; :func:`kernel_integrals` weighs with an oscillating
-kernel K(x r) over [0, upper], with no gate, on panels refined to at most
-half a period of the fastest kernel; the contact probe and the ball-radius
-search read per-segment |W| masses.  No other module calls ``quad``.
+kernel K(x r) over [0, upper], with no gate, one octave band of x in
+(2^(b-1), 2^b] at a time, each on panels refined to at most half a period
+of the band's fastest kernel; the contact probe and the ball-radius search
+read per-segment |W| masses.  No other module calls ``quad``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from scipy.integrate import quad
 
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
 
-__all__ = ["segment", "origin_growth", "segment_reader", "radial_integral",
-           "gaussian_integrals", "kernel_integrals"]
+__all__ = ["segment", "origin_growth", "sign_changes", "segment_reader",
+           "radial_integral", "gaussian_integrals", "kernel_integrals"]
 
 # Cutoff edges of the origin piece, from 1 down to 1e-10.
 ORIGIN_EDGES = (1.0,) + tuple(10.0 ** (-decade) for decade in range(2, 11))
@@ -96,7 +97,7 @@ def origin_growth(estimates) -> float:
     return (last - prev) / prev if prev > 0 else 0.0
 
 
-def _sign_changes(func) -> np.ndarray:
+def sign_changes(func) -> np.ndarray:
     """Radii where the array function ``func`` changes sign, bracketed on a
     log grid from 1e-10 to 1e8 and narrowed by bisection."""
     grid = np.geomspace(_BOUNDS[1], _BOUNDS[-1], 1 + round(
@@ -150,33 +151,38 @@ def _segment_sums(signed, parts, factor, x, edges, bounds):
         present, starts = np.unique(column, return_index=True)
         chunk = max(1, _CHUNK_ELEMENTS // r.size)
         for k in range(0, x.size, chunk):
-            factors = _flushed(factor(np.outer(x[k:k + chunk], r)))
+            factors = factor(np.outer(x[k:k + chunk], r))
             sums[k:k + chunk, :, present] += np.add.reduceat(
                 factors[:, None, :] * weighted, starts, axis=2)
     return sums.reshape(x.size, len(parts), 2, len(bounds) - 1)
 
 
 def _gaussian(x):
-    return np.exp(-np.square(x))
+    """exp(-x^2), with the factors below _NEGLIGIBLE flushed to zero; the
+    kernels of :func:`kernel_integrals` never fall that low."""
+    return _flushed(np.exp(-np.square(x)))
 
 
 def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
-                   scales=(0.0,), extra_edges=()):
+                   scales=(0.0,), extra_edges=(), changes=None):
     """Reader ``read(row, s)`` of the integrals of part(signed(r)) factor(x r)
     over [bounds[s], bounds[s + 1]], one for each ufunc in ``parts``
     (np.positive: the signed integrand, np.abs: its absolute value), with x
     the entry ``row`` of ``scales``; by default the plain integrals.
 
     Panels are cut at the log-graded edges, the bounds, the sign changes of
-    ``signed`` and ``extra_edges``.  Every rule sum is formed here, with
-    ``signed`` evaluated once, as an array, on the nodes of both rules.  A
-    read returns the 20-node sums when the two rules agree to
+    ``signed`` (``changes`` when given, else :func:`sign_changes`) and
+    ``extra_edges``.  Every rule sum is formed here, with ``signed``
+    evaluated once, as an array, on the nodes of both rules.  A read
+    returns the 20-node sums when the two rules agree to
     quad_tol * max(1, |value|) on every part; otherwise it calls
     :func:`segment` once per part and raises its QuadratureFailure.
     """
     x = np.asarray(scales, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed), extra_edges])
+    if changes is None:
+        changes = sign_changes(signed)
+    edges = np.concatenate([_PANEL_EDGES, changes, extra_edges])
     edges = np.union1d(edges[(edges > bounds[0]) & (edges < bounds[-1])],
                        bounds)
     sums = _segment_sums(signed, parts, factor, x, edges, bounds)
@@ -260,17 +266,31 @@ def radial_integral(signed, quad_tol):
     return result
 
 
-def kernel_integrals(signed, kernel, scales, upper, quad_tol) -> np.ndarray:
+def kernel_integrals(signed, kernel, scales, upper, quad_tol,
+                     changes=None) -> np.ndarray:
     """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
     ``scales``, with no gate, from the floor, origin and tail segments of
-    :func:`gaussian_integrals` cut at ``upper``, on panels at most
-    pi / max(scales) wide, half a period of the fastest kernel;
-    QuadratureFailure when a segment's fallback quadrature fails."""
+    :func:`gaussian_integrals` cut at ``upper``; QuadratureFailure when a
+    segment's fallback quadrature fails.
+
+    The rows are grouped into octave bands, x in (2^(b-1), 2^b], and each
+    band is integrated on its own panels, at most pi / max(x in band)
+    wide: half a period of the band's fastest kernel, so a row costs in
+    proportion to its own frequency.  The sign changes of ``signed``
+    (``changes`` when given) are found once for every band.
+    """
     x = np.asarray(scales, dtype=float)
     bounds = [b for b in _BOUNDS if b < upper] + [upper]
-    uniform = np.linspace(0.0, upper,
-                          1 + math.ceil(upper * float(x.max()) / math.pi))
-    read = segment_reader(signed, bounds, quad_tol, (np.positive,), kernel,
-                          x, uniform)
-    return np.array([[read(k, s)[0] for s in range(len(bounds) - 1)]
-                     for k in range(x.size)]).sum(axis=1)
+    if changes is None:
+        changes = sign_changes(signed)
+    band = np.ceil(np.log2(x))
+    out = np.empty(x.size)
+    for b in np.unique(band):
+        rows = np.flatnonzero(band == b)
+        uniform = np.linspace(0.0, upper, 1 + math.ceil(
+            upper * float(x[rows].max()) / math.pi))
+        read = segment_reader(signed, bounds, quad_tol, (np.positive,),
+                              kernel, x[rows], uniform, changes)
+        out[rows] = np.array([[read(k, s)[0] for s in range(len(bounds) - 1)]
+                              for k in range(rows.size)]).sum(axis=1)
+    return out

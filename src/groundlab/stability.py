@@ -48,7 +48,7 @@ from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
 from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
-                     segment_reader)
+                     segment_reader, sign_changes)
 
 __all__ = [
     "Certificate",
@@ -413,8 +413,26 @@ def _decay_radius(potential) -> float:
     return _DECAY_RADIUS_CAP
 
 
+def _sinc(x):
+    """sin(x) / x for x > 0, bit for bit np.sinc(x / pi), on one buffer."""
+    y = x / math.pi
+    y *= math.pi
+    out = np.sin(y)
+    out /= y
+    return out
+
+
 # K_N(x): the radial kernel of the N-dimensional Fourier transform
-_FOURIER_KERNELS = {1: np.cos, 2: j0, 3: lambda x: np.sinc(x / math.pi)}
+_FOURIER_KERNELS = {1: np.cos, 2: j0, 3: _sinc}
+
+
+def _kernel_transform(potential, xi, upper, changes, quad_tol):
+    """The transform at the positive frequencies ``xi``, truncated at
+    ``upper``, with ``changes`` the sign changes of W(r) r^{N-1}."""
+    n = potential.dimension
+    return unit_sphere_area(n) * kernel_integrals(
+        _radial_density(potential), _FOURIER_KERNELS[n], xi, upper,
+        quad_tol, changes)
 
 
 def radial_fourier_transform(potential: RadialPotential,
@@ -425,9 +443,10 @@ def radial_fourier_transform(potential: RadialPotential,
 
     FT(xi) = S_{N-1} int_0^R W(r) r^{N-1} K_N(xi r) dr with K_1 = cos,
     K_2 = J_0 and K_3(x) = sin(x) / x, truncated at the radius R beyond
-    which |W| is negligible; all nonzero frequencies are weighed on one
-    set of nodes by :func:`groundlab.radial.kernel_integrals`.  The zero
-    frequency delegates to :func:`space_integral`.
+    which |W| is negligible; the nonzero frequencies are weighed by
+    :func:`groundlab.radial.kernel_integrals`, each octave band on nodes
+    sized for its fastest frequency.  The zero frequency delegates to
+    :func:`space_integral`.
     """
     xi = np.asarray(frequencies, dtype=float)
     flat = np.atleast_1d(xi)
@@ -438,10 +457,9 @@ def radial_fourier_transform(potential: RadialPotential,
     if zero.any():
         out[zero] = space_integral(potential, quad_tol)
     if not zero.all():
-        n = potential.dimension
-        out[~zero] = unit_sphere_area(n) * kernel_integrals(
-            _radial_density(potential), _FOURIER_KERNELS[n], flat[~zero],
-            _decay_radius(potential), quad_tol)
+        out[~zero] = _kernel_transform(potential, flat[~zero],
+                                       _decay_radius(potential), None,
+                                       quad_tol)
     return float(out[0]) if xi.ndim == 0 else out
 
 
@@ -457,11 +475,14 @@ def fourier_criterion(potential: RadialPotential,
 
     An everywhere-positive transform means every density has positive
     energy (no minimizer exists); that is reported as stable_indication
-    over the scanned frequencies.  A negative minimum is only trusted once
-    a concentrated-in-frequency density built at the minimizing frequency
-    re-evaluates to negative energy; otherwise the verdict stays
-    inconclusive, because a negative transform value alone does not bound
-    the nonnegative-density energies.
+    over the scanned frequencies, and its certificate holds the minimum
+    over the frequencies where the transform exceeds decision_tol, its
+    frequency ``xi`` and the largest of them, ``resolved_max``.  A
+    negative minimum is only trusted once a concentrated-in-frequency
+    density built at the minimizing frequency re-evaluates to negative
+    energy; otherwise the verdict stays inconclusive, because a negative
+    transform value alone does not bound the nonnegative-density
+    energies.
 
     Raises NotSquareIntegrable when W^2 fails to integrate, and
     QuadratureFailure when a fallback quadrature of the transform fails.
@@ -489,12 +510,16 @@ def fourier_criterion(potential: RadialPotential,
         grid = grid[grid > 0]
 
     frequencies = np.concatenate([grid, tails])
-    # the transform at zero frequency is the space integral computed above
+    # the transform at zero frequency is the space integral computed above;
+    # the truncation radius and the sign changes of W(r) r^{N-1} serve
+    # every other frequency, the polish included
+    upper = _decay_radius(potential)
+    changes = sign_changes(_radial_density(potential))
     zero = frequencies == 0.0
     transform = np.empty(frequencies.shape)
     transform[zero] = integral
-    transform[~zero] = radial_fourier_transform(
-        potential, frequencies[~zero], quad_tol)
+    transform[~zero] = _kernel_transform(potential, frequencies[~zero], upper,
+                                         changes, quad_tol)
 
     details: dict = {
         "quad_tol": quad_tol, "decision_tol": decision_tol,
@@ -514,8 +539,8 @@ def fourier_criterion(potential: RadialPotential,
         if best_xi > 0:
             lo, hi = max(best_xi - step, 1e-6), best_xi + step
             result = minimize_scalar(
-                lambda f: float(radial_fourier_transform(potential, f,
-                                                         quad_tol)),
+                lambda f: float(_kernel_transform(potential, [f], upper,
+                                                  changes, quad_tol)[0]),
                 bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-6})
             if result.success and result.fun < best_value:
@@ -551,9 +576,15 @@ def fourier_criterion(potential: RadialPotential,
     if best_value > -decision_tol and float(np.max(transform)) > decision_tol:
         details["scanned"] = (f"transform on {frequencies.size} "
                              f"frequencies up to {frequencies.max():g}")
+        # the minimum is taken only where the transform is resolved, above
+        # decision_tol; elsewhere it is rounding noise of the quadrature
+        resolved = np.flatnonzero(np.abs(transform) > decision_tol)
+        low = resolved[np.argmin(transform[resolved])]
         certificate = Certificate(
-            kind="transform_minimum", certified_value=best_value,
-            info={"xi": best_xi, "scan_max": float(frequencies.max())})
+            kind="transform_minimum", certified_value=float(transform[low]),
+            info={"xi": float(frequencies[low]),
+                  "resolved_max": float(frequencies[resolved].max()),
+                  "scan_max": float(frequencies.max())})
         return StabilityVerdict("fourier", "stable_indication", best_value,
                                 certificate, details)
     return StabilityVerdict("fourier", "inconclusive", best_value, None,

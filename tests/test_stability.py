@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from pathlib import Path
@@ -348,6 +349,82 @@ def test_fourier_transform_agrees_with_adaptive_oscillatory_quadrature():
         problems += [f"{potential.label} xi={f:g}: {g!r} vs QAWO {v!r}"
                      for f, g, v in zip(xi[bad], got[bad], want[bad])]
     assert not problems, "\n".join(problems)
+
+
+def test_sinc_kernel_matches_numpy_bit_for_bit():
+    x = 10.0 ** np.random.default_rng(0).uniform(-18.0, 7.0, 200_000)
+    want = np.sinc(x / math.pi)
+    kernel = stability._FOURIER_KERNELS[3]
+    assert np.array_equal(kernel(x), want)
+    assert np.array_equal(kernel(x.reshape(400, 500)), want.reshape(400, 500))
+
+
+def test_fourier_rows_pay_for_their_own_frequency(monkeypatch):
+    # octave bands: each row is integrated on panels sized for the fastest
+    # row of its band, not for the fastest row of the grid
+    sizes = []
+    kernel = stability._FOURIER_KERNELS[3]
+
+    def recording(x):
+        sizes.append(x.size)
+        return kernel(x)
+
+    monkeypatch.setitem(stability._FOURIER_KERNELS, 3, recording)
+    w = Morse(1.0, 2.0, 3)
+    xi = criterion_frequencies()[1:]
+    radial_fourier_transform(w, xi)
+    single_band = xi.size * math.ceil(
+        stability._decay_radius(w) * xi.max() / math.pi) * 30
+    assert sum(sizes) <= 0.3 * single_band
+
+
+def test_gaussian_factors_below_negligible_are_zero():
+    assert (inspect.signature(radial.segment_reader).parameters["factor"]
+            .default is radial._gaussian)
+    x = np.linspace(0.0, 30.0, 3001)
+    exact = np.exp(-np.square(x))
+    got = radial._gaussian(x)
+    small = exact < 1e-150
+    assert small.any() and not small.all()
+    assert np.all(got[small] == 0.0)
+    assert np.array_equal(got[~small], exact[~small])
+
+
+def test_stable_indication_records_the_resolved_minimum():
+    # below decision_tol the computed transform is rounding noise, so the
+    # certificate's frequency is the closed form's minimizer above it
+    xi = criterion_frequencies()
+    for w in (GaussianMix([(1.0, 1.0)], 1), GaussianMix([(1.0, 1.0)], 2),
+              GaussianMix([(1.0, 1.0), (-0.5, 1.0)], 1)):
+        verdict = fourier_criterion(w)
+        assert verdict.outcome == "stable_indication", w.label
+        exact = w.fourier_transform(xi)
+        resolved = np.abs(exact) > stability.DECISION_TOL
+        low = np.argmin(exact[resolved])
+        cert = verdict.certificate
+        assert cert.info["xi"] == xi[resolved][low], w.label
+        assert cert.info["resolved_max"] == xi[resolved].max(), w.label
+        assert cert.certified_value == pytest.approx(exact[resolved][low],
+                                                     rel=1e-9)
+        assert verdict.numeric_value == min(verdict.details["transform"])
+
+
+def test_fourier_polish_finds_the_decay_radius_once(monkeypatch):
+    calls = []
+    decay_radius = stability._decay_radius
+
+    def counting(potential):
+        calls.append(potential.label)
+        return decay_radius(potential)
+
+    monkeypatch.setattr(stability, "_decay_radius", counting)
+    w = GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1)
+    verdict = fourier_criterion(w)
+    xi_star = verdict.details["minimizing_xi"]
+    assert xi_star not in verdict.details["xi_values"]  # it was polished
+    assert len(calls) == 1
+    # the shared radius and sign changes give the public transform's bits
+    assert verdict.numeric_value == radial_fourier_transform(w, xi_star)
 
 
 def test_only_radial_imports_scipy_integrate():
