@@ -15,8 +15,7 @@ from .energy import EnergyReport, bilinear_form, energy_grid, energy_pointcloud
 from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
                      InvariantViolation, MassEscapes, NonDifferentiable,
                      NotAbsolutelyIntegrable, NotSquareIntegrable,
-                     OptimizerStalled, ParticleCollision, QuadratureFailure,
-                     WitnessFailed)
+                     OptimizerStalled, ParticleCollision, QuadratureFailure)
 from .geometry import unit_ball_volume, unit_sphere_area
 from .groundstate import (MinimizationTrace, ScanRow, classify_trace,
                           ground_state_scan, minimize_particles)
@@ -39,7 +38,6 @@ __all__ = [
     "InvariantViolation", "MassEscapes",
     "NonDifferentiable", "NotAbsolutelyIntegrable", "NotSquareIntegrable",
     "OptimizerStalled", "ParticleCollision", "QuadratureFailure",
-    "WitnessFailed",
     "unit_ball_volume", "unit_sphere_area",
     "MinimizationTrace", "ScanRow", "classify_trace", "ground_state_scan",
     "minimize_particles",

@@ -64,7 +64,7 @@ from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
                      InvariantViolation, NonDifferentiable,
                      NotAbsolutelyIntegrable,
                      NotSquareIntegrable, OptimizerStalled,
-                     ParticleCollision, QuadratureFailure, WitnessFailed)
+                     ParticleCollision, QuadratureFailure)
 from .groundstate import classify_trace, ground_state_scan, minimize_particles
 from .measures import GridDensity, PointCloudMeasure
 from .potentials import (GaussianMix, Morse, PowerLaw, RadialPotential,
@@ -75,8 +75,8 @@ from .stability import (fourier_criterion, gaussian_criterion,
 __all__ = ["main", "build_potential", "load_config"]
 
 _NUMERICAL_ERRORS = (QuadratureFailure, NotAbsolutelyIntegrable,
-                     NotSquareIntegrable, WitnessFailed, OptimizerStalled,
-                     ParticleCollision, NonDifferentiable)
+                     NotSquareIntegrable, OptimizerStalled, ParticleCollision,
+                     NonDifferentiable)
 
 _COMMON_KEYS = {"command", "potential", "output_dir", "seeds", "quad_tol",
                 "decision_tol"}
@@ -87,16 +87,15 @@ _COMMAND_KEYS = {
     "minimize": {"n", "init", "max_iter", "grad_tol"},
     "scan": {"grid", "n", "max_iter", "grad_tol", "with_stability"},
 }
-_FAMILY_KEYS = {
-    "powerlaw": {"family", "a", "r", "dimension"},
-    "morse": {"family", "G", "L", "dimension"},
-    "gaussmix": {"family", "terms", "dimension"},
-    "tabulated": {"family", "radii", "values", "dimension"},
+# each family's constructor and, in constructor order, the list depth of
+# each parameter: a number, a list of numbers, or a list of
+# [amplitude, width] pairs
+_FAMILIES = {
+    "powerlaw": (PowerLaw, {"a": 0, "r": 0, "dimension": 0}),
+    "morse": (Morse, {"G": 0, "L": 0, "dimension": 0}),
+    "gaussmix": (GaussianMix, {"terms": 2, "dimension": 0}),
+    "tabulated": (Tabulated, {"radii": 1, "values": 1, "dimension": 0}),
 }
-# list depth of each potential parameter: a number, a list of numbers, or
-# a list of [amplitude, width] pairs
-_PARAMETER_DEPTH = {"a": 0, "r": 0, "G": 0, "L": 0, "dimension": 0,
-                    "radii": 1, "values": 1, "terms": 2}
 _ALL_CRITERIA = ("integral", "gaussian_weighted", "fourier", "ruc_search")
 
 
@@ -106,16 +105,17 @@ def _reject_unknown(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _family_keys(block) -> set:
-    """Keys of the potential block's family, or ConfigError."""
+def _family(block):
+    """(constructor, parameter depths) of the potential block's family, or
+    ConfigError."""
     if not isinstance(block, dict):
         raise ConfigError("'potential' must be an object")
     family = block.get("family")
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(
-            f"'potential.family' must be one of {sorted(_FAMILY_KEYS)}, "
+            f"'potential.family' must be one of {sorted(_FAMILIES)}, "
             f"got {family!r}")
-    return _FAMILY_KEYS[family]
+    return _FAMILIES[family]
 
 
 def _is_json_number(value) -> bool:
@@ -127,15 +127,14 @@ def _is_json_number(value) -> bool:
         return False
 
 
-def _check_parameter(key: str, value, where: str):
+def _check_parameter(key: str, depth: int, value, where: str):
     """ConfigError unless value is a potential parameter of the right
-    shape: nested lists of JSON numbers, as deep as the key requires."""
+    shape: nested lists of JSON numbers, ``depth`` deep."""
     def numbers(v, depth):
         if depth == 0:
             return _is_json_number(v)
         return isinstance(v, list) and all(numbers(x, depth - 1) for x in v)
 
-    depth = _PARAMETER_DEPTH[key]
     if not numbers(value, depth):
         shape = ("a number", "a list of numbers",
                  "a list of [amplitude, width] number pairs")[depth]
@@ -145,23 +144,16 @@ def _check_parameter(key: str, value, where: str):
 
 def build_potential(block) -> RadialPotential:
     """Construct a potential from its config block, strictly validated."""
-    keys = _family_keys(block)
-    family = block["family"]
-    _reject_unknown(block, keys, f"potential ({family})")
+    constructor, depths = _family(block)
+    keys = {"family", *depths}
+    _reject_unknown(block, keys, f"potential ({block['family']})")
     missing = sorted(keys - set(block))
     if missing:
         raise ConfigError(f"missing key(s) {missing} in potential block")
-    for key in sorted(keys - {"family"}):
-        _check_parameter(key, block[key], "the potential block")
-    dimension = block["dimension"]
+    for key in sorted(depths):
+        _check_parameter(key, depths[key], block[key], "the potential block")
     try:
-        if family == "powerlaw":
-            return PowerLaw(block["a"], block["r"], dimension)
-        if family == "morse":
-            return Morse(block["G"], block["L"], dimension)
-        if family == "gaussmix":
-            return GaussianMix([tuple(t) for t in block["terms"]], dimension)
-        return Tabulated(block["radii"], block["values"], dimension)
+        return constructor(*(block[key] for key in depths))
     except (ValueError, TypeError, DimensionUnsupported) as exc:
         raise ConfigError(f"invalid potential block: {exc}") from exc
 
@@ -283,7 +275,8 @@ def load_config(path) -> dict:
             raise ConfigError("'grid' must map parameter names to nonempty "
                               "value lists")
         base = raw["potential"]
-        family_keys = _family_keys(base)
+        depths = _family(base)[1]
+        family_keys = {"family", *depths}
         _reject_unknown(grid, family_keys - {"family"},
                         "scan grid (parameters of the potential's family)")
         _reject_unknown(base, family_keys, f"potential ({base['family']})")
@@ -293,9 +286,10 @@ def load_config(path) -> dict:
                               f"and scan grid")
         for key, values in grid.items():
             for value in values:
-                _check_parameter(key, value, "the scan grid")
-        for key in sorted(base.keys() & _PARAMETER_DEPTH.keys()):
-            _check_parameter(key, base[key], "the potential block")
+                _check_parameter(key, depths[key], value, "the scan grid")
+        for key in sorted(base.keys() & depths.keys()):
+            _check_parameter(key, depths[key], base[key],
+                             "the potential block")
         config.update({
             "grid": grid,
             "n": _number(raw, "n", 16, int, minimum=2),
@@ -373,24 +367,18 @@ def cmd_stability(config, out_dir: Path, args) -> int:
         skip_reason = None
         verdict = None
         try:
-            if criterion == "integral":
-                if grows:
-                    skip_reason = ("profile grows at infinity; criterion "
-                                   "requires a tail decaying to zero")
-                else:
-                    verdict = integral_criterion(
-                        potential, config["quad_tol"],
-                        config["decision_tol"],
-                        build_witness=config["build_witness"])
+            if grows and criterion in ("integral", "gaussian_weighted"):
+                skip_reason = ("profile grows at infinity; criterion "
+                               "requires a tail decaying to zero")
+            elif criterion == "integral":
+                verdict = integral_criterion(
+                    potential, config["quad_tol"], config["decision_tol"],
+                    build_witness=config["build_witness"])
             elif criterion == "gaussian_weighted":
-                if grows:
-                    skip_reason = ("profile grows at infinity; criterion "
-                                   "requires a tail decaying to zero")
-                else:
-                    verdict = gaussian_criterion(
-                        potential, config["p_grid"], config["quad_tol"],
-                        config["decision_tol"],
-                        build_witness=config["build_witness"])
+                verdict = gaussian_criterion(
+                    potential, config["p_grid"], config["quad_tol"],
+                    config["decision_tol"],
+                    build_witness=config["build_witness"])
             elif criterion == "fourier":
                 verdict = fourier_criterion(
                     potential, config["xi_grid"], config["quad_tol"],

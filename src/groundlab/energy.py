@@ -54,15 +54,6 @@ class EnergyReport:
     potential_label: str
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "diagonal_contribution": self.diagonal_contribution,
-            "pair_count": self.pair_count,
-            "potential_label": self.potential_label,
-            "mode": self.mode,
-        }
-
 
 def energy_pointcloud(potential: RadialPotential, mu: PointCloudMeasure,
                       include_diagonal: bool = True) -> EnergyReport:

@@ -42,9 +42,5 @@ class OptimizerStalled(GroundlabError):
     """Local descent made no progress within its iteration budget."""
 
 
-class WitnessFailed(GroundlabError):
-    """A candidate certificate measure did not verify (energy not negative)."""
-
-
 class InvariantViolation(GroundlabError):
     """An internal consistency check failed; indicates a bug, not bad input."""

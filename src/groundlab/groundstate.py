@@ -20,7 +20,7 @@ aggregates a phase table.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (InvariantViolation, NonDifferentiable,
                      ParticleCollision)
 from .geometry import pair_distances, pair_indices
-from .measures import PointCloudMeasure
 from .potentials import RadialPotential
 
 __all__ = ["MinimizationTrace", "minimize_particles", "classify_trace",
@@ -93,20 +92,11 @@ class MinimizationTrace:
                 writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
 
 
-def _pair_energy_terms(config, clamp):
+def _energy(potential, config, clamp):
     d = pair_distances(config)
     if clamp:
         d = np.maximum(d, _MIN_SEPARATION)
-    return d
-
-
-def _pair_energy(potential, d, n):
-    return (2.0 / n**2) * float(potential(d).sum())
-
-
-def _energy(potential, config, clamp):
-    d = _pair_energy_terms(config, clamp)
-    return _pair_energy(potential, d, config.shape[0])
+    return (2.0 / config.shape[0]**2) * float(potential(d).sum())
 
 
 def _square_form(values, n):
@@ -122,8 +112,10 @@ def _descent_state(potential, config, clamp):
     """Energy, gradient, pair distances and dW/dr at them, from one pass
     over the pairs of ``config``."""
     n = config.shape[0]
-    d = _pair_energy_terms(config, clamp)
-    energy = _pair_energy(potential, d, n)
+    d = pair_distances(config)
+    if clamp:
+        d = np.maximum(d, _MIN_SEPARATION)
+    energy = (2.0 / n**2) * float(potential(d).sum())
     slopes = potential.derivative(d)
     mat = _square_form(slopes / d, n)
     diffs = config[:, None, :] - config[None, :, :]
@@ -554,13 +546,9 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                                 stab_value))
 
         if labels:
-            counts = {}
-            for label, _, _ in labels:
-                counts[label] = counts.get(label, 0) + 1
-            top = max(counts.values())
-            contenders = {lab for lab, c in counts.items() if c == top}
-            if len(contenders) == 1:
-                majority = contenders.pop()
+            counts = Counter(label for label, _, _ in labels).most_common(2)
+            if len(counts) == 1 or counts[0][1] > counts[1][1]:
+                majority = counts[0][0]
             else:
                 # tie: side with the label of the best-energy trace
                 majority = min(labels, key=lambda t: (t[1], t[2]))[0]

@@ -533,13 +533,9 @@ def _thinned_coords(values: np.ndarray, cap: int) -> np.ndarray:
     return uniq[pick]
 
 
-def _mass_le(sorted_x, cum_w, queries):
-    idx = np.searchsorted(sorted_x, queries, side="right")
-    return np.where(idx > 0, cum_w[idx - 1], 0.0)
-
-
-def _mass_lt(sorted_x, cum_w, queries):
-    idx = np.searchsorted(sorted_x, queries, side="left")
+def _mass_below(sorted_x, cum_w, queries, side):
+    """Mass at x <= queries (side 'right') or x < queries (side 'left')."""
+    idx = np.searchsorted(sorted_x, queries, side=side)
     return np.where(idx > 0, cum_w[idx - 1], 0.0)
 
 
@@ -551,8 +547,10 @@ def _violation_1d(mu, nu, coords, delta):
     nu_order = np.argsort(nu.points[:, 0], kind="stable")
     nx = nu.points[nu_order, 0]
     nw = np.cumsum(nu.weights[nu_order])
-    upper_term = _mass_le(mx, mw, coords) - _mass_le(nx, nw, coords + delta)
-    lower_term = _mass_lt(nx, nw, coords - delta) - _mass_lt(mx, mw, coords)
+    upper_term = (_mass_below(mx, mw, coords, "right")
+                  - _mass_below(nx, nw, coords + delta, "right"))
+    lower_term = (_mass_below(nx, nw, coords - delta, "left")
+                  - _mass_below(mx, mw, coords, "left"))
     # max over i <= j of upper_term[j] + lower_term[i]
     best_lower = np.maximum.accumulate(lower_term)
     return float(np.max(upper_term + best_lower))
@@ -591,21 +589,13 @@ def _violation_2d(mu, nu, cx, cy, delta):
                                cy - delta, cy + delta)
     d_hh, d_lh, d_hl, d_ll = (m - n for m, n in zip(mu_tabs, nu_tabs))
 
+    # _LP_COORD_CAP[2] = 60 coordinates per axis at most: one array of
+    # 1830 x 1830 index pairs
     ii, jj = np.triu_indices(cx.size)
     kk, ll = np.triu_indices(cy.size)
-    best = -math.inf
-    chunk = max(1, 4_000_000 // max(kk.size, 1))
-    for start in range(0, ii.size, chunk):
-        sl = slice(start, start + chunk)
-        i_b = ii[sl][:, None]
-        j_b = jj[sl][:, None]
-        k_b = kk[None, :]
-        l_b = ll[None, :]
-        gap = (d_hh[j_b, l_b] - d_lh[i_b, l_b]
-               - d_hl[j_b, k_b] + d_ll[i_b, k_b])
-        if gap.size:
-            best = max(best, float(gap.max()))
-    return best
+    i_b, j_b = ii[:, None], jj[:, None]
+    gap = (d_hh[j_b, ll] - d_lh[i_b, ll] - d_hl[j_b, kk] + d_ll[i_b, kk])
+    return float(gap.max())
 
 
 def levy_prokhorov_upper(mu: PointCloudMeasure, nu: PointCloudMeasure,
@@ -631,28 +621,14 @@ def levy_prokhorov_upper(mu: PointCloudMeasure, nu: PointCloudMeasure,
     if not grid or grid[0] <= 0:
         raise ValueError("eps_grid must contain positive values")
 
+    axes = [_thinned_coords(np.concatenate([mu.points[:, a], nu.points[:, a]]),
+                            _LP_COORD_CAP[dim]) for a in range(dim)]
+    violation = _violation_1d if dim == 1 else _violation_2d
     fudge = 1e-12
-    if dim == 1:
-        coords = _thinned_coords(
-            np.concatenate([mu.points[:, 0], nu.points[:, 0]]),
-            _LP_COORD_CAP[1])
-        for eps in grid:
-            delta = eps  # eps / sqrt(1)
-            v1 = _violation_1d(mu, nu, coords, delta)
-            v2 = _violation_1d(nu, mu, coords, delta)
-            if max(v1, v2) <= eps + fudge:
-                return eps
-        return math.inf
-
-    cap = _LP_COORD_CAP[2]
-    cx = _thinned_coords(np.concatenate([mu.points[:, 0], nu.points[:, 0]]),
-                         cap)
-    cy = _thinned_coords(np.concatenate([mu.points[:, 1], nu.points[:, 1]]),
-                         cap)
     for eps in grid:
-        delta = eps / math.sqrt(2.0)
-        v1 = _violation_2d(mu, nu, cx, cy, delta)
-        v2 = _violation_2d(nu, mu, cx, cy, delta)
+        delta = eps / math.sqrt(dim)
+        v1 = violation(mu, nu, *axes, delta)
+        v2 = violation(nu, mu, *axes, delta)
         if max(v1, v2) <= eps + fudge:
             return eps
     return math.inf

@@ -41,7 +41,7 @@ from scipy.integrate import quad
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
 
 __all__ = ["segment", "origin_growth", "sign_changes", "segment_reader",
-           "radial_integral", "gaussian_integrals", "kernel_integrals"]
+           "gaussian_integrals", "kernel_integrals"]
 
 # Cutoff edges of the origin piece, from 1 down to 1e-10.
 ORIGIN_EDGES = (1.0,) + tuple(10.0 ** (-decade) for decade in range(2, 11))
@@ -236,8 +236,9 @@ def _gated(piece, quad_tol):
 
 def gaussian_integrals(signed, p_values, quad_tol):
     """For each p, (integral of signed(r) exp(-p^2 r^2) over (0, inf),
-    tail_masses) as in :func:`radial_integral`, or the GroundlabError its
-    gates or its fallback quadrature raised.
+    tail_masses), where tail_masses[k] integrates the weighted |signed| over
+    [10**k, 10**(k+1)]; or the GroundlabError its gates or its fallback
+    quadrature raised.
 
     ``signed`` takes and returns arrays; the fallback calls it with one
     radius.  Its sign changes are the panel edges of every row, since the
@@ -252,18 +253,6 @@ def gaussian_integrals(signed, p_values, quad_tol):
         except GroundlabError as exc:
             results.append(exc)
     return results
-
-
-def radial_integral(signed, quad_tol):
-    """(integral of ``signed`` over (0, inf), tail_masses), where
-    tail_masses[k] integrates |signed| over [10**k, 10**(k+1)]; ``signed``
-    takes and returns arrays.  NotAbsolutelyIntegrable when a gate trips,
-    QuadratureFailure when a fallback quadrature fails.
-    """
-    result = gaussian_integrals(signed, [0.0], quad_tol)[0]
-    if isinstance(result, GroundlabError):
-        raise result
-    return result
 
 
 def kernel_integrals(signed, kernel, scales, upper, quad_tol,

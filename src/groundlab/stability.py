@@ -18,7 +18,8 @@ A verdict of ``HE_satisfied`` is always backed by a certificate: either a
 certified negative integral/scan value, or an explicit measure whose energy
 re-evaluates negative.  Every witness ladder (ball, Gaussian, modulated) is
 verified on one path, :func:`_verified`, which builds candidates lazily and
-keeps the first negative one; every witness energy comes from
+keeps the first negative one; when none is, the verdict is ``inconclusive``
+with a ``witness_note`` in its details.  Every witness energy comes from
 :func:`groundlab.energy.energy_grid`, the one grid-energy path.
 ``stable_indication`` records the scanned domain and never claims a proof.
 Every radial integral reads the one lazy per-segment table of
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +43,13 @@ from scipy.special import j0
 
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
-                     OptimizerStalled, QuadratureFailure, WitnessFailed)
+                     OptimizerStalled, QuadratureFailure)
 from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import (gaussian_integrals, kernel_integrals, radial_integral,
-                     segment_reader, sign_changes)
+from .radial import (gaussian_integrals, kernel_integrals, segment_reader,
+                     sign_changes)
 
 __all__ = [
     "Certificate",
@@ -97,7 +98,7 @@ class Certificate:
         out = {"kind": self.kind, "certified_value": self.certified_value,
                "has_measure": self.measure is not None}
         if self.energy_report is not None:
-            out["energy"] = self.energy_report.to_dict()
+            out["energy"] = asdict(self.energy_report)
         if self.info:
             out["info"] = dict(self.info)
         return out
@@ -109,8 +110,8 @@ class StabilityVerdict:
 
     outcome is 'HE_satisfied', 'stable_indication' or 'inconclusive';
     numeric_value is the decisive quantity (integral value, minimum over
-    the weight scan, minimum of the transform, or the fitted per-pair
-    asymptote).
+    the weight scan, minimum of the transform where it is resolved, or the
+    fitted per-pair asymptote).
     """
 
     criterion: str
@@ -259,7 +260,9 @@ def integral_criterion(potential: RadialPotential,
     Negative integral means the spread-out uniform ball has negative
     energy, so a nonpositive-energy measure exists.  Positive integral is
     an indication only.  ``build_witness`` additionally materializes the
-    ball density and verifies its energy through the energy module.
+    ball density and verifies its energy through the energy module; when
+    no ball verifies negative, the verdict is inconclusive, with a
+    ``witness_note`` and no certificate.
 
     Raises NotAbsolutelyIntegrable when |W| is not integrable over R^N.
     """
@@ -281,9 +284,11 @@ def integral_criterion(potential: RadialPotential,
                      for n_scale in _BALL_SCALES)
             certificate = _verified(potential, balls)
             if certificate is None:
-                raise WitnessFailed(
-                    f"no ball witness verified negative energy for "
-                    f"{potential.label} at n_scale {_BALL_SCALES}")
+                details["witness_note"] = (f"no ball witness verified "
+                                           f"negative energy at n_scale "
+                                           f"{_BALL_SCALES}")
+                return StabilityVerdict("integral", "inconclusive", value,
+                                        None, details)
         return StabilityVerdict("integral", "HE_satisfied", value,
                                 certificate, details)
     if value > decision_tol:
@@ -475,25 +480,26 @@ def fourier_criterion(potential: RadialPotential,
 
     An everywhere-positive transform means every density has positive
     energy (no minimizer exists); that is reported as stable_indication
-    over the scanned frequencies, and its certificate holds the minimum
-    over the frequencies where the transform exceeds decision_tol, its
-    frequency ``xi`` and the largest of them, ``resolved_max``.  A
-    negative minimum is only trusted once a concentrated-in-frequency
-    density built at the minimizing frequency re-evaluates to negative
-    energy; otherwise the verdict stays inconclusive, because a negative
-    transform value alone does not bound the nonnegative-density
-    energies.
+    over the scanned frequencies; its numeric_value and its certificate
+    hold the minimum over the frequencies where the transform exceeds
+    decision_tol, and the certificate also its frequency ``xi`` and the
+    largest of them, ``resolved_max``.  A negative minimum is only trusted
+    once a concentrated-in-frequency density built at the minimizing
+    frequency re-evaluates to negative energy; otherwise the verdict stays
+    inconclusive, because a negative transform value alone does not bound
+    the nonnegative-density energies.
 
     Raises NotSquareIntegrable when W^2 fails to integrate, and
     QuadratureFailure when a fallback quadrature of the transform fails.
     """
     n = potential.dimension
-    try:
-        radial_integral(lambda r: potential(r) ** 2 * r ** (n - 1),
-                        quad_tol)
-    except NotAbsolutelyIntegrable as exc:
-        raise NotSquareIntegrable(
-            f"{potential.label}: W^2 is not integrable ({exc})") from exc
+    squared = gaussian_integrals(lambda r: potential(r) ** 2 * r ** (n - 1),
+                                 [0.0], quad_tol)[0]
+    if isinstance(squared, NotAbsolutelyIntegrable):
+        raise NotSquareIntegrable(f"{potential.label}: W^2 is not "
+                                  f"integrable ({squared})") from squared
+    if isinstance(squared, Exception):
+        raise squared
 
     grid = np.asarray(_default_xi_grid() if xi_grid is None else xi_grid,
                       dtype=float)
@@ -585,8 +591,9 @@ def fourier_criterion(potential: RadialPotential,
             info={"xi": float(frequencies[low]),
                   "resolved_max": float(frequencies[resolved].max()),
                   "scan_max": float(frequencies.max())})
-        return StabilityVerdict("fourier", "stable_indication", best_value,
-                                certificate, details)
+        return StabilityVerdict("fourier", "stable_indication",
+                                certificate.certified_value, certificate,
+                                details)
     return StabilityVerdict("fourier", "inconclusive", best_value, None,
                             details)
 

@@ -190,6 +190,39 @@ def test_more_config_errors(tmp_path):
                  "--seed-override", "-1"]) == 2
 
 
+# a small valid run of each subcommand, for the common-key test to spoil
+_SMALL_RUNS = {
+    "analyze": {},
+    "stability": {"criteria": ["integral"], "build_witness": False},
+    "minimize": {"n": 2, "max_iter": 1},
+    "scan": {"grid": {"G": [1.0]}, "n": 2, "max_iter": 1,
+             "with_stability": False},
+}
+# values each common key refuses: a boolean, a numeric string (a valid
+# name for output_dir, which is given a number instead), a negative
+# number, an empty list and Infinity
+_REFUSED = {
+    "quad_tol": [True, "1e-8", -1e-8, [], math.inf],
+    "decision_tol": [False, "1e-6", -1e-6, [], math.inf],
+    "seeds": [True, [True], "0", ["0"], -1, [-1], [], math.inf, [math.inf]],
+    "output_dir": [True, 1, -1, [], math.inf],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_common_keys_refuse_malformed_values(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    for key, values in _REFUSED.items():
+        for k, value in enumerate(values):
+            cfg = write_config(tmp_path, f"{key}{k}.json", {
+                "command": command, "potential": MORSE_AGG,
+                "output_dir": str(out), **_SMALL_RUNS[command], key: value})
+            assert main([command, "--config", cfg]) == 2, (key, value)
+            assert f"'{key}'" in capsys.readouterr().err, (key, value)
+    # every run stopped at its config, before making the output directory
+    assert not out.exists()
+
+
 def test_integral_float_counts_as_an_integer(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", {

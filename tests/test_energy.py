@@ -295,4 +295,4 @@ def test_grid_energy_reports_mode_and_diagonal():
     report = energy_grid(w, rho)
     assert report.mode == "grid-radial_fast"
     assert report.diagonal_contribution > 0.0
-    assert report.to_dict()["potential_label"] == w.label
+    assert report.potential_label == w.label

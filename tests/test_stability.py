@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from groundlab import (GaussianMix, Morse, PointCloudMeasure, PowerLaw,
-                       Tabulated, check_ruc, energy_grid, energy_pointcloud,
-                       fourier_criterion, gaussian_criterion,
-                       integral_criterion, probe_hypotheses, radial,
+from groundlab import (EnergyReport, GaussianMix, Morse, PointCloudMeasure,
+                       PowerLaw, Tabulated, check_ruc, cli, energy_grid,
+                       energy_pointcloud, fourier_criterion,
+                       gaussian_criterion, integral_criterion,
+                       probe_hypotheses, radial,
                        radial_fourier_transform, ruc_search, space_integral,
                        stability, unit_sphere_area, weighted_space_integral)
 from groundlab.errors import NotAbsolutelyIntegrable, NotSquareIntegrable
@@ -406,7 +408,9 @@ def test_stable_indication_records_the_resolved_minimum():
         assert cert.info["resolved_max"] == xi[resolved].max(), w.label
         assert cert.certified_value == pytest.approx(exact[resolved][low],
                                                      rel=1e-9)
-        assert verdict.numeric_value == min(verdict.details["transform"])
+        # the verdict reports the resolved minimum, not the rounding noise
+        # of the tail frequencies
+        assert verdict.numeric_value == cert.certified_value > 0.0, w.label
 
 
 def test_fourier_polish_finds_the_decay_radius_once(monkeypatch):
@@ -492,23 +496,22 @@ def test_fourier_criterion_unverifiable_dip_stays_inconclusive():
     assert "witness_note" in verdict.details
 
 
-def _count_radial_integrals(monkeypatch):
-    """Records one "signed" per row of a Gaussian-weighted integral (the
-    space integral is the row p = 0) and one "squared" per plain radial
-    integral (the W^2 check)."""
+def _count_radial_integrals(monkeypatch, potential):
+    """Records, per row of a Gaussian-weighted integral of ``potential``,
+    "squared" when the integrand is W(r)^2 r^{N-1} (the W^2 check) and
+    "signed" otherwise (the space integral is the row p = 0); the two are
+    told apart by their values at r = 0.5."""
     calls = []
-    scan, plain = stability.gaussian_integrals, stability.radial_integral
+    scan = stability.gaussian_integrals
+    r = np.array([0.5])
+    squared = potential(r) ** 2 * r ** (potential.dimension - 1)
 
     def counting_scan(signed, p_values, quad_tol):
-        calls.extend(["signed"] * len(p_values))
+        kind = "squared" if np.array_equal(signed(r), squared) else "signed"
+        calls.extend([kind] * len(p_values))
         return scan(signed, p_values, quad_tol)
 
-    def counting_plain(signed, quad_tol):
-        calls.append("squared")
-        return plain(signed, quad_tol)
-
     monkeypatch.setattr(stability, "gaussian_integrals", counting_scan)
-    monkeypatch.setattr(stability, "radial_integral", counting_plain)
     return calls
 
 
@@ -532,15 +535,17 @@ def test_space_integral_evaluates_each_radius_once():
 
 
 def test_integral_criterion_integrates_once(monkeypatch):
-    calls = _count_radial_integrals(monkeypatch)
-    verdict = integral_criterion(Morse(1.0, 2.0, 2), build_witness=True)
+    w = Morse(1.0, 2.0, 2)
+    calls = _count_radial_integrals(monkeypatch, w)
+    verdict = integral_criterion(w, build_witness=True)
     assert verdict.certificate.kind == "ball_density"
     assert calls == ["signed"]
 
 
 def test_fourier_criterion_integrates_once(monkeypatch):
-    calls = _count_radial_integrals(monkeypatch)
-    fourier_criterion(GaussianMix([(1.0, 1.0), (-1.5, 2.0)], 1))
+    w = GaussianMix([(1.0, 1.0), (-1.5, 2.0)], 1)
+    calls = _count_radial_integrals(monkeypatch, w)
+    fourier_criterion(w)
     assert sorted(calls) == ["signed", "squared"]
 
 
@@ -620,6 +625,35 @@ def test_ruc_search_needs_a_negative_certificate(monkeypatch):
     assert verdict.outcome == "inconclusive"
     assert verdict.certificate is None
     assert "is not" in verdict.details["certificate_note"]
+
+
+def test_integral_criterion_without_a_verified_ball_is_inconclusive(
+        tmp_path, monkeypatch):
+    # a negative integral alone does not make HE_satisfied with witnesses
+    # on: a ball must verify, else the verdict is inconclusive, as in the
+    # Gaussian and Fourier criteria, and the CLI writes it as a verdict
+    positive = EnergyReport(1.0, 0.0, 0, "stub", "grid-radial_fast")
+    monkeypatch.setattr(stability, "energy_grid",
+                        lambda *args, **kwargs: positive)
+    verdict = integral_criterion(Morse(1.0, 2.0, 2), build_witness=True)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.numeric_value == pytest.approx(-6.0 * math.pi, rel=1e-9)
+    assert verdict.certificate is None
+    assert "no ball witness" in verdict.details["witness_note"]
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "command": "stability", "criteria": ["integral"],
+        "potential": {"family": "morse", "G": 1.0, "L": 2.0,
+                      "dimension": 2},
+        "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["stability", "--config", str(config)]) == 0
+    [entry] = json.loads(
+        (tmp_path / "out" / "verdicts.json").read_text())["verdicts"]
+    assert "skipped" not in entry
+    assert entry["outcome"] == "inconclusive"
+    assert entry["certificate"] is None
+    assert entry["details"]["witness_note"] == verdict.details["witness_note"]
 
 
 def test_ruc_search_bounded_for_weak_attraction():
