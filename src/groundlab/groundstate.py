@@ -92,46 +92,68 @@ class MinimizationTrace:
                 writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
 
 
-def _energy(potential, config, clamp):
-    d = pair_distances(config)
+def _energies(potential, configs, clamp):
+    """Energy of each configuration of a (S, n, d) stack, as floats, and
+    the (S, pairs) distances it was read from: one distance pass and one
+    W evaluation for the whole stack."""
+    n = configs.shape[1]
+    d = pair_distances(configs)
     if clamp:
-        d = np.maximum(d, _MIN_SEPARATION)
-    return (2.0 / config.shape[0]**2) * float(potential(d).sum())
+        np.maximum(d, _MIN_SEPARATION, out=d)
+    values = potential(d.reshape(-1)).reshape(d.shape)
+    totals = np.add.reduce(values, axis=1).tolist()
+    return [(2.0 / n**2) * total for total in totals], d
+
+
+def _descent_state(potential, configs, clamp, weights, slots):
+    """Energies, gradients, pair distances and dW/dr at them of a (S, n, d)
+    stack, from one pass over its pairs.  ``weights`` is a (at least S,
+    pairs + 1) buffer whose first column is zero, ``slots`` the flattened
+    :func:`_pair_slots` of n: the pair weights dW/dr / r go into the
+    buffer and are gathered into square form from there."""
+    count, n = configs.shape[:2]
+    energies, d = _energies(potential, configs, clamp)
+    slopes = potential.derivative(d.reshape(-1)).reshape(d.shape)
+    padded = weights[:count]
+    np.divide(slopes, d, out=padded[:, 1:])
+    mat = padded.take(slots, axis=1).reshape(count, n, n)
+    diffs = configs[:, :, None, :] - configs[:, None, :, :]
+    grads = (2.0 / n**2) * np.einsum("sij,sijd->sid", mat, diffs)
+    return energies, grads, d, slopes
+
+
+def _energy(potential, config, clamp):
+    return _energies(potential, config[None], clamp)[0][0]
+
+
+def _energy_and_gradient(potential, config, clamp):
+    n = config.shape[0]
+    energies, grads, _, _ = _descent_state(
+        potential, config[None], clamp, np.zeros((1, n * (n - 1) // 2 + 1)),
+        _pair_slots(n).ravel())
+    return energies[0], grads[0]
+
+
+def _pair_slots(n):
+    """(n, n) positions of a square form's entries in [0, condensed pair
+    values...]: 0 on the diagonal, k + 1 at both entries of pair k."""
+    rows, cols = pair_indices(n)
+    slots = np.zeros((n, n), dtype=np.intp)
+    slots[rows, cols] = slots[cols, rows] = np.arange(1, rows.size + 1)
+    return slots
 
 
 def _square_form(values, n):
     """Symmetric n x n matrix of condensed pair values, zero diagonal."""
-    rows, cols = pair_indices(n)
-    mat = np.zeros((n, n))
-    mat[rows, cols] = values
-    mat[cols, rows] = values
-    return mat
-
-
-def _descent_state(potential, config, clamp):
-    """Energy, gradient, pair distances and dW/dr at them, from one pass
-    over the pairs of ``config``."""
-    n = config.shape[0]
-    d = pair_distances(config)
-    if clamp:
-        d = np.maximum(d, _MIN_SEPARATION)
-    energy = (2.0 / n**2) * float(potential(d).sum())
-    slopes = potential.derivative(d)
-    mat = _square_form(slopes / d, n)
-    diffs = config[:, None, :] - config[None, :, :]
-    grad = (2.0 / n**2) * np.einsum("ij,ijd->id", mat, diffs)
-    return energy, grad, d, slopes
-
-
-def _energy_and_gradient(potential, config, clamp):
-    energy, grad, _, _ = _descent_state(potential, config, clamp)
-    return energy, grad
+    return np.concatenate(([0.0], values))[_pair_slots(n)]
 
 
 def _centred(config):
-    # the bits of config - config.mean(axis=0), which sums and divides the
-    # same way, without np.mean's Python layers
-    return config - np.add.reduce(config, axis=0) / config.shape[0]
+    # the bits of config - config.mean(axis=-2, keepdims=True), which sums
+    # and divides the same way, without np.mean's Python layers; a stack of
+    # configurations is centred one configuration at a time
+    return (config - np.add.reduce(config, axis=-2, keepdims=True)
+            / config.shape[-2])
 
 
 def preferred_spacing(potential: RadialPotential) -> float:
@@ -198,12 +220,19 @@ def minimize_particles(potential: RadialPotential, n: int,
     on its centroid every iteration (the energy only sees pair distances).
     Profiles finite at contact get their pair distances clamped below at
     1e-10 inside the energy, which keeps collapsing clusters finite and
-    gradients defined.
+    gradients defined.  The run stops once the gradient is small, when no
+    step passes the test within 48 halvings, or after ``max_iter``
+    iterations.
 
     Each configuration's pair distances are computed once, by
     :func:`~groundlab.geometry.pair_distances`: a trial step's feed its
     energy, an accepted step's its energy, gradient and recorded largest
     pair distance, and the start's dW/dr values also set the first step.
+
+    This is the descent engine with one start.  ``ground_state_scan``,
+    ``ruc_search`` and the ``minimize`` subcommand hand it all their starts
+    at once, and each start's trace there is bit for bit the one this
+    function returns for it.
 
     Args:
         potential: differentiable radial potential.
@@ -216,7 +245,159 @@ def minimize_particles(potential: RadialPotential, n: int,
 
     Returns:
         MinimizationTrace with nonincreasing recorded energies.
+
+    Raises:
+        ParticleCollision: the energy became non-finite after an accepted
+            step.
     """
+    trace, = _descend(potential, n, [(init, seed)], max_iter, grad_tol)
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
+
+
+def _cycled_starts(seeds):
+    """(init, seed) per seed, the initializations taken in turn."""
+    return [(_INIT_KINDS[idx % len(_INIT_KINDS)], seed)
+            for idx, seed in enumerate(seeds)]
+
+
+def _descend(potential, n, starts, max_iter, grad_tol=1e-8):
+    """Descents of one potential and n from each (init, seed) of
+    ``starts``, run together.  Returns one entry per start, in order: its
+    MinimizationTrace, or the exception that stopped it.
+    InvariantViolation propagates.
+
+    A start whose energy turns non-finite leaves the stack with a
+    ParticleCollision while the others carry on.  Any other exception
+    cannot be pinned on one start of a stack, so each start is then run
+    alone and keeps its own outcome.
+    """
+    try:
+        return _descend_stack(potential, n, starts, max_iter, grad_tol)
+    except InvariantViolation:
+        raise
+    except Exception as exc:
+        if len(starts) == 1:
+            return [exc]
+        return [_descend(potential, n, [start], max_iter, grad_tol)[0]
+                for start in starts]
+
+
+class _Start:
+    """What one start of a descent stack has recorded, and its outcome."""
+
+    def __init__(self, init, seed):
+        self.init = init
+        self.seed = seed
+        # (energy, q90 radius, largest pair distance, step) per iteration
+        self.rows = []
+        self.snapshots = []
+        # traces can terminate long before max_iter, so a dense rolling
+        # tail backs up the stride-spaced history for the classifier
+        self.tail = deque(maxlen=129)
+        self.outcome = None
+
+    def finish(self, potential, n, config, converged):
+        merged = dict(self.snapshots)
+        merged.update(self.tail)
+        merged[len(self.rows) - 1] = config.copy()
+        energies, q90_radii, max_pair_distances, steps = map(
+            np.array, zip(*self.rows))
+        self.outcome = MinimizationTrace(
+            potential_label=potential.label,
+            n=n,
+            dimension=potential.dimension,
+            init=self.init,
+            seed=self.seed,
+            energies=energies,
+            q90_radii=q90_radii,
+            max_pair_distances=max_pair_distances,
+            step_sizes=steps,
+            final_config=config.copy(),
+            converged=converged,
+            snapshots=tuple(sorted(merged.items())),
+        )
+
+
+def _record(starts, it, configs, energies, d, steps, stride):
+    """Append iteration ``it`` (0 for the initial configurations) of each
+    start of the stack to its history."""
+    rows = zip(energies, _q90_radii(configs),
+               np.maximum.reduce(d, axis=1).tolist(), steps)
+    for start, config, row in zip(starts, configs, rows):
+        start.rows.append(row)
+        config = config.copy()
+        if it % stride == 0:
+            start.snapshots.append((it, config))
+        if it:
+            start.tail.append((it, config))
+
+
+def _keep(positions, *stack):
+    """The rows at ``positions`` of each array or list of a stack."""
+    return [rows[positions] if isinstance(rows, np.ndarray)
+            else [rows[k] for k in positions] for rows in stack]
+
+
+def _backtrack(potential, configs, grads, energies, gsq, steps, clamp):
+    """Armijo backtracking of each start of a stack from twice its last
+    step, halving the steps that fail the test, at most
+    ``_MAX_BACKTRACKS`` times.  Only the starts still backtracking are
+    evaluated.
+
+    Returns, per start, whether it found a step, and the accepted
+    configurations, their energies and their steps (junk where it found
+    none).
+    """
+    if len(steps) == 1:
+        # a lone start (a one-start descent, or the last start of a stack)
+        # backtracks on floats, with none of the stack's bookkeeping
+        (step,), (energy,), (slope,) = steps, energies, gsq
+        trial = step * 2.0
+        for _ in range(_MAX_BACKTRACKS):
+            candidates = configs - trial * grads
+            (cand_energy,), _ = _energies(potential, candidates, clamp)
+            if cand_energy <= energy - _ARMIJO_SLOPE * trial * slope:
+                return [True], candidates, [cand_energy], [trial]
+            trial *= 0.5
+        return [False], candidates, [cand_energy], [trial]
+    trials = [step * 2.0 for step in steps]
+    passed = [False] * len(trials)
+    accepted = (np.empty_like(configs), trials[:], trials[:])
+    origin = list(range(len(trials)))  # stack position of each pending row
+    for _ in range(_MAX_BACKTRACKS):
+        candidates = configs - np.array(trials)[:, None, None] * grads
+        cand_energies, _ = _energies(potential, candidates, clamp)
+        rest = []
+        for k, (cand_energy, energy, trial, slope) in enumerate(zip(
+                cand_energies, energies, trials, gsq)):
+            if cand_energy <= energy - _ARMIJO_SLOPE * trial * slope:
+                row = origin[k]
+                passed[row] = True
+                accepted[0][row] = candidates[k]
+                accepted[1][row] = cand_energy
+                accepted[2][row] = trial
+            else:
+                rest.append(k)
+        if not rest:
+            break
+        if len(rest) < len(origin):
+            origin, configs, grads, energies, gsq, trials = _keep(
+                rest, origin, configs, grads, energies, gsq, trials)
+        trials = [trial * 0.5 for trial in trials]
+    return (passed,) + accepted
+
+
+def _descend_stack(potential, n, starts, max_iter, grad_tol):
+    """The descent engine: the starts descend as one C-contiguous
+    (S, n, d) stack.  Each energy evaluation is one distance pass and one
+    W call for every start still descending, and each state evaluation
+    adds one dW/dr call.  Every start keeps its own step, backtracking,
+    stopping rule, history and snapshots, and leaves the stack when it
+    stops.  The per-start sums run over contiguous rows, in the order a
+    lone configuration's would, and the per-start scalars are Python
+    floats, so each trace is bit for bit the one its start has alone."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not potential.differentiable:
@@ -225,86 +406,81 @@ def minimize_particles(potential: RadialPotential, n: int,
     dim = potential.dimension
     clamp = math.isfinite(potential.value_at_zero)
 
-    config = _initial_config(potential, n, dim, init, seed)
-    config = _centred(config)
+    everyone = [_Start(init, seed) for init, seed in starts]
+    live = list(everyone)
+    configs = _centred(np.stack([
+        _initial_config(potential, n, dim, init, seed)
+        for init, seed in starts]))
+    weights = np.zeros((len(live), n * (n - 1) // 2 + 1))
+    slots = _pair_slots(n).ravel()
 
-    energy, grad, d, slopes = _descent_state(potential, config, clamp)
-    slope_scale = float(np.abs(slopes).max())
-    step = 1.0 / (n * slope_scale) if slope_scale > 0 else 1.0
-
-    energies = [energy]
-    q90 = [_q90_radius(config)]
-    max_pd = [float(d.max())]
-    steps = [0.0]
+    energies, grads, d, slopes = _descent_state(potential, configs, clamp,
+                                                weights, slots)
+    steps = [1.0 / (n * scale) if scale > 0 else 1.0
+             for scale in np.abs(slopes).max(axis=1).tolist()]
     stride = max(1, max_iter // 128)
-    snapshots = [(0, config.copy())]
-    # traces can terminate long before max_iter, so a dense rolling tail
-    # backs up the stride-spaced history for the classifier
-    tail = deque(maxlen=129)
-    converged = False
+    _record(live, 0, configs, energies, d, [0.0] * len(live), stride)
+
+    def leave(flags, converged):
+        """Finish the starts whose flag is set; the positions of the rest."""
+        for start, config, flag in zip(live, configs, flags):
+            if flag:
+                start.finish(potential, n, config, converged)
+        return [k for k, flag in enumerate(flags) if not flag]
 
     for it in range(1, max_iter + 1):
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm < grad_tol:
-            converged = True
-            break
-        gsq = float((grad * grad).sum())
-        trial = step * 2.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = config - trial * grad
-            cand_energy = _energy(potential, candidate, clamp)
-            if cand_energy <= energy - _ARMIJO_SLOPE * trial * gsq:
-                accepted = True
+        norms = np.maximum.reduce(np.abs(grads), axis=(1, 2)).tolist()
+        small = [norm < grad_tol for norm in norms]
+        if any(small):
+            keep = leave(small, converged=True)
+            live, configs, grads, energies, steps = _keep(
+                keep, live, configs, grads, energies, steps)
+            if not live:
                 break
-            trial *= 0.5
-        if not accepted:
-            break
+        gsq = np.add.reduce(grads * grads, axis=(1, 2)).tolist()
+        passed, candidates, cand_energies, trials = _backtrack(
+            potential, configs, grads, energies, gsq, steps, clamp)
+        if not all(passed):
+            keep = leave([not flag for flag in passed], converged=False)
+            live, candidates, cand_energies, trials = _keep(
+                keep, live, candidates, cand_energies, trials)
+            if not live:
+                break
 
-        config = _centred(candidate)
-        step = trial
-        energy, grad, d, _ = _descent_state(potential, config, clamp)
-        if not math.isfinite(energy):
-            raise ParticleCollision(
-                "energy became non-finite after an accepted step")
-        if abs(energy - cand_energy) > 1e-12 * (1.0 + abs(cand_energy)):
-            raise InvariantViolation(
-                "recentring changed the energy: "
-                f"{cand_energy!r} -> {energy!r}")
+        configs = _centred(candidates)
+        steps = trials
+        energies, grads, d, _ = _descent_state(potential, configs, clamp,
+                                               weights, slots)
+        if not all(map(math.isfinite, energies)):
+            keep = []
+            for k, (start, energy) in enumerate(zip(live, energies)):
+                if math.isfinite(energy):
+                    keep.append(k)
+                else:
+                    start.outcome = ParticleCollision(
+                        "energy became non-finite after an accepted step")
+            live, configs, grads, energies, d, cand_energies, steps = _keep(
+                keep, live, configs, grads, energies, d, cand_energies,
+                steps)
+            if not live:
+                break
+        for energy, cand_energy in zip(energies, cand_energies):
+            if abs(energy - cand_energy) > 1e-12 * (1.0 + abs(cand_energy)):
+                raise InvariantViolation(
+                    "recentring changed the energy: "
+                    f"{cand_energy!r} -> {energy!r}")
+        _record(live, it, configs, energies, d, steps, stride)
 
-        energies.append(energy)
-        q90.append(_q90_radius(config))
-        max_pd.append(float(d.max()))
-        steps.append(trial)
-        if it % stride == 0:
-            snapshots.append((it, config.copy()))
-        tail.append((it, config.copy()))
-
-    merged = {k: cfg for k, cfg in snapshots}
-    merged.update({k: cfg for k, cfg in tail})
-    merged[len(energies) - 1] = config.copy()
-    snapshots = sorted(merged.items())
-
-    return MinimizationTrace(
-        potential_label=potential.label,
-        n=n,
-        dimension=dim,
-        init=init,
-        seed=seed,
-        energies=np.asarray(energies),
-        q90_radii=np.asarray(q90),
-        max_pair_distances=np.asarray(max_pd),
-        step_sizes=np.asarray(steps),
-        final_config=config,
-        converged=converged,
-        snapshots=tuple(snapshots),
-    )
+    leave([True] * len(live), converged=False)
+    return [start.outcome for start in everyone]
 
 
-def _q90_radius(config) -> float:
-    centred = _centred(config)
-    # np.linalg.norm(centred, axis=1) evaluates this same expression
-    return _quantile90(np.sqrt(np.add.reduce(centred * centred, axis=1)))
+def _q90_radii(configs):
+    """q90 radius of each configuration of a (S, n, d) stack."""
+    centred = _centred(configs)
+    # np.linalg.norm(centred, axis=-1) evaluates this same expression
+    radii = np.sqrt(np.add.reduce(centred * centred, axis=-1))
+    return [_quantile90(row) for row in radii]
 
 
 def _quantile90(values) -> float:
@@ -492,11 +668,14 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     """Phase scan: descent classification per parameter point per seed.
 
     Each grid point builds a potential via ``potential_factory(**params)``
-    and runs one descent per seed (initializations cycle through lattice /
-    random_ball / two_cluster with the seed index).  Per point the scan
-    emits one row per seed plus an aggregate row carrying the majority
-    classification and the best energy; per-point failures are recorded in
-    the row's ``error`` field and do not stop the scan, except
+    and descends from one start per seed (initializations cycle through
+    lattice / random_ball / two_cluster with the seed index); a point's
+    starts descend together as one stack, each with the trace
+    ``minimize_particles`` gives it.  Per point the scan emits one row per
+    seed plus an aggregate row carrying the majority classification and
+    the best energy.  A tie for the majority goes to the tied label of the
+    lowest (energy, seed) trace.  Failures of a point or of one seed are
+    recorded in the row's ``error`` field and do not stop the scan, except
     InvariantViolation, which signals a bug and propagates.  When
     ``with_stability`` is set, the aggregate row also carries the space
     integral criterion verdict for cross-reading.
@@ -523,20 +702,15 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
             except Exception:
                 pass  # the cross-read stays "skipped"; descents still run
 
+        traces = _descend(potential, n, _cycled_starts(seeds), max_iter,
+                          grad_tol)
         labels = []
         best_energy = math.inf
-        for idx, seed in enumerate(seeds):
-            init = _INIT_KINDS[idx % len(_INIT_KINDS)]
-            try:
-                trace = minimize_particles(potential, n, init=init,
-                                           seed=seed, max_iter=max_iter,
-                                           grad_tol=grad_tol)
-            except InvariantViolation:
-                raise
-            except Exception as exc:
+        for seed, trace in zip(seeds, traces):
+            if isinstance(trace, Exception):
                 rows.append(ScanRow(dict(params), seed, "error", math.nan,
                                     stab_outcome, stab_value,
-                                    error=str(exc)))
+                                    error=str(trace)))
                 continue
             label = classify_trace(trace)
             labels.append((label, trace.final_energy, seed))
@@ -546,12 +720,11 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                                 stab_value))
 
         if labels:
-            counts = Counter(label for label, _, _ in labels).most_common(2)
-            if len(counts) == 1 or counts[0][1] > counts[1][1]:
-                majority = counts[0][0]
-            else:
-                # tie: side with the label of the best-energy trace
-                majority = min(labels, key=lambda t: (t[1], t[2]))[0]
+            counts = Counter(label for label, _, _ in labels)
+            top = max(counts.values())
+            # a tie sides with the best-energy trace among the tied labels
+            majority = min((t for t in labels if counts[t[0]] == top),
+                           key=lambda t: (t[1], t[2]))[0]
             rows.append(ScanRow(dict(params), None, majority, best_energy,
                                 stab_outcome, stab_value))
         else:

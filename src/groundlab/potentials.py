@@ -76,17 +76,18 @@ class RadialPotential:
     def __call__(self, radii):
         """Evaluate W at one radius or an array of radii (values may be +inf)."""
         arr = np.asarray(radii, dtype=float)
-        if (arr < 0).any():
+        if np.count_nonzero(arr < 0):
             raise ValueError("radii must be nonnegative")
-        out = self._profile(np.atleast_1d(arr))
+        out = self._profile(arr.reshape(-1) if arr.ndim == 0 else arr)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def derivative(self, radii):
         """Evaluate dW/dr at strictly positive radii."""
         arr = np.asarray(radii, dtype=float)
-        if (arr <= 0).any():
+        if np.count_nonzero(arr <= 0):
             raise ValueError("derivative is evaluated at radii > 0")
-        out = self._profile_derivative(np.atleast_1d(arr))
+        out = self._profile_derivative(arr.reshape(-1) if arr.ndim == 0
+                                       else arr)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- structure -------------------------------------------------------
@@ -332,18 +333,6 @@ class HypothesisReport:
     tail_probes: tuple
     profile_infimum: float
     infimum_radius: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lower_semicontinuity": self.lower_semicontinuity,
-            "local_integrability": self.local_integrability,
-            "local_integral": self.local_integral,
-            "decade_estimates": list(self.decade_estimates),
-            "tail_class": self.tail_class,
-            "tail_probes": [list(p) for p in self.tail_probes],
-            "profile_infimum": self.profile_infimum,
-            "infimum_radius": self.infimum_radius,
-        }
 
 
 def _probe_tail(potential):

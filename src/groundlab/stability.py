@@ -638,18 +638,19 @@ def ruc_search(potential: RadialPotential,
     """Estimate the asymptote of minimal per-pair energies in n.
 
     For each n the per-pair energy (1/n^2) sum_{i<j} W is minimized by
-    multi-start descent; the minima m(n) are fitted to c + d/n.  A bounded
-    sequence (m(n) >= -B/n, i.e. c near 0) indicates stability; m(n)
-    approaching a negative constant (c below -``_CATASTROPHIC_TOL``, -1e-3)
-    certifies a negative-energy empirical measure, provided the best
-    configuration's energy is negative; otherwise the verdict is
-    inconclusive.
+    multi-start descent (the starts of one n descend together as one
+    stack, each with the trace ``minimize_particles`` gives it); the
+    minima m(n) are fitted to c + d/n.  A bounded sequence (m(n) >= -B/n,
+    i.e. c near 0) indicates stability; m(n) approaching a negative
+    constant (c below -``_CATASTROPHIC_TOL``, -1e-3) certifies a
+    negative-energy empirical measure, provided the best configuration's
+    energy is negative; otherwise the verdict is inconclusive.
 
     Verdicts for profiles singular at contact are advisory (recorded in
     details): the per-pair form ignores the diagonal that the continuum
     energy of an atom carries.
     """
-    from .groundstate import _INIT_KINDS, minimize_particles
+    from .groundstate import _cycled_starts, _descend
 
     n_values = sorted(set(int(n) for n in n_list))
     if len(n_values) < 2:
@@ -670,10 +671,10 @@ def ruc_search(potential: RadialPotential,
     all_stalled = True
     for n in n_values:
         best = math.inf
-        for idx, seed in enumerate(seeds):
-            init = _INIT_KINDS[idx % len(_INIT_KINDS)]
-            trace = minimize_particles(potential, n, init=init, seed=seed,
-                                       max_iter=optimizer_budget)
+        for trace in _descend(potential, n, _cycled_starts(seeds),
+                              optimizer_budget):
+            if isinstance(trace, Exception):
+                raise trace
             if trace.iterations > 0 or trace.converged:
                 all_stalled = False
             per_pair = trace.final_energy / 2.0

@@ -6,6 +6,7 @@ against the closed-form space integrals, weighted integrals and transforms
 of the two families before being frozen here.
 """
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -16,6 +17,22 @@ from groundlab import (GaussianMix, Morse, fourier_criterion,
 HE = "HE_satisfied"
 ST = "stable_indication"
 IN = "inconclusive"
+
+
+
+class Cliff(Morse):
+    """Morse whose profile drops to -inf beyond ``edge``: a descent whose
+    pairs reach that far takes the step and collides.  Morse(1, 2, 2) at
+    n = 8 collides from two_cluster starts 0, 1, 2 and 5 at iteration 11,
+    and not from the other inits or two_cluster starts 3 and 4."""
+
+    edge = 8.0
+
+    def _profile(self, radii):
+        out = super()._profile(radii)
+        out[radii > self.edge] = -math.inf
+        return out
+
 
 # (potential, (integral, gaussian_weighted, fourier) expected outcomes)
 REGRESSION_CASES = [

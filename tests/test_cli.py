@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from groundlab import PointCloudMeasure, cli
+from conftest import Cliff
+from groundlab import PointCloudMeasure, cli, groundstate, minimize_particles
 from groundlab.cli import main
+from groundlab.errors import InvariantViolation
 
 MORSE_AGG = {"family": "morse", "G": 1.0, "L": 2.0, "dimension": 2}
 POWERLAW = {"family": "powerlaw", "a": 2.0, "r": 1.0, "dimension": 1}
@@ -327,6 +329,37 @@ def test_minimize_tabulated_profile_is_a_numerical_failure(tmp_path):
                       "values": [1.0, 0.0], "dimension": 1},
         "output_dir": str(tmp_path / "out")})
     assert main(["minimize", "--config", cfg]) == 3
+
+
+def test_minimize_collision_exits_3_after_the_earlier_traces(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_potential",
+                        lambda block: Cliff(1.0, 2.0, 2))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "minimize", "potential": MORSE_AGG, "n": 8,
+        "init": "two_cluster", "seeds": [3, 0, 4], "max_iter": 400,
+        "output_dir": str(out)})
+    # seed 3 runs to the end, seed 0 collides; seed 4's trace is not
+    # written, as it was not when the seeds ran one after another
+    assert main(["minimize", "--config", cfg]) == 3
+    assert sorted(path.name for path in out.iterdir()) == [
+        "trace_seed3.csv"]
+    minimize_particles(Cliff(1.0, 2.0, 2), 8, init="two_cluster", seed=3,
+                       max_iter=400).to_csv(tmp_path / "alone.csv")
+    assert ((out / "trace_seed3.csv").read_text()
+            == (tmp_path / "alone.csv").read_text())
+
+
+def test_minimize_invariant_violation_exits_4(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("recentring changed the energy")
+
+    monkeypatch.setattr(groundstate, "_descend_stack", broken)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "minimize", "potential": POWERLAW, "n": 4,
+        "seeds": [0, 1], "output_dir": str(tmp_path / "out")})
+    assert main(["minimize", "--config", cfg]) == 4
 
 
 def test_seed_override_replaces_seed_list(tmp_path):

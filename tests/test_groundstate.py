@@ -4,12 +4,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import Cliff
 from scipy.spatial.distance import pdist, squareform
 
 from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
                        Tabulated, classify_trace, ground_state_scan,
-                       groundstate, minimize_particles)
-from groundlab.errors import InvariantViolation, NonDifferentiable
+                       groundstate, minimize_particles, ruc_search)
+from groundlab.errors import (InvariantViolation, NonDifferentiable,
+                              ParticleCollision)
 from groundlab.groundstate import _energy, _energy_and_gradient, \
     _quantile90, preferred_spacing
 
@@ -249,10 +251,125 @@ def test_scan_propagates_invariant_violations(monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolation("recentring changed the energy")
 
-    monkeypatch.setattr(groundstate, "minimize_particles", broken)
+    monkeypatch.setattr(groundstate, "_descend_stack", broken)
     with pytest.raises(InvariantViolation):
         ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=6,
                           seeds=(0,), with_stability=False)
+    with pytest.raises(InvariantViolation):
+        ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=6,
+                          seeds=(0, 1, 2), with_stability=False)
+    with pytest.raises(InvariantViolation):
+        ruc_search(Morse(1.0, 2.0, 2), n_list=(8, 16))
+    with pytest.raises(InvariantViolation):
+        minimize_particles(Morse(1.0, 2.0, 2), 8)
+
+
+def test_scan_tie_sides_with_the_best_energy_among_the_tied_labels(
+        monkeypatch):
+    labels = ["tight", "tight", "vanishing", "vanishing", "undecided"]
+    energies = [-0.5, -0.4, -0.7, -0.3, -0.9]
+
+    def fake_descend(potential, n, starts, max_iter, grad_tol=1e-8):
+        return [MinimizationTrace(
+            potential_label="fake", n=n, dimension=1, init=init, seed=seed,
+            energies=np.array([0.0, energy]), q90_radii=np.ones(2),
+            max_pair_distances=np.ones(2), step_sizes=np.zeros(2),
+            final_config=np.zeros((n, 1)), converged=False)
+            for (init, seed), energy in zip(starts, energies)]
+
+    monkeypatch.setattr(groundstate, "_descend", fake_descend)
+    monkeypatch.setattr(groundstate, "classify_trace",
+                        lambda trace: labels[trace.seed])
+    rows = ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=4,
+                             seeds=range(5), with_stability=False)
+    assert [row.classification for row in rows[:-1]] == labels
+    aggregate = rows[-1]
+    # tight and vanishing tie at two seeds each; the undecided trace is
+    # the lowest in energy but its label is not among the tied ones
+    assert aggregate.classification == "vanishing"
+    assert aggregate.best_energy == -0.9
+
+
+class Brittle(Morse):
+    """Morse whose derivative raises beyond ``edge``."""
+
+    edge = 6.0
+
+    def _profile_derivative(self, radii):
+        if np.any(radii > self.edge):
+            raise ArithmeticError(f"radius beyond {self.edge}")
+        return super()._profile_derivative(radii)
+
+
+def assert_same_trace(trace, want):
+    """``want`` is a trace or a reference_descent dict."""
+    def get(name):
+        return want[name] if isinstance(want, dict) else getattr(want, name)
+
+    for name in ("energies", "q90_radii", "max_pair_distances",
+                 "step_sizes", "final_config"):
+        assert np.array_equal(getattr(trace, name), get(name)), name
+    assert [k for k, _ in trace.snapshots] == [k for k, _ in
+                                               get("snapshots")]
+    for (k, got), (_, config) in zip(trace.snapshots, get("snapshots")):
+        assert np.array_equal(got, config), k
+    if not isinstance(want, dict):
+        assert trace.converged == want.converged
+        assert (trace.init, trace.seed) == (want.init, want.seed)
+
+
+def test_a_colliding_start_leaves_the_stack_and_the_others_carry_on(
+        monkeypatch):
+    stacks = []
+    engine = groundstate._descend_stack
+
+    def spied(potential, n, starts, *args):
+        stacks.append(len(starts))
+        return engine(potential, n, starts, *args)
+
+    monkeypatch.setattr(groundstate, "_descend_stack", spied)
+    w = Cliff(1.0, 2.0, 2)
+    starts = groundstate._cycled_starts((0, 1, 2))
+    outcomes = groundstate._descend(w, 8, starts, 400)
+    # one stack: the collision did not send the starts to run alone
+    assert stacks == [3]
+    # the two_cluster start collides at iteration 11, the others stop on
+    # their own at iterations 64 and 58
+    assert isinstance(outcomes[2], ParticleCollision)
+    for (init, seed), trace in zip(starts[:2], outcomes):
+        assert_same_trace(trace, minimize_particles(w, 8, init=init,
+                                                    seed=seed, max_iter=400))
+    assert [trace.iterations for trace in outcomes[:2]] == [64, 58]
+    with pytest.raises(ParticleCollision):
+        minimize_particles(w, 8, init="two_cluster", seed=2, max_iter=400)
+
+    rows = ground_state_scan(lambda G: Cliff(G, 2.0, 2), [{"G": 1.0}], n=8,
+                             seeds=(0, 1, 2), with_stability=False)
+    assert [(row.seed, row.classification) for row in rows] == [
+        (0, classify_trace(outcomes[0])), (1, classify_trace(outcomes[1])),
+        (2, "error"), (None, rows[-1].classification)]
+    assert rows[2].error == "energy became non-finite after an accepted step"
+    assert rows[-1].classification != "error"
+
+    with pytest.raises(ParticleCollision):
+        ruc_search(w, n_list=(8, 16))
+
+
+def test_other_failures_are_pinned_on_their_own_start():
+    # a stacked W evaluation that raises cannot say whose pairs it was;
+    # each start then runs alone and keeps its own outcome
+    w = Brittle(1.0, 2.0, 2)
+    starts = groundstate._cycled_starts((0, 1, 2))
+    outcomes = groundstate._descend(w, 8, starts, 400)
+    assert isinstance(outcomes[2], ArithmeticError)
+    for (init, seed), trace in zip(starts[:2], outcomes):
+        assert_same_trace(trace, minimize_particles(w, 8, init=init,
+                                                    seed=seed, max_iter=400))
+    rows = ground_state_scan(lambda G: Brittle(G, 2.0, 2), [{"G": 1.0}],
+                             n=8, seeds=(0, 1, 2), with_stability=False)
+    assert [row.classification == "error" for row in rows] == [
+        False, False, True, False]
+    assert rows[2].error == "radius beyond 6.0"
 
 
 def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
@@ -340,13 +457,41 @@ def test_descent_reproduces_the_reference_loop_bit_for_bit(potential, n,
                                                            init):
     trace = minimize_particles(potential, n, init=init, seed=1, max_iter=300)
     want = reference_descent(potential, n, init, seed=1, max_iter=300)
-    for name in ("energies", "q90_radii", "max_pair_distances",
-                 "step_sizes", "final_config"):
-        assert np.array_equal(getattr(trace, name), want[name]), name
-    assert [k for k, _ in trace.snapshots] == [k for k, _ in
-                                               want["snapshots"]]
-    for (k, got), (_, config) in zip(trace.snapshots, want["snapshots"]):
-        assert np.array_equal(got, config), k
+    assert_same_trace(trace, want)
+
+    # the same start in the middle of a stack with the other two inits
+    others = [kind for kind in ("lattice", "random_ball", "two_cluster")
+              if kind != init]
+    starts = [(others[0], 2), (init, 1), (others[1], 0)]
+    stacked = groundstate._descend(potential, n, starts, 300)
+    assert_same_trace(stacked[1], want)
+    assert stacked[1].converged == trace.converged
+    for (kind, seed), got in zip(starts[::2], stacked[::2]):
+        assert_same_trace(got, minimize_particles(
+            potential, n, init=kind, seed=seed, max_iter=300))
+
+
+def test_stacked_starts_stop_at_their_own_iterations():
+    w = Morse(1.0, 2.0, 2)
+    starts = groundstate._cycled_starts((0, 1, 2))
+    stacked = groundstate._descend(w, 8, starts, 400)
+    assert [trace.iterations for trace in stacked] == [64, 58, 318]
+    for (init, seed), trace in zip(starts, stacked):
+        assert_same_trace(trace, reference_descent(w, 8, init, seed, 400))
+        assert_same_trace(trace, minimize_particles(w, 8, init=init,
+                                                    seed=seed, max_iter=400))
+
+
+def test_stack_above_the_pdist_threshold_is_bit_for_bit():
+    # 64 points in the plane make 4032 coordinate differences per
+    # configuration, so each one's distances come from pdist
+    w = Morse(1.0, 2.0, 2)
+    starts = [("random_ball", 3), ("lattice", 0)]
+    stacked = groundstate._descend(w, 64, starts, 200)
+    for (init, seed), trace in zip(starts, stacked):
+        assert_same_trace(trace, reference_descent(w, 64, init, seed, 200))
+        assert_same_trace(trace, minimize_particles(w, 64, init=init,
+                                                    seed=seed, max_iter=200))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 10, 11, 16, 64, 257))

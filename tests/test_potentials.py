@@ -1,12 +1,14 @@
+import json
 import math
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from groundlab import (GaussianMix, Morse, PowerLaw, Tabulated,
-                       probe_hypotheses, radial)
+from groundlab import (GaussianMix, HypothesisReport, Morse, PowerLaw,
+                       Tabulated, probe_hypotheses, radial)
 from groundlab.errors import DimensionUnsupported, NonDifferentiable
 
 
@@ -180,7 +182,8 @@ def test_probe_tabulated_tail_jump_flags_semicontinuity():
 
 def test_probe_report_round_trips_to_dict():
     report = probe_hypotheses(GaussianMix([(1.0, 1.0)], 2))
-    data = report.to_dict()
+    data = json.loads(json.dumps(asdict(report)))
+    assert list(data) == [f.name for f in fields(HypothesisReport)]
     assert data["tail_class"] == "H3b"
     assert data["local_integrability"] == "holds"
     assert len(data["decade_estimates"]) >= 2

@@ -26,6 +26,7 @@ takes about 14 s on a 2-vCPU x86-64 box, and its peak RSS is about 190 MB.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -100,7 +101,8 @@ def _outcome(call):
         result = call()
     except Exception as exc:  # a raised error is an output too
         return {"raised": type(exc).__name__, "message": str(exc)}
-    out = result.to_dict()
+    out = (result.to_dict() if hasattr(result, "to_dict")
+           else dataclasses.asdict(result))
     if hasattr(result, "certificate"):
         out["measure_sha1"] = _measure_hash(
             getattr(result.certificate, "measure", None))
