@@ -66,11 +66,14 @@ def pair_distances(points) -> np.ndarray:
     Small clouds (up to 3000 coordinate differences: 77 points on a line,
     55 in the plane, 45 in space) are computed in plain numpy at a third
     to a half of the cost of a pdist call; larger ones go to pdist, whose
-    fused C loop is faster than numpy's index gathers there.
+    fused C loop is faster than numpy's index gathers there.  A stack
+    makes one pdist call per cloud but one gather for all of them, so it
+    is gathered up to S times that many differences per cloud.
     """
     points = np.asarray(points, dtype=float)
     n, dimension = points.shape[-2:]
-    if n * (n - 1) // 2 * dimension <= _GATHERED_DIFFERENCES:
+    clouds = points.shape[0] if points.ndim == 3 else 1
+    if n * (n - 1) // 2 * dimension <= _GATHERED_DIFFERENCES * clouds:
         return _gathered_distances(points)
     if points.ndim == 2:
         return pdist(points)
@@ -81,14 +84,10 @@ def _gathered_distances(points):
     """pdist's arithmetic in numpy: each pair's squared coordinate
     differences are added in coordinate order before the square root."""
     rows, cols = pair_indices(points.shape[-2])
-    total = None
-    for k in range(points.shape[-1]):
-        column = points[..., k]
-        diff = column.take(rows, axis=-1)
-        diff -= column.take(cols, axis=-1)
-        diff *= diff
-        if total is None:
-            total = diff
-        else:
-            total += diff
-    return np.sqrt(total, out=total)
+    diff = points.take(rows, axis=-2)
+    diff -= points.take(cols, axis=-2)
+    diff *= diff
+    total = diff[..., 0]
+    for k in range(1, points.shape[-1]):
+        total += diff[..., k]
+    return np.sqrt(total)

@@ -117,7 +117,16 @@ def _descent_state(potential, configs, clamp, weights, slots):
     padded = weights[:count]
     np.divide(slopes, d, out=padded[:, 1:])
     mat = padded.take(slots, axis=1).reshape(count, n, n)
-    diffs = configs[:, :, None, :] - configs[:, None, :, :]
+    if configs.shape[2] == 1:
+        diffs = configs[:, :, None, :] - configs[:, None, :, :]
+    else:
+        # numpy would loop over the few coordinates innermost; subtract
+        # along j one coordinate at a time instead, into the same
+        # (S, n, n, d) layout, on which einsum's sums keep their bits
+        diffs = np.empty((count, n, n, configs.shape[2]))
+        coords = configs.transpose(0, 2, 1)
+        np.subtract(coords[:, :, :, None], coords[:, :, None, :],
+                    out=diffs.transpose(0, 3, 1, 2), order="C")
     grads = (2.0 / n**2) * np.einsum("sij,sijd->sid", mat, diffs)
     return energies, grads, d, slopes
 

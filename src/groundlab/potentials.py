@@ -182,10 +182,12 @@ class Morse(RadialPotential):
         self.L = L
 
     def _profile(self, radii):
-        return np.exp(-radii) - self.G * np.exp(-radii / self.L)
+        minus = -radii
+        return np.exp(minus) - self.G * np.exp(minus / self.L)
 
     def _profile_derivative(self, radii):
-        return -np.exp(-radii) + (self.G / self.L) * np.exp(-radii / self.L)
+        minus = -radii
+        return -np.exp(minus) + (self.G / self.L) * np.exp(minus / self.L)
 
     @property
     def value_at_zero(self):

@@ -27,6 +27,18 @@ def test_pair_distances_match_pdist_bit_for_bit(n, dimension):
                           pdist(points))
 
 
+@pytest.mark.parametrize("stack, n, dimension", [
+    (1, 16, 2), (3, 16, 3), (3, 64, 2), (2, 64, 3), (1, 256, 1), (4, 77, 1)])
+def test_stacked_pair_distances_are_each_clouds_pdist(stack, n, dimension):
+    # gathered or by pdist per cloud, each row has its cloud's pdist bits
+    rng = np.random.default_rng([stack, n, dimension])
+    points = rng.standard_normal((stack, n, dimension))
+    got = pair_distances(points)
+    assert got.shape == (stack, n * (n - 1) // 2)
+    for cloud, row in zip(points, got):
+        assert np.array_equal(row, pdist(cloud))
+
+
 def test_pair_indices_are_condensed_order_and_read_only():
     rows, cols = pair_indices(5)
     want_rows, want_cols = np.triu_indices(5, 1)

@@ -8,7 +8,7 @@ from conftest import Cliff
 from scipy.spatial.distance import pdist, squareform
 
 from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
-                       Tabulated, classify_trace, ground_state_scan,
+                       Tabulated, classify_trace, geometry, ground_state_scan,
                        groundstate, minimize_particles, ruc_search)
 from groundlab.errors import (InvariantViolation, NonDifferentiable,
                               ParticleCollision)
@@ -482,12 +482,24 @@ def test_stacked_starts_stop_at_their_own_iterations():
                                                     seed=seed, max_iter=400))
 
 
-def test_stack_above_the_pdist_threshold_is_bit_for_bit():
-    # 64 points in the plane make 4032 coordinate differences per
-    # configuration, so each one's distances come from pdist
-    w = Morse(1.0, 2.0, 2)
+@pytest.mark.parametrize("dimension, by_pdist", [(2, False), (3, True)])
+def test_stack_above_the_pdist_threshold_is_bit_for_bit(monkeypatch,
+                                                        dimension, by_pdist):
+    # 64 points make 4032 coordinate differences per configuration in the
+    # plane and 6048 in space: a lone configuration goes to pdist either
+    # way, a stack of two is gathered up to 6000
+    gathered = []
+    kernel = geometry._gathered_distances
+
+    def spied(points):
+        gathered.append(points.shape)
+        return kernel(points)
+
+    monkeypatch.setattr(geometry, "_gathered_distances", spied)
+    w = Morse(1.0, 2.0, dimension)
     starts = [("random_ball", 3), ("lattice", 0)]
     stacked = groundstate._descend(w, 64, starts, 200)
+    assert ((2, 64, dimension) in gathered) == (not by_pdist)
     for (init, seed), trace in zip(starts, stacked):
         assert_same_trace(trace, reference_descent(w, 64, init, seed, 200))
         assert_same_trace(trace, minimize_particles(w, 64, init=init,
