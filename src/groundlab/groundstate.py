@@ -427,6 +427,7 @@ def _descend_stack(potential, n, starts, max_iter, grad_tol):
                                                 weights, slots)
     steps = [1.0 / (n * scale) if scale > 0 else 1.0
              for scale in np.abs(slopes).max(axis=1).tolist()]
+    del slopes  # only the first step needs dW/dr; at n = 256 it is 261 kB
     stride = max(1, max_iter // 128)
     _record(live, 0, configs, energies, d, [0.0] * len(live), stride)
 
@@ -458,8 +459,8 @@ def _descend_stack(potential, n, starts, max_iter, grad_tol):
 
         configs = _centred(candidates)
         steps = trials
-        energies, grads, d, _ = _descent_state(potential, configs, clamp,
-                                               weights, slots)
+        energies, grads, d = _descent_state(potential, configs, clamp,
+                                            weights, slots)[:3]
         if not all(map(math.isfinite, energies)):
             keep = []
             for k, (start, energy) in enumerate(zip(live, energies)):
