@@ -120,9 +120,10 @@ def _descent_state(potential, configs, clamp, weights, slots):
     if configs.shape[2] == 1:
         diffs = configs[:, :, None, :] - configs[:, None, :, :]
     else:
-        # numpy would loop over the few coordinates innermost; subtract
-        # along j one coordinate at a time instead, into the same
-        # (S, n, n, d) layout, on which einsum's sums keep their bits
+        # numpy would loop over the few coordinates innermost, so subtract
+        # along j, one coordinate at a time, into the same (S, n, n, d)
+        # layout: einsum's summation order, and so its bits, follow the
+        # operands' layout
         diffs = np.empty((count, n, n, configs.shape[2]))
         coords = configs.transpose(0, 2, 1)
         np.subtract(coords[:, :, :, None], coords[:, :, None, :],
