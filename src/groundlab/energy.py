@@ -129,23 +129,33 @@ def _self_cell_average(potential, cell_width, dimension) -> float:
     return float(samples.mean())
 
 
-def _octant_kernel(potential, shape, h) -> np.ndarray:
+def _octant_kernel(potential, shape, h, padded) -> np.ndarray:
     """W(h |o|) for the lattice offsets o with 0 <= o_i < e_i of a grid of
-    the given shape, with the zero offset set to 0.
+    the given shape, with the zero offset set to 0, zero-padded to the
+    shape ``padded``.
 
     This is the nonnegative octant of the even kernel K the grid energy
     weights the mass autocorrelation by.  |o|^2 is an exact integer.  When
     the integers up to its maximum are fewer than the octant's offsets, as
     on 3-d grids with equal sides, W is evaluated once per integer and
-    gathered from that table.  Otherwise W is evaluated at each offset: a
-    1-d grid of e cells has e offsets but (e - 1)^2 such integers.  Both
-    give the same bits.
+    gathered from that table one slab of the first axis at a time.
+    Otherwise W is evaluated at each offset: a 1-d grid of e cells has e
+    offsets but (e - 1)^2 such integers.  Both give the same bits.  Writing the kernel straight into
+    its padded array, with no full-size |o|^2 array or unpadded copy
+    beside it, keeps the grid energy's peak memory low and independent of
+    where the heap places those blocks.
     """
-    sq = sum(np.ix_(*[np.arange(e)**2 for e in shape]))
-    if sq.max() < sq.size:
-        kernel = potential(h * np.sqrt(np.arange(sq.max() + 1)))[sq]
+    kernel = np.zeros(padded)
+    octant = kernel[tuple(slice(0, e) for e in shape)]
+    first = np.arange(shape[0])**2
+    rest = sum(np.ix_(*[np.arange(e)**2 for e in shape[1:]]), 0)
+    top = int(first[-1] + np.max(rest))
+    if top < math.prod(shape):
+        table = potential(h * np.sqrt(np.arange(top + 1)))
+        for i, sq in enumerate(first):
+            octant[i] = table[rest + sq]
     else:
-        kernel = potential(h * np.sqrt(sq))
+        octant[...] = potential(h * np.sqrt(np.add.outer(first, rest)))
     kernel[(0,) * len(shape)] = 0.0
     return kernel
 
@@ -205,12 +215,12 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
     diagonal = float(np.sum(masses**2)) * self_avg
 
-    masses = np.pad(masses, [(0, e % 2) for e in masses.shape])
+    if any(e % 2 for e in masses.shape):
+        masses = np.pad(masses, [(0, e % 2) for e in masses.shape])
     lengths = [next_fast_len(e, real=True) for e in masses.shape]
-    kernel = np.pad(_octant_kernel(potential, rho.extents, rho.cell_width),
-                    [(0, n + 1 - e) for n, e in zip(lengths, rho.extents)])
-    spectrum = dctn(kernel, type=1)
-    del kernel
+    spectrum = dctn(_octant_kernel(potential, rho.extents, rho.cell_width,
+                                   [n + 1 for n in lengths]),
+                    type=1, overwrite_x=True)
     # frequencies 1..L-1 stand for both of their signs
     for axis in range(spectrum.ndim):
         spectrum[(slice(None),) * axis + (slice(1, -1),)] *= 2.0

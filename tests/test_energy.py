@@ -193,8 +193,20 @@ def test_offset_kernel_matches_meshgrid_kernel_bit_for_bit(potential, build):
     rho = build()
     shape, h = rho.values.shape, rho.cell_width
     octant = tuple(slice(e - 1, None) for e in shape)
-    assert np.array_equal(_octant_kernel(potential, shape, h),
+    assert np.array_equal(_octant_kernel(potential, shape, h, shape),
                           meshgrid_kernel(potential, shape, h)[octant])
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (3, 4), (12, 12, 12),
+                                   (9, 14, 5)])
+def test_padded_offset_kernel_is_the_kernel_zero_padded(shape):
+    w = Morse(1.2, 1.0, len(shape))
+    padded = [e + k + 1 for k, e in enumerate(shape)]
+    octant = meshgrid_kernel(w, shape, 0.1)[
+        tuple(slice(e - 1, None) for e in shape)]
+    assert np.array_equal(_octant_kernel(w, shape, 0.1, padded),
+                          np.pad(octant, [(0, p - e) for p, e in
+                                          zip(padded, shape)]))
 
 
 class CountingMorse(Morse):
@@ -213,7 +225,7 @@ def test_offset_kernel_evaluates_w_at_most_once_per_offset(dimension, cells):
     # evaluations on a 1-d grid of e cells
     w = CountingMorse(1.0, 2.0, dimension)
     shape = (cells,) * dimension
-    kernel = _octant_kernel(w, shape, 0.1)
+    kernel = _octant_kernel(w, shape, 0.1, shape)
     assert w.points <= min(kernel.size, dimension * (cells - 1)**2 + 1)
 
 
