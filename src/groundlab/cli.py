@@ -421,8 +421,8 @@ def cmd_stability(config, out_dir: Path, args) -> int:
 
 def cmd_minimize(config, out_dir: Path, args) -> int:
     potential = build_potential(config["potential"])
-    traces = _descend(potential, config["n"],
-                      [(config["init"], seed) for seed in config["seeds"]],
+    traces = _descend(config["n"], [(potential, config["init"], seed)
+                                     for seed in config["seeds"]],
                       config["max_iter"], config["grad_tol"])
     results = []
     for seed, trace in zip(config["seeds"], traces):

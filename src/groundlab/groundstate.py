@@ -20,9 +20,10 @@ aggregates a phase table.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,15 @@ __all__ = ["MinimizationTrace", "minimize_particles", "classify_trace",
 _MIN_SEPARATION = 1e-10
 _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 48
+# a start's trace keeps the configurations of its last _TAIL iterations
+# (after the first) among its snapshots; its history is read out in
+# blocks of _BLOCK iterations
+_TAIL = 129
+_BLOCK = 128
+# a scan's grid points join one stack while its (S, n, n, N) coordinate
+# differences stay within this many doubles (512 kB): the README's 36
+# starts at n = 16 in the line take 9216
+_STACK_DOUBLES = 1 << 16
 _INIT_KINDS = ("lattice", "random_ball", "two_cluster")
 # classify_trace: radius growth that reads as vanishing, and the gap to
 # cluster diameter ratio that reads as dichotomy
@@ -50,7 +60,8 @@ class MinimizationTrace:
 
     ``iterations`` rows: (iteration, energy, q90_radius, max_pair_distance,
     step).  ``snapshots`` keeps a thinned history of configurations for the
-    classifier; ``final_config`` is centred on its centroid.
+    classifier, as a sequence of (iteration, configuration) pairs;
+    ``final_config`` is centred on its centroid.
     """
 
     potential_label: str
@@ -64,7 +75,7 @@ class MinimizationTrace:
     step_sizes: np.ndarray
     final_config: np.ndarray
     converged: bool
-    snapshots: tuple = field(repr=False, default=())
+    snapshots: Sequence = field(repr=False, default=())
 
     @property
     def iterations(self) -> int:
@@ -92,30 +103,41 @@ class MinimizationTrace:
                 writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
 
 
-def _energies(potential, configs, clamp):
+def _energies(groups, configs):
     """Energy of each configuration of a (S, n, d) stack, as floats, and
-    the (S, pairs) distances it was read from: one distance pass and one
-    W evaluation for the whole stack."""
+    the (S, pairs) distances it was read from: one distance pass for the
+    whole stack and one W call per group.  ``groups`` are the
+    (potential, first row, end row, clamp) of the runs of rows that share
+    a potential (:func:`_groups`); each clamps its own rows, since a stack
+    can mix profiles finite and singular at contact."""
     n = configs.shape[1]
     d = pair_distances(configs)
-    if clamp:
-        np.maximum(d, _MIN_SEPARATION, out=d)
-    values = potential(d.reshape(-1)).reshape(d.shape)
-    totals = np.add.reduce(values, axis=1).tolist()
+    totals = []
+    for potential, first, end, clamp in groups:
+        rows = d[first:end]
+        if clamp:
+            np.maximum(rows, _MIN_SEPARATION, out=rows)
+        values = potential(rows.reshape(-1)).reshape(rows.shape)
+        totals += np.add.reduce(values, axis=1).tolist()
     return [(2.0 / n**2) * total for total in totals], d
 
 
-def _descent_state(potential, configs, clamp, weights, slots):
-    """Energies, gradients, pair distances and dW/dr at them of a (S, n, d)
-    stack, from one pass over its pairs.  ``weights`` is a (at least S,
-    pairs + 1) buffer whose first column is zero, ``slots`` the flattened
-    :func:`_pair_slots` of n: the pair weights dW/dr / r go into the
-    buffer and are gathered into square form from there."""
+def _descent_state(groups, configs, weights, slots):
+    """Energies, gradients and pair distances of a (S, n, d) stack, and
+    each group's dW/dr at them, from one pass over its pairs.  ``weights``
+    is a (at least S, pairs + 1) buffer whose first column is zero,
+    ``slots`` the flattened :func:`_pair_slots` of n: the pair weights
+    dW/dr / r go into the buffer and are gathered into square form from
+    there."""
     count, n = configs.shape[:2]
-    energies, d = _energies(potential, configs, clamp)
-    slopes = potential.derivative(d.reshape(-1)).reshape(d.shape)
+    energies, d = _energies(groups, configs)
     padded = weights[:count]
-    np.divide(slopes, d, out=padded[:, 1:])
+    slopes = []
+    for potential, first, end, _ in groups:
+        rows = d[first:end]
+        slope = potential.derivative(rows.reshape(-1)).reshape(rows.shape)
+        np.divide(slope, rows, out=padded[first:end, 1:])
+        slopes.append(slope)
     mat = padded.take(slots, axis=1).reshape(count, n, n)
     if configs.shape[2] == 1:
         diffs = configs[:, :, None, :] - configs[:, None, :, :]
@@ -133,14 +155,14 @@ def _descent_state(potential, configs, clamp, weights, slots):
 
 
 def _energy(potential, config, clamp):
-    return _energies(potential, config[None], clamp)[0][0]
+    return _energies([(potential, 0, 1, clamp)], config[None])[0][0]
 
 
 def _energy_and_gradient(potential, config, clamp):
     n = config.shape[0]
     energies, grads, _, _ = _descent_state(
-        potential, config[None], clamp, np.zeros((1, n * (n - 1) // 2 + 1)),
-        _pair_slots(n).ravel())
+        [(potential, 0, 1, clamp)], config[None],
+        np.zeros((1, n * (n - 1) // 2 + 1)), _pair_slots(n).ravel())
     return energies[0], grads[0]
 
 
@@ -189,8 +211,9 @@ def preferred_spacing(potential: RadialPotential) -> float:
     return float(np.clip(radius, 0.25, 2.5))
 
 
-def _initial_config(potential, n, dim, kind, seed):
-    spacing = preferred_spacing(potential)
+def _initial_config(spacing, n, dim, kind, seed):
+    """Initial configuration of n points in R^dim; ``spacing`` is the
+    potential's :func:`preferred_spacing`."""
     if kind == "lattice":
         per_axis = int(math.ceil(n ** (1.0 / dim)))
         axes = [spacing * (np.arange(per_axis) - (per_axis - 1) / 2.0)] * dim
@@ -239,10 +262,11 @@ def minimize_particles(potential: RadialPotential, n: int,
     energy, an accepted step's its energy, gradient and recorded largest
     pair distance, and the start's dW/dr values also set the first step.
 
-    This is the descent engine with one start.  ``ground_state_scan``,
-    ``ruc_search`` and the ``minimize`` subcommand hand it all their starts
-    at once, and each start's trace there is bit for bit the one this
-    function returns for it.
+    This is the descent engine with one start.  ``ground_state_scan`` (the
+    starts of all grid points of one dimension), ``ruc_search`` and the
+    ``minimize`` subcommand hand it all their starts at once, and each
+    start's trace there is bit for bit the one this function returns for
+    it.
 
     Args:
         potential: differentiable radial potential.
@@ -260,64 +284,116 @@ def minimize_particles(potential: RadialPotential, n: int,
         ParticleCollision: the energy became non-finite after an accepted
             step.
     """
-    trace, = _descend(potential, n, [(init, seed)], max_iter, grad_tol)
+    trace, = _descend(n, [(potential, init, seed)], max_iter, grad_tol)
     if isinstance(trace, Exception):
         raise trace
     return trace
 
 
-def _cycled_starts(seeds):
-    """(init, seed) per seed, the initializations taken in turn."""
-    return [(_INIT_KINDS[idx % len(_INIT_KINDS)], seed)
+def _cycled_starts(potential, seeds):
+    """(potential, init, seed) per seed, the initializations taken in
+    turn."""
+    return [(potential, _INIT_KINDS[idx % len(_INIT_KINDS)], seed)
             for idx, seed in enumerate(seeds)]
 
 
-def _descend(potential, n, starts, max_iter, grad_tol=1e-8):
-    """Descents of one potential and n from each (init, seed) of
+def _descend(n, starts, max_iter, grad_tol=1e-8):
+    """Descents of n particles from each (potential, init, seed) of
     ``starts``, run together.  Returns one entry per start, in order: its
     MinimizationTrace, or the exception that stopped it.
     InvariantViolation propagates.
 
     A start whose energy turns non-finite leaves the stack with a
     ParticleCollision while the others carry on.  Any other exception
-    cannot be pinned on one start of a stack, so each start is then run
-    alone and keeps its own outcome.
+    cannot be pinned on one start of a stack: each run of starts that
+    share a potential then descends as a stack of its own, and the starts
+    of a lone run each alone, so that every start keeps its own outcome.
     """
     try:
-        return _descend_stack(potential, n, starts, max_iter, grad_tol)
+        return _descend_stack(n, starts, max_iter, grad_tol)
     except InvariantViolation:
         raise
     except Exception as exc:
         if len(starts) == 1:
             return [exc]
-        return [_descend(potential, n, [start], max_iter, grad_tol)[0]
-                for start in starts]
+        runs = _runs([potential for potential, _, _ in starts])
+        parts = ([starts[first:end] for first, end in runs] if len(runs) > 1
+                 else [[start] for start in starts])
+        return [outcome for part in parts
+                for outcome in _descend(n, part, max_iter, grad_tol)]
+
+
+def _runs(potentials):
+    """(first, end) positions of each run of consecutive entries that are
+    one and the same potential."""
+    edges = [0] + [k for k in range(1, len(potentials))
+                   if potentials[k] is not potentials[k - 1]]
+    return list(zip(edges, edges[1:] + [len(potentials)]))
+
+
+def _groups(starts):
+    """(potential, first row, end row, clamp) of each run of a stack's
+    starts that share a potential."""
+    return [(starts[first].potential, first, end, starts[first].clamp)
+            for first, end in _runs([start.potential for start in starts])]
+
+
+class _Snapshots(Sequence):
+    """(iteration, configuration) pairs read from one (m, n, d) array, so
+    that a trace holds its snapshots without an array object for each."""
+
+    def __init__(self, iterations, configs):
+        self.iterations = iterations
+        self.configs = configs
+
+    def __len__(self):
+        return len(self.iterations)
+
+    def __getitem__(self, k):
+        return int(self.iterations[k]), self.configs[k]
+
+    def __iter__(self):
+        return zip(self.iterations.tolist(), self.configs)
 
 
 class _Start:
-    """What one start of a descent stack has recorded, and its outcome."""
+    """One start of a descent stack: its row, the blocks of its history
+    read out so far, and its outcome."""
 
-    def __init__(self, init, seed):
+    def __init__(self, row, potential, clamp, init, seed):
+        self.row = row
+        self.potential = potential
+        self.clamp = clamp
         self.init = init
         self.seed = seed
-        # (energy, q90 radius, largest pair distance, step) per iteration
-        self.rows = []
+        # per block, a (4, iterations) array of energies, largest pair
+        # distances, steps and q90 radii
+        self.blocks = []
+        # per block, its iterations at multiples of the stride and their
+        # configurations
         self.snapshots = []
-        # traces can terminate long before max_iter, so a dense rolling
-        # tail backs up the stride-spaced history for the classifier
-        self.tail = deque(maxlen=129)
         self.outcome = None
 
-    def finish(self, potential, n, config, converged):
-        merged = dict(self.snapshots)
-        merged.update(self.tail)
-        merged[len(self.rows) - 1] = config.copy()
-        energies, q90_radii, max_pair_distances, steps = map(
-            np.array, zip(*self.rows))
+    def finish(self, history, last, config, converged):
+        """Read out the start's history through iteration ``last`` and make
+        its trace.  Its snapshots are the stride-spaced configurations and
+        then the dense tail (:meth:`_History.tail`), which ends with
+        ``config``."""
+        history.read(self, last + 1)
+        tail_iterations, tail = history.tail(self, last)
+        first = max(1, last + 1 - _TAIL)
+        iterations = np.concatenate(
+            [its[its < first] for its, _ in self.snapshots]
+            + [tail_iterations])
+        configs = np.concatenate(
+            [kept[its < first] for its, kept in self.snapshots] + [tail])
+        energies, max_pair_distances, steps, q90_radii = np.concatenate(
+            self.blocks, axis=1)
+        self.blocks = self.snapshots = None
         self.outcome = MinimizationTrace(
-            potential_label=potential.label,
-            n=n,
-            dimension=potential.dimension,
+            potential_label=self.potential.label,
+            n=config.shape[0],
+            dimension=self.potential.dimension,
             init=self.init,
             seed=self.seed,
             energies=energies,
@@ -326,22 +402,62 @@ class _Start:
             step_sizes=steps,
             final_config=config.copy(),
             converged=converged,
-            snapshots=tuple(sorted(merged.items())),
+            snapshots=_Snapshots(iterations, configs),
         )
 
 
-def _record(starts, it, configs, energies, d, steps, stride):
-    """Append iteration ``it`` (0 for the initial configurations) of each
-    start of the stack to its history."""
-    rows = zip(energies, _q90_radii(configs),
-               np.maximum.reduce(d, axis=1).tolist(), steps)
-    for start, config, row in zip(starts, configs, rows):
-        start.rows.append(row)
-        config = config.copy()
-        if it % stride == 0:
-            start.snapshots.append((it, config))
-        if it:
-            start.tail.append((it, config))
+class _History:
+    """What a descent stack has recorded and not yet read out.
+
+    Each iteration's configurations go into a ring that holds the last
+    ``_TAIL`` iterations, with their energies, largest pair distances and
+    steps beside them.  Every ``_BLOCK`` iterations, and when a start
+    leaves, each start's pending iterations are read out as one block: its
+    q90 radii in one vectorised pass, and copies of the configurations at
+    multiples of the stride, which the classifier keeps.  The ring still
+    holds the dense tail that a leaving start's snapshots end with.
+    """
+
+    def __init__(self, count, n, dim, max_iter):
+        size = min(_TAIL, max_iter + 1)
+        self.configs = np.empty((size, count, n, dim))
+        # energy, largest pair distance and step of each iteration and row
+        self.values = np.empty((3, size, count))
+        self.stride = max(1, max_iter // 128)
+        self.pending = 0  # the first iteration not yet read out
+
+    def record(self, it, live, rows, configs, energies, d, steps):
+        """Record iteration ``it`` of the live starts, which sit at the
+        stack's ``rows``; read out a block once it is full."""
+        slot = it % len(self.configs)
+        self.configs[slot, rows] = configs
+        self.values[0, slot, rows] = energies
+        self.values[1, slot, rows] = np.maximum.reduce(d, axis=1)
+        self.values[2, slot, rows] = steps
+        if it + 1 - self.pending == _BLOCK:
+            for start in live:
+                self.read(start, it + 1)
+            self.pending = it + 1
+
+    def _slots(self, first, end):
+        iterations = np.arange(first, end)
+        return iterations, iterations % len(self.configs)
+
+    def read(self, start, end):
+        """Append the start's iterations from ``pending`` up to ``end`` to
+        its history."""
+        iterations, slots = self._slots(self.pending, end)
+        configs = self.configs[slots, start.row]
+        start.blocks.append(np.concatenate(
+            (self.values[:, slots, start.row], _q90_radii(configs)[None])))
+        kept = iterations % self.stride == 0
+        start.snapshots.append((iterations[kept], configs[kept]))
+
+    def tail(self, start, last):
+        """Iterations and configurations of the start's dense tail: its
+        last ``_TAIL`` recorded iterations after the first."""
+        iterations, slots = self._slots(max(1, last + 1 - _TAIL), last + 1)
+        return iterations, self.configs[slots, start.row]
 
 
 def _keep(positions, *stack):
@@ -350,11 +466,11 @@ def _keep(positions, *stack):
             else [rows[k] for k in positions] for rows in stack]
 
 
-def _backtrack(potential, configs, grads, energies, gsq, steps, clamp):
+def _backtrack(live, groups, configs, grads, energies, gsq, steps):
     """Armijo backtracking of each start of a stack from twice its last
     step, halving the steps that fail the test, at most
     ``_MAX_BACKTRACKS`` times.  Only the starts still backtracking are
-    evaluated.
+    evaluated; their groups are recomputed when one stops.
 
     Returns, per start, whether it found a step, and the accepted
     configurations, their energies and their steps (junk where it found
@@ -367,7 +483,7 @@ def _backtrack(potential, configs, grads, energies, gsq, steps, clamp):
         trial = step * 2.0
         for _ in range(_MAX_BACKTRACKS):
             candidates = configs - trial * grads
-            (cand_energy,), _ = _energies(potential, candidates, clamp)
+            (cand_energy,), _ = _energies(groups, candidates)
             if cand_energy <= energy - _ARMIJO_SLOPE * trial * slope:
                 return [True], candidates, [cand_energy], [trial]
             trial *= 0.5
@@ -378,7 +494,7 @@ def _backtrack(potential, configs, grads, energies, gsq, steps, clamp):
     origin = list(range(len(trials)))  # stack position of each pending row
     for _ in range(_MAX_BACKTRACKS):
         candidates = configs - np.array(trials)[:, None, None] * grads
-        cand_energies, _ = _energies(potential, candidates, clamp)
+        cand_energies, _ = _energies(groups, candidates)
         rest = []
         for k, (cand_energy, energy, trial, slope) in enumerate(zip(
                 cand_energies, energies, trials, gsq)):
@@ -393,50 +509,58 @@ def _backtrack(potential, configs, grads, energies, gsq, steps, clamp):
         if not rest:
             break
         if len(rest) < len(origin):
-            origin, configs, grads, energies, gsq, trials = _keep(
-                rest, origin, configs, grads, energies, gsq, trials)
+            origin, live, configs, grads, energies, gsq, trials = _keep(
+                rest, origin, live, configs, grads, energies, gsq, trials)
+            groups = _groups(live)
         trials = [trial * 0.5 for trial in trials]
     return (passed,) + accepted
 
 
-def _descend_stack(potential, n, starts, max_iter, grad_tol):
-    """The descent engine: the starts descend as one C-contiguous
-    (S, n, d) stack.  Each energy evaluation is one distance pass and one
-    W call for every start still descending, and each state evaluation
-    adds one dW/dr call.  Every start keeps its own step, backtracking,
-    stopping rule, history and snapshots, and leaves the stack when it
-    stops.  The per-start sums run over contiguous rows, in the order a
-    lone configuration's would, and the per-start scalars are Python
-    floats, so each trace is bit for bit the one its start has alone."""
+def _descend_stack(n, starts, max_iter, grad_tol):
+    """The descent engine: the (potential, init, seed) starts descend as
+    one C-contiguous (S, n, d) stack, whose rows are grouped in runs that
+    share a potential.  Each energy evaluation is one distance pass over
+    the stack and one W call per group with a start still descending, and
+    each state evaluation adds one dW/dr call per group.  Every start
+    keeps its own step, backtracking, stopping rule, history and
+    snapshots, and leaves the stack when it stops; the groups are
+    recomputed only then.  The per-start sums run over contiguous rows, in
+    the order a lone configuration's would, and the per-start scalars are
+    Python floats, so each trace is bit for bit the one its start has
+    alone."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not potential.differentiable:
-        raise NonDifferentiable(
-            f"{potential.label} carries no derivative model")
-    dim = potential.dimension
-    clamp = math.isfinite(potential.value_at_zero)
-
-    everyone = [_Start(init, seed) for init, seed in starts]
-    live = list(everyone)
-    configs = _centred(np.stack([
-        _initial_config(potential, n, dim, init, seed)
-        for init, seed in starts]))
+    live, initial = [], []
+    for row, (potential, init, seed) in enumerate(starts):
+        if not live or potential is not live[-1].potential:
+            if not potential.differentiable:
+                raise NonDifferentiable(
+                    f"{potential.label} carries no derivative model")
+            clamp = math.isfinite(potential.value_at_zero)
+            spacing = preferred_spacing(potential)
+        live.append(_Start(row, potential, clamp, init, seed))
+        initial.append(_initial_config(spacing, n, potential.dimension,
+                                       init, seed))
+    everyone = list(live)
+    configs = _centred(np.stack(initial))
+    groups, rows = _groups(live), slice(None)
     weights = np.zeros((len(live), n * (n - 1) // 2 + 1))
     slots = _pair_slots(n).ravel()
 
-    energies, grads, d, slopes = _descent_state(potential, configs, clamp,
-                                                weights, slots)
-    steps = [1.0 / (n * scale) if scale > 0 else 1.0
-             for scale in np.abs(slopes).max(axis=1).tolist()]
+    energies, grads, d, slopes = _descent_state(groups, configs, weights,
+                                                slots)
+    steps = [1.0 / (n * scale) if scale > 0 else 1.0 for slope in slopes
+             for scale in np.abs(slope).max(axis=1).tolist()]
     del slopes  # only the first step needs dW/dr; at n = 256 it is 261 kB
-    stride = max(1, max_iter // 128)
-    _record(live, 0, configs, energies, d, [0.0] * len(live), stride)
+    history = _History(len(live), n, configs.shape[2], max_iter)
+    history.record(0, live, rows, configs, energies, d, [0.0] * len(live))
+    last = 0  # the last iteration recorded
 
     def leave(flags, converged):
         """Finish the starts whose flag is set; the positions of the rest."""
         for start, config, flag in zip(live, configs, flags):
             if flag:
-                start.finish(potential, n, config, converged)
+                start.finish(history, last, config, converged)
         return [k for k, flag in enumerate(flags) if not flag]
 
     for it in range(1, max_iter + 1):
@@ -448,20 +572,22 @@ def _descend_stack(potential, n, starts, max_iter, grad_tol):
                 keep, live, configs, grads, energies, steps)
             if not live:
                 break
+            groups, rows = _groups(live), [start.row for start in live]
         gsq = np.add.reduce(grads * grads, axis=(1, 2)).tolist()
         passed, candidates, cand_energies, trials = _backtrack(
-            potential, configs, grads, energies, gsq, steps, clamp)
+            live, groups, configs, grads, energies, gsq, steps)
         if not all(passed):
             keep = leave([not flag for flag in passed], converged=False)
             live, candidates, cand_energies, trials = _keep(
                 keep, live, candidates, cand_energies, trials)
             if not live:
                 break
+            groups, rows = _groups(live), [start.row for start in live]
 
         configs = _centred(candidates)
         steps = trials
-        energies, grads, d = _descent_state(potential, configs, clamp,
-                                            weights, slots)[:3]
+        energies, grads, d = _descent_state(groups, configs, weights,
+                                            slots)[:3]
         if not all(map(math.isfinite, energies)):
             keep = []
             for k, (start, energy) in enumerate(zip(live, energies)):
@@ -475,40 +601,40 @@ def _descend_stack(potential, n, starts, max_iter, grad_tol):
                 steps)
             if not live:
                 break
+            groups, rows = _groups(live), [start.row for start in live]
         for energy, cand_energy in zip(energies, cand_energies):
             if abs(energy - cand_energy) > 1e-12 * (1.0 + abs(cand_energy)):
                 raise InvariantViolation(
                     "recentring changed the energy: "
                     f"{cand_energy!r} -> {energy!r}")
-        _record(live, it, configs, energies, d, steps, stride)
+        history.record(it, live, rows, configs, energies, d, steps)
+        last = it
 
     leave([True] * len(live), converged=False)
     return [start.outcome for start in everyone]
 
 
 def _q90_radii(configs):
-    """q90 radius of each configuration of a (S, n, d) stack."""
+    """q90 radius of each configuration of a (m, n, d) stack."""
     centred = _centred(configs)
     # np.linalg.norm(centred, axis=-1) evaluates this same expression
-    radii = np.sqrt(np.add.reduce(centred * centred, axis=-1))
-    return [_quantile90(row) for row in radii]
+    return _quantile90(np.sqrt(np.add.reduce(centred * centred, axis=-1)))
 
 
-def _quantile90(values) -> float:
-    """``np.quantile(values, 0.9)`` bit for bit, from one sort: numpy's
-    linear interpolation between the order statistics around the virtual
-    index 0.9 * (n - 1), evaluated from the nearer end."""
-    ordered = np.sort(values)
-    if math.isnan(ordered[-1]):
-        return math.nan
-    position = (ordered.size - 1) * 0.9
+def _quantile90(values):
+    """``np.quantile(values, 0.9, axis=-1)`` bit for bit, from one sort:
+    numpy's linear interpolation between the order statistics around the
+    virtual index 0.9 * (n - 1), evaluated from the nearer end."""
+    ordered = np.sort(values, axis=-1)
+    size = ordered.shape[-1]
+    position = (size - 1) * 0.9
     low = math.floor(position)
     t = position - low
-    a = float(ordered[low])
-    b = float(ordered[min(low + 1, ordered.size - 1)])
-    if t < 0.5:
-        return a + (b - a) * t
-    return b - (b - a) * (1 - t)
+    a = ordered[..., low]
+    b = ordered[..., min(low + 1, size - 1)]
+    out = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    # np.sort puts NaNs last, and a NaN makes numpy's quantile NaN
+    return np.where(np.isnan(ordered[..., -1]), math.nan, out)
 
 
 def _median_nn_distance(config) -> float:
@@ -680,24 +806,25 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
 
     Each grid point builds a potential via ``potential_factory(**params)``
     and descends from one start per seed (initializations cycle through
-    lattice / random_ball / two_cluster with the seed index); a point's
-    starts descend together as one stack, each with the trace
-    ``minimize_particles`` gives it.  Per point the scan emits one row per
-    seed plus an aggregate row carrying the majority classification and
-    the best energy.  A tie for the majority goes to the tied label of the
-    lowest (energy, seed) trace.  Failures of a point or of one seed are
-    recorded in the row's ``error`` field and do not stop the scan, except
-    InvariantViolation, which signals a bug and propagates.  When
-    ``with_stability`` is set, the aggregate row also carries the space
-    integral criterion verdict for cross-reading.
+    lattice / random_ball / two_cluster with the seed index).  The starts
+    of all points of one dimension descend together as one stack, each
+    with the trace ``minimize_particles`` gives it; a stack takes points
+    while its (S, n, n, N) coordinate differences stay within 2**16
+    doubles, and never splits a point's starts.  Per point the scan emits
+    one row per seed plus an aggregate row carrying the majority
+    classification and the best energy.  A tie for the majority goes to
+    the tied label of the lowest (energy, seed) trace.  Failures of a
+    point or of one seed are recorded in the row's ``error`` field and do
+    not stop the scan, except InvariantViolation, which signals a bug and
+    propagates.  When ``with_stability`` is set, the aggregate row also
+    carries the space integral criterion verdict for cross-reading.
     """
-    rows = []
+    cells, potentials = [], {}
     for params in param_grid:
         try:
             potential = potential_factory(**params)
         except Exception as exc:
-            rows.append(ScanRow(dict(params), None, "error", math.nan,
-                                "skipped", math.nan, error=str(exc)))
+            cells.append((params, str(exc), "skipped", math.nan))
             continue
 
         stab_outcome, stab_value = "skipped", math.nan
@@ -712,12 +839,26 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                 raise
             except Exception:
                 pass  # the cross-read stays "skipped"; descents still run
+        potentials[len(cells)] = potential
+        cells.append((params, None, stab_outcome, stab_value))
 
-        traces = _descend(potential, n, _cycled_starts(seeds), max_iter,
-                          grad_tol)
+    traces = {}
+    for stack in _scan_stacks(potentials, n, len(seeds)):
+        outcomes = _descend(n, [start for key in stack for start in
+                                _cycled_starts(potentials[key], seeds)],
+                            max_iter, grad_tol)
+        for k, key in enumerate(stack):
+            traces[key] = outcomes[k * len(seeds):(k + 1) * len(seeds)]
+
+    rows = []
+    for key, (params, error, stab_outcome, stab_value) in enumerate(cells):
+        if error is not None:
+            rows.append(ScanRow(dict(params), None, "error", math.nan,
+                                stab_outcome, stab_value, error=error))
+            continue
         labels = []
         best_energy = math.inf
-        for seed, trace in zip(seeds, traces):
+        for seed, trace in zip(seeds, traces.pop(key)):
             if isinstance(trace, Exception):
                 rows.append(ScanRow(dict(params), seed, "error", math.nan,
                                     stab_outcome, stab_value,
@@ -743,3 +884,18 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
                                 stab_outcome, stab_value,
                                 error="all seeds failed"))
     return rows
+
+
+def _scan_stacks(potentials, n, count):
+    """The keys of ``potentials`` (a scan's grid points) grouped into the
+    stacks they descend in: the points of one dimension in grid order, as
+    many to a stack as keep its (count * points, n, n, N) coordinate
+    differences within ``_STACK_DOUBLES``, and at least one."""
+    by_dimension = {}
+    for key, potential in potentials.items():
+        by_dimension.setdefault(potential.dimension, []).append(key)
+    stacks = []
+    for dimension, keys in by_dimension.items():
+        size = max(1, _STACK_DOUBLES // max(1, count * n * n * dimension))
+        stacks += [keys[k:k + size] for k in range(0, len(keys), size)]
+    return stacks

@@ -136,14 +136,20 @@ class PowerLaw(RadialPotential):
 
     def _profile(self, radii):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = radii ** self.a / self.a - radii ** self.r / self.r
+            out = radii ** self.a
+            out /= self.a
+            repulsion = radii ** self.r
+            repulsion /= self.r
+            out -= repulsion
         at_zero = radii == 0.0
         if np.any(at_zero):
             out[at_zero] = math.inf if self.r < 0 else 0.0
         return out
 
     def _profile_derivative(self, radii):
-        return radii ** (self.a - 1.0) - radii ** (self.r - 1.0)
+        out = radii ** (self.a - 1.0)
+        out -= radii ** (self.r - 1.0)
+        return out
 
     @property
     def value_at_zero(self):
@@ -181,13 +187,27 @@ class Morse(RadialPotential):
         self.G = G
         self.L = L
 
+    # the profiles compute exp(-s) - G * exp(-s / L) and
+    # -exp(-s) + (G / L) * exp(-s / L) operation by operation in two
+    # arrays, so a large evaluation holds two temporaries, not four
     def _profile(self, radii):
-        minus = -radii
-        return np.exp(minus) - self.G * np.exp(minus / self.L)
+        minus = np.negative(radii)
+        out = np.exp(minus)
+        attraction = np.divide(minus, self.L, out=minus)
+        np.exp(attraction, out=attraction)
+        attraction *= self.G
+        out -= attraction
+        return out
 
     def _profile_derivative(self, radii):
-        minus = -radii
-        return -np.exp(minus) + (self.G / self.L) * np.exp(minus / self.L)
+        minus = np.negative(radii)
+        out = np.exp(minus)
+        np.negative(out, out=out)
+        attraction = np.divide(minus, self.L, out=minus)
+        np.exp(attraction, out=attraction)
+        attraction *= self.G / self.L
+        out += attraction
+        return out
 
     @property
     def value_at_zero(self):
@@ -221,14 +241,29 @@ class GaussianMix(RadialPotential):
     def _profile(self, radii):
         out = np.zeros_like(radii)
         for amp, width in self.terms:
-            out += amp * np.exp(-((radii / width) ** 2))
+            bump = self._bump(radii, width)
+            bump *= amp
+            out += bump
         return out
 
     def _profile_derivative(self, radii):
         out = np.zeros_like(radii)
         for amp, width in self.terms:
-            out += amp * (-2.0 * radii / width**2) * np.exp(-((radii / width) ** 2))
+            slope = -2.0 * radii
+            slope /= width**2
+            slope *= amp
+            slope *= self._bump(radii, width)
+            out += slope
         return out
+
+    @staticmethod
+    def _bump(radii, width):
+        """exp(-((radii / width) ** 2)), operation by operation in one
+        array."""
+        bump = radii / width
+        bump **= 2
+        np.negative(bump, out=bump)
+        return np.exp(bump, out=bump)
 
     @property
     def value_at_zero(self):

@@ -671,7 +671,7 @@ def ruc_search(potential: RadialPotential,
     all_stalled = True
     for n in n_values:
         best = math.inf
-        for trace in _descend(potential, n, _cycled_starts(seeds),
+        for trace in _descend(n, _cycled_starts(potential, seeds),
                               optimizer_budget):
             if isinstance(trace, Exception):
                 raise trace

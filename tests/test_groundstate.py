@@ -246,6 +246,26 @@ def test_scan_isolates_bad_cells():
     assert len(good) == 1
     assert good[0].classification != "error"
 
+    # a tabulated cell in the middle of a grid stack has no derivative:
+    # its seeds fail, and the cells around it keep the rows they have alone
+    def factory(G):
+        if G == 1.0:
+            return Tabulated([0.0, 1.0], [1.0, 0.0], 1)
+        return Morse(G, 1.0, 1)
+
+    grid = [{"G": 0.5}, {"G": 1.0}, {"G": 2.0}]
+    rows = ground_state_scan(factory, grid, n=6, seeds=(0, 1), max_iter=100,
+                             with_stability=False)
+    tabulated = [row for row in rows if row.params["G"] == 1.0]
+    assert [row.classification for row in tabulated] == ["error"] * 3
+    assert tabulated[0].error == ("tabulated(2 knots,N=1) carries no "
+                                  "derivative model")
+    assert tabulated[-1].error == "all seeds failed"
+    for cell in (grid[0], grid[2]):
+        alone = ground_state_scan(factory, [cell], n=6, seeds=(0, 1),
+                                  max_iter=100, with_stability=False)
+        assert [row for row in rows if row.params == cell] == alone
+
 
 def test_scan_propagates_invariant_violations(monkeypatch):
     def broken(*args, **kwargs):
@@ -259,6 +279,10 @@ def test_scan_propagates_invariant_violations(monkeypatch):
         ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}], n=6,
                           seeds=(0, 1, 2), with_stability=False)
     with pytest.raises(InvariantViolation):
+        ground_state_scan(lambda G: Morse(G, 1.0, 1),
+                          [{"G": 0.5}, {"G": 2.0}], n=6, seeds=(0, 1, 2),
+                          with_stability=False)
+    with pytest.raises(InvariantViolation):
         ruc_search(Morse(1.0, 2.0, 2), n_list=(8, 16))
     with pytest.raises(InvariantViolation):
         minimize_particles(Morse(1.0, 2.0, 2), 8)
@@ -269,13 +293,13 @@ def test_scan_tie_sides_with_the_best_energy_among_the_tied_labels(
     labels = ["tight", "tight", "vanishing", "vanishing", "undecided"]
     energies = [-0.5, -0.4, -0.7, -0.3, -0.9]
 
-    def fake_descend(potential, n, starts, max_iter, grad_tol=1e-8):
+    def fake_descend(n, starts, max_iter, grad_tol=1e-8):
         return [MinimizationTrace(
             potential_label="fake", n=n, dimension=1, init=init, seed=seed,
             energies=np.array([0.0, energy]), q90_radii=np.ones(2),
             max_pair_distances=np.ones(2), step_sizes=np.zeros(2),
             final_config=np.zeros((n, 1)), converged=False)
-            for (init, seed), energy in zip(starts, energies)]
+            for (_, init, seed), energy in zip(starts, energies)]
 
     monkeypatch.setattr(groundstate, "_descend", fake_descend)
     monkeypatch.setattr(groundstate, "classify_trace",
@@ -323,20 +347,20 @@ def test_a_colliding_start_leaves_the_stack_and_the_others_carry_on(
     stacks = []
     engine = groundstate._descend_stack
 
-    def spied(potential, n, starts, *args):
+    def spied(n, starts, *args):
         stacks.append(len(starts))
-        return engine(potential, n, starts, *args)
+        return engine(n, starts, *args)
 
     monkeypatch.setattr(groundstate, "_descend_stack", spied)
     w = Cliff(1.0, 2.0, 2)
-    starts = groundstate._cycled_starts((0, 1, 2))
-    outcomes = groundstate._descend(w, 8, starts, 400)
+    starts = groundstate._cycled_starts(w, (0, 1, 2))
+    outcomes = groundstate._descend(8, starts, 400)
     # one stack: the collision did not send the starts to run alone
     assert stacks == [3]
     # the two_cluster start collides at iteration 11, the others stop on
     # their own at iterations 64 and 58
     assert isinstance(outcomes[2], ParticleCollision)
-    for (init, seed), trace in zip(starts[:2], outcomes):
+    for (_, init, seed), trace in zip(starts[:2], outcomes):
         assert_same_trace(trace, minimize_particles(w, 8, init=init,
                                                     seed=seed, max_iter=400))
     assert [trace.iterations for trace in outcomes[:2]] == [64, 58]
@@ -359,10 +383,10 @@ def test_other_failures_are_pinned_on_their_own_start():
     # a stacked W evaluation that raises cannot say whose pairs it was;
     # each start then runs alone and keeps its own outcome
     w = Brittle(1.0, 2.0, 2)
-    starts = groundstate._cycled_starts((0, 1, 2))
-    outcomes = groundstate._descend(w, 8, starts, 400)
+    starts = groundstate._cycled_starts(w, (0, 1, 2))
+    outcomes = groundstate._descend(8, starts, 400)
     assert isinstance(outcomes[2], ArithmeticError)
-    for (init, seed), trace in zip(starts[:2], outcomes):
+    for (_, init, seed), trace in zip(starts[:2], outcomes):
         assert_same_trace(trace, minimize_particles(w, 8, init=init,
                                                     seed=seed, max_iter=400))
     rows = ground_state_scan(lambda G: Brittle(G, 2.0, 2), [{"G": 1.0}],
@@ -370,6 +394,99 @@ def test_other_failures_are_pinned_on_their_own_start():
     assert [row.classification == "error" for row in rows] == [
         False, False, True, False]
     assert rows[2].error == "radius beyond 6.0"
+
+
+def spy_stacks(monkeypatch):
+    """Record the starts of every call of the descent engine, and of each
+    call that returned, its outcome per (potential, init, seed)."""
+    calls, outcomes = [], {}
+    engine = groundstate._descend_stack
+
+    def spied(n, starts, *args):
+        calls.append(starts)
+        got = engine(n, starts, *args)
+        outcomes.update(zip(starts, got))
+        return got
+
+    monkeypatch.setattr(groundstate, "_descend_stack", spied)
+    return calls, outcomes
+
+
+@pytest.mark.parametrize("keys", [
+    # profiles singular at contact (no clamp) and finite (clamped) in one
+    # stack
+    [{"r": r} for r in (-0.5, 0.5, 1.0)],
+    # the dimension as a key, alternating: one stack per dimension
+    [{"r": r, "dimension": N} for r in (-0.5, 0.5) for N in (1, 2)],
+], ids=["mixed-clamps", "two-dimensions"])
+def test_a_scan_stack_gives_each_start_its_lone_trace(monkeypatch, keys):
+    calls, outcomes = spy_stacks(monkeypatch)
+    made = []
+
+    def factory(r, dimension=2):
+        made.append(PowerLaw(2.0, r, dimension))
+        return made[-1]
+
+    rows = ground_state_scan(factory, keys, n=8, seeds=(0, 1, 2),
+                             max_iter=150, with_stability=False)
+    dimensions = sorted({w.dimension for w in made})
+    assert [sorted({w.dimension for w, _, _ in starts})
+            for starts in calls] == [[dim] for dim in dimensions]
+    assert [len(starts) for starts in calls] == [
+        3 * sum(w.dimension == dim for w in made) for dim in dimensions]
+    assert {math.isfinite(w.value_at_zero) for w in made} == {True, False}
+    per_seed = iter(row for row in rows if row.seed is not None)
+    for w in made:
+        for init, seed in zip(("lattice", "random_ball", "two_cluster"),
+                              (0, 1, 2)):
+            trace = outcomes[(w, init, seed)]
+            assert_same_trace(trace, minimize_particles(
+                w, 8, init=init, seed=seed, max_iter=150))
+            row = next(per_seed)
+            assert (row.seed, row.classification, row.best_energy) == (
+                seed, classify_trace(trace), trace.final_energy)
+
+
+def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
+        monkeypatch):
+    calls, outcomes = spy_stacks(monkeypatch)
+    made = {}
+
+    def factory(G):
+        made[G] = (Brittle if G == 1.0 else Morse)(G, 2.0, 2)
+        return made[G]
+
+    rows = ground_state_scan(factory, [{"G": 0.5}, {"G": 1.0}, {"G": 2.0}],
+                             n=8, seeds=(0, 1, 2), max_iter=400,
+                             with_stability=False)
+    # the grid stack raised, each cell reran as its own stack, and the
+    # brittle cell's starts each alone
+    assert [len(starts) for starts in calls] == [9, 3, 3, 1, 1, 1, 3]
+    assert [row.error for row in rows if row.params["G"] == 1.0] == [
+        "", "", "radius beyond 6.0", ""]
+    for G in (0.5, 2.0):
+        for init, seed in zip(("lattice", "random_ball", "two_cluster"),
+                              (0, 1, 2)):
+            assert_same_trace(outcomes[(made[G], init, seed)],
+                              minimize_particles(made[G], 8, init=init,
+                                                 seed=seed, max_iter=400))
+
+
+def test_a_grid_stack_records_its_histories_in_little_memory():
+    # the twelve cells of the README scan descend as one stack of 36
+    # starts, all of them recorded until the last one stops
+    import tracemalloc
+
+    grid = [{"G": G, "L": L} for G in (0.25, 0.5, 1.0, 2.0)
+            for L in (0.5, 1.0, 2.0)]
+    tracemalloc.start()
+    try:
+        ground_state_scan(lambda G, L: Morse(G, L, 1), grid, n=16,
+                          seeds=(0, 1, 2), with_stability=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
@@ -398,8 +515,8 @@ def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
         radii = np.linalg.norm(config - config.mean(axis=0), axis=1)
         return float(np.quantile(radii, 0.9))
 
-    config = groundstate._initial_config(potential, n, potential.dimension,
-                                         init, seed)
+    config = groundstate._initial_config(preferred_spacing(potential), n,
+                                         potential.dimension, init, seed)
     config = config - config.mean(axis=0)
     energy, grad = energy_and_gradient(config)
     d0 = terms(config)
@@ -462,21 +579,22 @@ def test_descent_reproduces_the_reference_loop_bit_for_bit(potential, n,
     # the same start in the middle of a stack with the other two inits
     others = [kind for kind in ("lattice", "random_ball", "two_cluster")
               if kind != init]
-    starts = [(others[0], 2), (init, 1), (others[1], 0)]
-    stacked = groundstate._descend(potential, n, starts, 300)
+    starts = [(potential, others[0], 2), (potential, init, 1),
+              (potential, others[1], 0)]
+    stacked = groundstate._descend(n, starts, 300)
     assert_same_trace(stacked[1], want)
     assert stacked[1].converged == trace.converged
-    for (kind, seed), got in zip(starts[::2], stacked[::2]):
+    for (_, kind, seed), got in zip(starts[::2], stacked[::2]):
         assert_same_trace(got, minimize_particles(
             potential, n, init=kind, seed=seed, max_iter=300))
 
 
 def test_stacked_starts_stop_at_their_own_iterations():
     w = Morse(1.0, 2.0, 2)
-    starts = groundstate._cycled_starts((0, 1, 2))
-    stacked = groundstate._descend(w, 8, starts, 400)
+    starts = groundstate._cycled_starts(w, (0, 1, 2))
+    stacked = groundstate._descend(8, starts, 400)
     assert [trace.iterations for trace in stacked] == [64, 58, 318]
-    for (init, seed), trace in zip(starts, stacked):
+    for (_, init, seed), trace in zip(starts, stacked):
         assert_same_trace(trace, reference_descent(w, 8, init, seed, 400))
         assert_same_trace(trace, minimize_particles(w, 8, init=init,
                                                     seed=seed, max_iter=400))
@@ -497,10 +615,10 @@ def test_stack_above_the_pdist_threshold_is_bit_for_bit(monkeypatch,
 
     monkeypatch.setattr(geometry, "_gathered_distances", spied)
     w = Morse(1.0, 2.0, dimension)
-    starts = [("random_ball", 3), ("lattice", 0)]
-    stacked = groundstate._descend(w, 64, starts, 200)
+    starts = [(w, "random_ball", 3), (w, "lattice", 0)]
+    stacked = groundstate._descend(64, starts, 200)
     assert ((2, 64, dimension) in gathered) == (not by_pdist)
-    for (init, seed), trace in zip(starts, stacked):
+    for (_, init, seed), trace in zip(starts, stacked):
         assert_same_trace(trace, reference_descent(w, 64, init, seed, 200))
         assert_same_trace(trace, minimize_particles(w, 64, init=init,
                                                     seed=seed, max_iter=200))

@@ -79,6 +79,45 @@ def test_gaussmix_values_and_closed_forms():
         GaussianMix([], 1)
 
 
+def _oracle_profiles(w, radii):
+    """W and dW/dr by each family's plain expressions, one temporary per
+    operation."""
+    if isinstance(w, Morse):
+        minus = -radii
+        return (np.exp(minus) - w.G * np.exp(minus / w.L),
+                -np.exp(minus) + (w.G / w.L) * np.exp(minus / w.L))
+    if isinstance(w, PowerLaw):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = radii ** w.a / w.a - radii ** w.r / w.r
+            slopes = radii ** (w.a - 1.0) - radii ** (w.r - 1.0)
+        values[radii == 0.0] = math.inf if w.r < 0 else 0.0
+        return values, slopes
+    values, slopes = np.zeros_like(radii), np.zeros_like(radii)
+    for amp, width in w.terms:
+        values += amp * np.exp(-((radii / width) ** 2))
+        slopes += (amp * (-2.0 * radii / width**2)
+                   * np.exp(-((radii / width) ** 2)))
+    return values, slopes
+
+
+@pytest.mark.parametrize("w", [
+    Morse(2.0, 1.0, 1), Morse(1.0, 2.0, 2), Morse(0.25, 0.5, 1),
+    Morse(0.5, 3.0, 3),
+    PowerLaw(2.0, 1.0, 1), PowerLaw(2.0, -0.5, 2), PowerLaw(2.0, 0.5, 1),
+    PowerLaw(3.0, -2.0, 3), PowerLaw(-0.5, -1.5, 2),
+    GaussianMix([(1.0, 1.0)], 1), GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1),
+    GaussianMix([(1.0, 1.0), (-0.3, 1.5)], 3),
+], ids=lambda w: w.label)
+def test_profiles_are_bit_for_bit_the_plain_expressions(w):
+    rng = np.random.default_rng(3)
+    for scale in (1e-6, 1.0, 30.0, 300.0):
+        radii = np.concatenate(([0.0, 1e-10, 1.0, scale],
+                                scale * rng.exponential(size=997)))
+        values, slopes = _oracle_profiles(w, radii)
+        assert np.array_equal(w(radii), values)
+        assert np.array_equal(w.derivative(radii[1:]), slopes[1:])
+
+
 def test_tabulated_interpolation_and_edges():
     w = Tabulated([0.0, 1.0, 2.0], [3.0, 1.0, 0.0], 1)
     assert w(0.5) == pytest.approx(2.0)

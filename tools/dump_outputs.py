@@ -14,13 +14,13 @@ largest absolute and relative deviation.
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure), ``probe_hypotheses`` of the same
-potentials, seven CLI runs (exit code, stdout and every output file: JSON
+potentials, eight CLI runs (exit code, stdout and every output file: JSON
 without its timestamp, CSV verbatim, others hashed), and the jobs of
 perfbench's ``descent`` workload with start seed 0: for each of the 19
 ``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
 configuration, a hash of its snapshots and its ``classify_trace`` label,
 and the two ``ruc_search`` verdicts with their per-pair minima.  A dump
-takes about 14 s on a 2-vCPU x86-64 box, and its peak RSS is about 190 MB.
+takes 9-12 s on a 2-vCPU x86-64 box, and its peak RSS is about 180 MB.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ CLI_RUNS = {
         "family": "morse", "G": 1.0, "L": 1.0, "dimension": 1},
         "grid": {"G": [0.25, 0.5, 1.0, 2.0], "L": [0.5, 1.0, 2.0]},
         "n": 16, "seeds": [0, 1, 2]},
+    # a grid stack that mixes profiles singular (r < 0) and finite at
+    # contact, two dimensions, and cells whose potential is refused (r > a)
+    "scan_mixed": {"command": "scan", "potential": {
+        "family": "powerlaw", "a": 2.0, "r": 1.0, "dimension": 1},
+        "grid": {"r": [-0.5, 0.5, 3.0], "dimension": [1, 2]},
+        "n": 12, "seeds": [0, 1, 2]},
 }
 
 # (family, parameters, dimension) of the descent benchmark's profiles
