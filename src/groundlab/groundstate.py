@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .errors import (InvariantViolation, NonDifferentiable,
                      ParticleCollision)
@@ -106,20 +107,37 @@ class MinimizationTrace:
 def _energies(groups, configs):
     """Energy of each configuration of a (S, n, d) stack, as floats, and
     the (S, pairs) distances it was read from: one distance pass for the
-    whole stack and one W call per group.  ``groups`` are the
-    (potential, first row, end row, clamp) of the runs of rows that share
-    a potential (:func:`_groups`); each clamps its own rows, since a stack
-    can mix profiles finite and singular at contact."""
+    whole stack and one W call per group.  ``groups`` are the (rows,
+    starts) of the runs of rows that share a potential (:func:`_groups`);
+    each clamps its own rows, since a stack can mix profiles finite and
+    singular at contact."""
     n = configs.shape[1]
     d = pair_distances(configs)
     totals = []
-    for potential, first, end, clamp in groups:
-        rows = d[first:end]
-        if clamp:
+    for span, members in groups:
+        rows = d[span]
+        if members[0].clamp:
             np.maximum(rows, _MIN_SEPARATION, out=rows)
-        values = potential(rows.reshape(-1)).reshape(rows.shape)
+        values = _group_call(members[0].potential, members, rows)
         totals += np.add.reduce(values, axis=1).tolist()
     return [(2.0 / n**2) * total for total in totals], d
+
+
+def _group_call(evaluate, members, rows):
+    """``evaluate`` (W or dW/dr of a group's potential) at the group's
+    (k, pairs) rows of pair distances.  If the group failed before or the
+    call raises anything but InvariantViolation, its rows read NaN and its
+    starts fail: a lone start keeps the exception as its outcome, and the
+    starts of a larger group are left to descend again alone."""
+    if not members[0].failed:
+        try:
+            return evaluate(rows.reshape(-1)).reshape(rows.shape)
+        except InvariantViolation:
+            raise
+        except Exception as exc:
+            for start in members:
+                start.fail(exc if len(members) == 1 else None)
+    return np.full(rows.shape, math.nan)
 
 
 def _descent_state(groups, configs, weights, slots):
@@ -133,10 +151,10 @@ def _descent_state(groups, configs, weights, slots):
     energies, d = _energies(groups, configs)
     padded = weights[:count]
     slopes = []
-    for potential, first, end, _ in groups:
-        rows = d[first:end]
-        slope = potential.derivative(rows.reshape(-1)).reshape(rows.shape)
-        np.divide(slope, rows, out=padded[first:end, 1:])
+    for span, members in groups:
+        rows = d[span]
+        slope = _group_call(members[0].potential.derivative, members, rows)
+        np.divide(slope, rows, out=padded[span, 1:])
         slopes.append(slope)
     mat = padded.take(slots, axis=1).reshape(count, n, n)
     if configs.shape[2] == 1:
@@ -154,14 +172,19 @@ def _descent_state(groups, configs, weights, slots):
     return energies, grads, d, slopes
 
 
+# one configuration's groups: a W or dW/dr call that raises reads NaN
+def _lone_groups(potential, clamp):
+    return _groups([_Start(0, potential, clamp, None, None)])
+
+
 def _energy(potential, config, clamp):
-    return _energies([(potential, 0, 1, clamp)], config[None])[0][0]
+    return _energies(_lone_groups(potential, clamp), config[None])[0][0]
 
 
 def _energy_and_gradient(potential, config, clamp):
     n = config.shape[0]
     energies, grads, _, _ = _descent_state(
-        [(potential, 0, 1, clamp)], config[None],
+        _lone_groups(potential, clamp), config[None],
         np.zeros((1, n * (n - 1) // 2 + 1)), _pair_slots(n).ravel())
     return energies[0], grads[0]
 
@@ -173,11 +196,6 @@ def _pair_slots(n):
     slots = np.zeros((n, n), dtype=np.intp)
     slots[rows, cols] = slots[cols, rows] = np.arange(1, rows.size + 1)
     return slots
-
-
-def _square_form(values, n):
-    """Symmetric n x n matrix of condensed pair values, zero diagonal."""
-    return np.concatenate(([0.0], values))[_pair_slots(n)]
 
 
 def _centred(config):
@@ -299,43 +317,33 @@ def _cycled_starts(potential, seeds):
 
 def _descend(n, starts, max_iter, grad_tol=1e-8):
     """Descents of n particles from each (potential, init, seed) of
-    ``starts``, run together.  Returns one entry per start, in order: its
-    MinimizationTrace, or the exception that stopped it.
-    InvariantViolation propagates.
+    ``starts``, run together as one stack (:func:`_descend_stack`).
+    Returns one entry per start, in order: its MinimizationTrace, or the
+    exception that stopped it.  InvariantViolation propagates.
 
-    A start whose energy turns non-finite leaves the stack with a
-    ParticleCollision while the others carry on.  Any other exception
-    cannot be pinned on one start of a stack: each run of starts that
-    share a potential then descends as a stack of its own, and the starts
-    of a lone run each alone, so that every start keeps its own outcome.
+    A start whose group's W or dW/dr call raised with other starts' pairs
+    in it has no outcome of its own from the stack: it descends again
+    alone, and so does every start when the stack raises outside any
+    group call.
     """
     try:
-        return _descend_stack(n, starts, max_iter, grad_tol)
+        outcomes = _descend_stack(n, starts, max_iter, grad_tol)
     except InvariantViolation:
         raise
     except Exception as exc:
-        if len(starts) == 1:
-            return [exc]
-        runs = _runs([potential for potential, _, _ in starts])
-        parts = ([starts[first:end] for first, end in runs] if len(runs) > 1
-                 else [[start] for start in starts])
-        return [outcome for part in parts
-                for outcome in _descend(n, part, max_iter, grad_tol)]
-
-
-def _runs(potentials):
-    """(first, end) positions of each run of consecutive entries that are
-    one and the same potential."""
-    edges = [0] + [k for k in range(1, len(potentials))
-                   if potentials[k] is not potentials[k - 1]]
-    return list(zip(edges, edges[1:] + [len(potentials)]))
+        outcomes = [exc] if len(starts) == 1 else [None] * len(starts)
+    return [outcome if outcome is not None
+            else _descend(n, [start], max_iter, grad_tol)[0]
+            for start, outcome in zip(starts, outcomes)]
 
 
 def _groups(starts):
-    """(potential, first row, end row, clamp) of each run of a stack's
-    starts that share a potential."""
-    return [(starts[first].potential, first, end, starts[first].clamp)
-            for first, end in _runs([start.potential for start in starts])]
+    """(rows, starts) of each run of a stack's starts that share a
+    potential."""
+    edges = [0] + [k for k in range(1, len(starts))
+                   if starts[k].potential is not starts[k - 1].potential]
+    return [(slice(first, end), starts[first:end])
+            for first, end in zip(edges, edges[1:] + [len(starts)])]
 
 
 class _Snapshots(Sequence):
@@ -373,6 +381,12 @@ class _Start:
         # configurations
         self.snapshots = []
         self.outcome = None
+        self.failed = False
+
+    def fail(self, outcome):
+        """Stop the start with ``outcome``: an exception pinned on it, or
+        None if it must descend again alone."""
+        self.failed, self.outcome = True, outcome
 
     def finish(self, history, last, config, converged):
         """Read out the start's history through iteration ``last`` and make
@@ -470,7 +484,8 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
     """Armijo backtracking of each start of a stack from twice its last
     step, halving the steps that fail the test, at most
     ``_MAX_BACKTRACKS`` times.  Only the starts still backtracking are
-    evaluated; their groups are recomputed when one stops.
+    evaluated; their groups are recomputed when one stops.  A start whose
+    group's call raised stops at once.
 
     Returns, per start, whether it found a step, and the accepted
     configurations, their energies and their steps (junk where it found
@@ -486,6 +501,8 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
             (cand_energy,), _ = _energies(groups, candidates)
             if cand_energy <= energy - _ARMIJO_SLOPE * trial * slope:
                 return [True], candidates, [cand_energy], [trial]
+            if live[0].failed:
+                break
             trial *= 0.5
         return [False], candidates, [cand_energy], [trial]
     trials = [step * 2.0 for step in steps]
@@ -504,7 +521,7 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
                 accepted[0][row] = candidates[k]
                 accepted[1][row] = cand_energy
                 accepted[2][row] = trial
-            else:
+            elif not live[k].failed:
                 rest.append(k)
         if not rest:
             break
@@ -523,22 +540,29 @@ def _descend_stack(n, starts, max_iter, grad_tol):
     the stack and one W call per group with a start still descending, and
     each state evaluation adds one dW/dr call per group.  Every start
     keeps its own step, backtracking, stopping rule, history and
-    snapshots, and leaves the stack when it stops; the groups are
-    recomputed only then.  The per-start sums run over contiguous rows, in
-    the order a lone configuration's would, and the per-start scalars are
-    Python floats, so each trace is bit for bit the one its start has
-    alone."""
+    snapshots.  The per-start sums run over contiguous rows, in the order
+    a lone configuration's would, and the per-start scalars are Python
+    floats, so each trace is bit for bit the one its start has alone.
+
+    A start stops on a small gradient, when no step passes the Armijo
+    test, on a non-finite energy (a ParticleCollision), at the end of its
+    budget, or when its group's call raised or its potential carries no
+    derivative (NonDifferentiable); it then leaves the stack, and the
+    groups are recomputed only then.  A group whose call raised reads NaN
+    and is called no more; the other groups carry on bit for bit.  Returns
+    each start's trace or exception, or None for a start whose failure
+    could not be pinned on it alone (see :func:`_group_call`)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     live, initial = [], []
     for row, (potential, init, seed) in enumerate(starts):
         if not live or potential is not live[-1].potential:
-            if not potential.differentiable:
-                raise NonDifferentiable(
-                    f"{potential.label} carries no derivative model")
             clamp = math.isfinite(potential.value_at_zero)
             spacing = preferred_spacing(potential)
         live.append(_Start(row, potential, clamp, init, seed))
+        if not potential.differentiable:
+            live[-1].fail(NonDifferentiable(
+                f"{potential.label} carries no derivative model"))
         initial.append(_initial_config(spacing, n, potential.dimension,
                                        init, seed))
     everyone = list(live)
@@ -556,52 +580,54 @@ def _descend_stack(n, starts, max_iter, grad_tol):
     history.record(0, live, rows, configs, energies, d, [0.0] * len(live))
     last = 0  # the last iteration recorded
 
-    def leave(flags, converged):
-        """Finish the starts whose flag is set; the positions of the rest."""
-        for start, config, flag in zip(live, configs, flags):
-            if flag:
+    def leave(stopped, converged, *stack):
+        """Finish the starts flagged in ``stopped``, and take them and the
+        starts that failed out of the stack and its groups; returns the
+        arrays and lists of ``stack`` at the starts that stay."""
+        nonlocal live, groups, rows
+        keep = [k for k, (start, stop) in enumerate(zip(live, stopped))
+                if not (stop or start.failed)]
+        for start, config, stop in zip(live, configs, stopped):
+            if stop and not start.failed:
                 start.finish(history, last, config, converged)
-        return [k for k, flag in enumerate(flags) if not flag]
+        live, *stack = _keep(keep, live, *stack)
+        groups, rows = _groups(live), [start.row for start in live]
+        return stack
 
+    # a start whose group failed finds no step, and leaves with the starts
+    # that found none
     for it in range(1, max_iter + 1):
         norms = np.maximum.reduce(np.abs(grads), axis=(1, 2)).tolist()
         small = [norm < grad_tol for norm in norms]
         if any(small):
-            keep = leave(small, converged=True)
-            live, configs, grads, energies, steps = _keep(
-                keep, live, configs, grads, energies, steps)
+            configs, grads, energies, steps = leave(
+                small, True, configs, grads, energies, steps)
             if not live:
                 break
-            groups, rows = _groups(live), [start.row for start in live]
         gsq = np.add.reduce(grads * grads, axis=(1, 2)).tolist()
         passed, candidates, cand_energies, trials = _backtrack(
             live, groups, configs, grads, energies, gsq, steps)
         if not all(passed):
-            keep = leave([not flag for flag in passed], converged=False)
-            live, candidates, cand_energies, trials = _keep(
-                keep, live, candidates, cand_energies, trials)
+            candidates, cand_energies, trials = leave(
+                [not flag for flag in passed], False,
+                candidates, cand_energies, trials)
             if not live:
                 break
-            groups, rows = _groups(live), [start.row for start in live]
 
         configs = _centred(candidates)
         steps = trials
         energies, grads, d = _descent_state(groups, configs, weights,
                                             slots)[:3]
         if not all(map(math.isfinite, energies)):
-            keep = []
-            for k, (start, energy) in enumerate(zip(live, energies)):
-                if math.isfinite(energy):
-                    keep.append(k)
-                else:
-                    start.outcome = ParticleCollision(
-                        "energy became non-finite after an accepted step")
-            live, configs, grads, energies, d, cand_energies, steps = _keep(
-                keep, live, configs, grads, energies, d, cand_energies,
-                steps)
+            for start, energy in zip(live, energies):
+                if not (start.failed or math.isfinite(energy)):
+                    start.fail(ParticleCollision(
+                        "energy became non-finite after an accepted step"))
+            configs, grads, energies, d, cand_energies, steps = leave(
+                [False] * len(live), False,
+                configs, grads, energies, d, cand_energies, steps)
             if not live:
                 break
-            groups, rows = _groups(live), [start.row for start in live]
         for energy, cand_energy in zip(energies, cand_energies):
             if abs(energy - cand_energy) > 1e-12 * (1.0 + abs(cand_energy)):
                 raise InvariantViolation(
@@ -610,7 +636,7 @@ def _descend_stack(n, starts, max_iter, grad_tol):
         history.record(it, live, rows, configs, energies, d, steps)
         last = it
 
-    leave([True] * len(live), converged=False)
+    leave([True] * len(live), False)
     return [start.outcome for start in everyone]
 
 
@@ -618,37 +644,22 @@ def _q90_radii(configs):
     """q90 radius of each configuration of a (m, n, d) stack."""
     centred = _centred(configs)
     # np.linalg.norm(centred, axis=-1) evaluates this same expression
-    return _quantile90(np.sqrt(np.add.reduce(centred * centred, axis=-1)))
-
-
-def _quantile90(values):
-    """``np.quantile(values, 0.9, axis=-1)`` bit for bit, from one sort:
-    numpy's linear interpolation between the order statistics around the
-    virtual index 0.9 * (n - 1), evaluated from the nearer end."""
-    ordered = np.sort(values, axis=-1)
-    size = ordered.shape[-1]
-    position = (size - 1) * 0.9
-    low = math.floor(position)
-    t = position - low
-    a = ordered[..., low]
-    b = ordered[..., min(low + 1, size - 1)]
-    out = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
-    # np.sort puts NaNs last, and a NaN makes numpy's quantile NaN
-    return np.where(np.isnan(ordered[..., -1]), math.nan, out)
+    return np.quantile(np.sqrt(np.add.reduce(centred * centred, axis=-1)),
+                       0.9, axis=-1)
 
 
 def _median_nn_distance(config) -> float:
     n = config.shape[0]
     if n < 2:
         return 0.0
-    d = _square_form(pair_distances(config), n)
+    d = squareform(pair_distances(config))
     np.fill_diagonal(d, math.inf)
     return float(np.median(d.min(axis=1)))
 
 
 def _two_means(config, iterations: int = 60):
     """Deterministic 2-means: seeded from the most separated pair."""
-    d = _square_form(pair_distances(config), config.shape[0])
+    d = squareform(pair_distances(config))
     i, j = np.unravel_index(np.argmax(d), d.shape)
     centers = np.stack([config[i], config[j]])
     labels = np.zeros(config.shape[0], dtype=int)
@@ -816,7 +827,10 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     the tied label of the lowest (energy, seed) trace.  Failures of a
     point or of one seed are recorded in the row's ``error`` field and do
     not stop the scan, except InvariantViolation, which signals a bug and
-    propagates.  When ``with_stability`` is set, the aggregate row also
+    propagates.  A point whose W or dW/dr raises stops only its own starts
+    in the stack: a lone seed keeps the exception, several seeds each
+    descend again alone, and the other points' starts carry on with their
+    lone traces.  When ``with_stability`` is set, the aggregate row also
     carries the space integral criterion verdict for cross-reading.
     """
     cells, potentials = [], {}

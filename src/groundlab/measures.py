@@ -282,7 +282,8 @@ def _rasterized(radius, dimension, per_half, profile):
     mass = values.sum() * h**dimension
     if mass <= 0:
         raise ValueError("profile has no mass on the requested grid")
-    return GridDensity(np.full(dimension, -radius), h, values / mass)
+    values /= mass  # the profile's array is its own: no full-size copy
+    return GridDensity(np.full(dimension, -radius), h, values)
 
 
 def uniform_ball_density(radius: float, dimension: int,

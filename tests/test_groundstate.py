@@ -13,7 +13,7 @@ from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
 from groundlab.errors import (InvariantViolation, NonDifferentiable,
                               ParticleCollision)
 from groundlab.groundstate import _energy, _energy_and_gradient, \
-    _quantile90, preferred_spacing
+    _q90_radii, preferred_spacing
 
 
 def test_two_particle_optimum_powerlaw():
@@ -233,7 +233,7 @@ def test_scan_phase_flip_with_stability_cross_read():
     assert len(per_seed) == 4
 
 
-def test_scan_isolates_bad_cells():
+def test_scan_isolates_bad_cells(monkeypatch):
     rows = ground_state_scan(
         lambda G: Morse(G, 1.0, 1), [{"G": 0.5}, {"G": -3.0}],
         n=6, seeds=(0,), max_iter=100, with_stability=False)
@@ -247,15 +247,18 @@ def test_scan_isolates_bad_cells():
     assert good[0].classification != "error"
 
     # a tabulated cell in the middle of a grid stack has no derivative:
-    # its seeds fail, and the cells around it keep the rows they have alone
+    # its seeds fail in the one engine call, and the cells around it keep
+    # the rows they have alone
     def factory(G):
         if G == 1.0:
             return Tabulated([0.0, 1.0], [1.0, 0.0], 1)
         return Morse(G, 1.0, 1)
 
     grid = [{"G": 0.5}, {"G": 1.0}, {"G": 2.0}]
+    calls, _ = spy_stacks(monkeypatch)
     rows = ground_state_scan(factory, grid, n=6, seeds=(0, 1), max_iter=100,
                              with_stability=False)
+    assert [len(starts) for starts in calls] == [6]
     tabulated = [row for row in rows if row.params["G"] == 1.0]
     assert [row.classification for row in tabulated] == ["error"] * 3
     assert tabulated[0].error == ("tabulated(2 knots,N=1) carries no "
@@ -459,9 +462,10 @@ def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
     rows = ground_state_scan(factory, [{"G": 0.5}, {"G": 1.0}, {"G": 2.0}],
                              n=8, seeds=(0, 1, 2), max_iter=400,
                              with_stability=False)
-    # the grid stack raised, each cell reran as its own stack, and the
-    # brittle cell's starts each alone
-    assert [len(starts) for starts in calls] == [9, 3, 3, 1, 1, 1, 3]
+    # the brittle cell's dW/dr call raised with three starts' pairs in it:
+    # the other cells finished in the grid stack, and only the brittle
+    # cell's starts descended again, each alone
+    assert [len(starts) for starts in calls] == [9, 1, 1, 1]
     assert [row.error for row in rows if row.params["G"] == 1.0] == [
         "", "", "radius beyond 6.0", ""]
     for G in (0.5, 2.0):
@@ -470,6 +474,65 @@ def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
             assert_same_trace(outcomes[(made[G], init, seed)],
                               minimize_particles(made[G], 8, init=init,
                                                  seed=seed, max_iter=400))
+
+
+def test_a_lone_start_that_raises_keeps_its_exception(monkeypatch):
+    # three one-start groups: the middle start's dW/dr call raises with
+    # only its own pairs in it, so the stack pins the exception on it
+    calls, _ = spy_stacks(monkeypatch)
+    starts = [(Morse(0.5, 2.0, 2), "lattice", 0),
+              (Brittle(1.0, 2.0, 2), "two_cluster", 2),
+              (Morse(2.0, 2.0, 2), "random_ball", 1)]
+    outcomes = groundstate._descend(8, starts, 400)
+    assert [len(starts) for starts in calls] == [3]
+    assert isinstance(outcomes[1], ArithmeticError)
+    assert str(outcomes[1]) == "radius beyond 6.0"
+    for k in (0, 2):
+        w, init, seed = starts[k]
+        assert_same_trace(outcomes[k], minimize_particles(
+            w, 8, init=init, seed=seed, max_iter=400))
+
+
+class Sticky(Morse):
+    """Morse whose W raises on pairs closer than ``edge`` but apart: a
+    collapsing descent raises on a trial step, inside its backtracking."""
+
+    edge = 1e-6
+
+    def _profile(self, radii):
+        if np.any((radii > 0) & (radii < self.edge)):
+            raise FloatingPointError(f"pair closer than {self.edge}")
+        return super()._profile(radii)
+
+
+def test_a_trial_step_that_raises_stops_only_its_own_start(monkeypatch):
+    calls, _ = spy_stacks(monkeypatch)
+    failed = []
+    backtrack = groundstate._backtrack
+
+    def spied(live, *args):
+        got = backtrack(live, *args)
+        if any(start.failed for start in live):
+            failed.append([start.failed for start in live])
+        return got
+
+    monkeypatch.setattr(groundstate, "_backtrack", spied)
+    w, other = Sticky(2.0, 1.0, 1), Morse(0.5, 1.0, 1)
+    starts = [(other, "lattice", 0), (w, "random_ball", 1),
+              (w, "lattice", 0), (other, "two_cluster", 2)]
+    outcomes = groundstate._descend(8, starts, 2000)
+    # each sticky start raised on a trial step while it was the only start
+    # of its group still backtracking, so the stack pinned it on that start
+    assert [len(starts) for starts in calls] == [4]
+    assert failed == [[False, False, True, False], [False, True, False]]
+    for k in (1, 2):
+        assert str(outcomes[k]) == "pair closer than 1e-06"
+        with pytest.raises(FloatingPointError):
+            minimize_particles(w, 8, init=starts[k][1], seed=starts[k][2],
+                               max_iter=2000)
+    for k in (0, 3):
+        assert_same_trace(outcomes[k], minimize_particles(
+            other, 8, init=starts[k][1], seed=starts[k][2], max_iter=2000))
 
 
 def test_a_grid_stack_records_its_histories_in_little_memory():
@@ -626,18 +689,27 @@ def test_stack_above_the_pdist_threshold_is_bit_for_bit(monkeypatch,
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 10, 11, 16, 64, 257))
 def test_quantile90_matches_numpy_bit_for_bit(n):
+    # a block's q90 radii, read out for a stack of configurations at once,
+    # are numpy's quantile of each configuration's radii as the reference
+    # loop takes it, one configuration at a time
+    def lone(config):
+        radii = np.linalg.norm(config - config.mean(axis=0), axis=1)
+        return np.quantile(radii, 0.9)
+
     rng = np.random.default_rng(n)
-    # numpy interpolates from the upper end when the weight is >= 0.5; from
-    # the lower end about one draw in eight rounds differently at n = 2..4
     for scale in (1e-12, 1.0, 1e3):
-        for _ in range(50):
-            values = scale * rng.exponential(size=n)
-            assert _quantile90(values) == float(np.quantile(values, 0.9))
-    ties = np.repeat([0.5, 2.0], (n + 1) // 2)[:n]
-    assert _quantile90(ties) == float(np.quantile(ties, 0.9))
-    with_nan = rng.exponential(size=n)
-    with_nan[0] = math.nan
-    assert math.isnan(_quantile90(with_nan))
+        configs = scale * rng.standard_normal((50, n, 2))
+        assert np.array_equal(_q90_radii(configs),
+                              [lone(config) for config in configs])
+    # points on a circle tie at one radius; a NaN coordinate makes every
+    # radius of its configuration NaN
+    angles = 2 * np.pi * np.arange(n) / n
+    ties = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    with_nan = rng.standard_normal((n, 2))
+    with_nan[0, 0] = math.nan
+    got = _q90_radii(np.stack([ties, with_nan]))
+    assert got[0] == lone(ties)
+    assert math.isnan(got[1])
 
 
 class CountingMorse(Morse):
