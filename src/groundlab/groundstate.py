@@ -41,7 +41,8 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_BACKTRACKS = 48
 # a start's trace keeps the configurations of its last _TAIL iterations
 # (after the first) among its snapshots; its history is read out in
-# blocks of _BLOCK iterations
+# blocks of _BLOCK iterations, and it stops once its energy has been
+# bit-constant for _BLOCK iterations
 _TAIL = 129
 _BLOCK = 128
 # a scan's grid points join one stack while its (S, n, n, N) coordinate
@@ -62,7 +63,11 @@ class MinimizationTrace:
     ``iterations`` rows: (iteration, energy, q90_radius, max_pair_distance,
     step).  ``snapshots`` keeps a thinned history of configurations for the
     classifier, as a sequence of (iteration, configuration) pairs;
-    ``final_config`` is centred on its centroid.
+    ``final_config`` is centred on its centroid.  ``stop_reason`` says why
+    the run stopped: ``gradient`` (small gradient), ``stalled`` (energy
+    bit-constant for 128 iterations), ``no_step`` (no step passed the
+    Armijo test) or ``budget`` (``max_iter`` reached); the first two set
+    ``converged``.
     """
 
     potential_label: str
@@ -76,6 +81,7 @@ class MinimizationTrace:
     step_sizes: np.ndarray
     final_config: np.ndarray
     converged: bool
+    stop_reason: str = "budget"
     snapshots: Sequence = field(repr=False, default=())
 
     @property
@@ -271,9 +277,13 @@ def minimize_particles(potential: RadialPotential, n: int,
     on its centroid every iteration (the energy only sees pair distances).
     Profiles finite at contact get their pair distances clamped below at
     1e-10 inside the energy, which keeps collapsing clusters finite and
-    gradients defined.  The run stops once the gradient is small, when no
-    step passes the test within 48 halvings, or after ``max_iter``
-    iterations.
+    gradients defined.  The run stops once the gradient is small, once the
+    recorded energy has been bit-for-bit equal to the previous iteration's
+    for 128 iterations in a row (a bit-exact fixed point of the energy),
+    when no step passes the test within 48 halvings, or after ``max_iter``
+    iterations; the trace's ``stop_reason`` says which (``gradient``,
+    ``stalled``, ``no_step``, ``budget``), and the first two count as
+    converged.
 
     Each configuration's pair distances are computed once, by
     :func:`~groundlab.geometry.pair_distances`: a trial step's feed its
@@ -388,11 +398,11 @@ class _Start:
         None if it must descend again alone."""
         self.failed, self.outcome = True, outcome
 
-    def finish(self, history, last, config, converged):
+    def finish(self, history, last, config, reason):
         """Read out the start's history through iteration ``last`` and make
-        its trace.  Its snapshots are the stride-spaced configurations and
-        then the dense tail (:meth:`_History.tail`), which ends with
-        ``config``."""
+        its trace, stopped for ``reason``.  Its snapshots are the
+        stride-spaced configurations and then the dense tail
+        (:meth:`_History.tail`), which ends with ``config``."""
         history.read(self, last + 1)
         tail_iterations, tail = history.tail(self, last)
         first = max(1, last + 1 - _TAIL)
@@ -415,7 +425,8 @@ class _Start:
             max_pair_distances=max_pair_distances,
             step_sizes=steps,
             final_config=config.copy(),
-            converged=converged,
+            converged=reason in ("gradient", "stalled"),
+            stop_reason=reason,
             snapshots=_Snapshots(iterations, configs),
         )
 
@@ -427,9 +438,11 @@ class _History:
     ``_TAIL`` iterations, with their energies, largest pair distances and
     steps beside them.  Every ``_BLOCK`` iterations, and when a start
     leaves, each start's pending iterations are read out as one block: its
-    q90 radii in one vectorised pass, and copies of the configurations at
-    multiples of the stride, which the classifier keeps.  The ring still
-    holds the dense tail that a leaving start's snapshots end with.
+    q90 radii, and copies of the configurations at multiples of the
+    stride, which the classifier keeps.  A full block's q90 radii come
+    from one vectorised pass over all live starts, a leaving start's from
+    one pass of its own.  The ring still holds the dense tail that a
+    leaving start's snapshots end with.
     """
 
     def __init__(self, count, n, dim, max_iter):
@@ -449,21 +462,30 @@ class _History:
         self.values[1, slot, rows] = np.maximum.reduce(d, axis=1)
         self.values[2, slot, rows] = steps
         if it + 1 - self.pending == _BLOCK:
-            for start in live:
-                self.read(start, it + 1)
+            _, slots = self._slots(self.pending, it + 1)
+            starts = np.arange(self.configs.shape[1])[rows]
+            block = self.configs[slots[:, None], starts]
+            # one (iteration, start) configuration per row, as a lone
+            # start's read-out takes them, so the radii keep their bits
+            q90 = _q90_radii(block.reshape(-1, *block.shape[2:])).reshape(
+                block.shape[:2])
+            for k, start in enumerate(live):
+                self.read(start, it + 1, q90[:, k])
             self.pending = it + 1
 
     def _slots(self, first, end):
         iterations = np.arange(first, end)
         return iterations, iterations % len(self.configs)
 
-    def read(self, start, end):
+    def read(self, start, end, q90=None):
         """Append the start's iterations from ``pending`` up to ``end`` to
-        its history."""
+        its history; ``q90`` are their q90 radii if already read."""
         iterations, slots = self._slots(self.pending, end)
         configs = self.configs[slots, start.row]
+        if q90 is None:
+            q90 = _q90_radii(configs)
         start.blocks.append(np.concatenate(
-            (self.values[:, slots, start.row], _q90_radii(configs)[None])))
+            (self.values[:, slots, start.row], q90[None])))
         kept = iterations % self.stride == 0
         start.snapshots.append((iterations[kept], configs[kept]))
 
@@ -544,14 +566,19 @@ def _descend_stack(n, starts, max_iter, grad_tol):
     a lone configuration's would, and the per-start scalars are Python
     floats, so each trace is bit for bit the one its start has alone.
 
-    A start stops on a small gradient, when no step passes the Armijo
-    test, on a non-finite energy (a ParticleCollision), at the end of its
-    budget, or when its group's call raised or its potential carries no
-    derivative (NonDifferentiable); it then leaves the stack, and the
-    groups are recomputed only then.  A group whose call raised reads NaN
-    and is called no more; the other groups carry on bit for bit.  Returns
-    each start's trace or exception, or None for a start whose failure
-    could not be pinned on it alone (see :func:`_group_call`)."""
+    A start stops on a small gradient, once its recorded energy has been
+    bit-for-bit equal to the previous iteration's for ``_BLOCK`` (128)
+    iterations in a row (``==`` on the floats, so NaN never counts), when
+    no step passes the Armijo test, on a non-finite energy (a
+    ParticleCollision), at the end of its budget, or when its group's call
+    raised or its potential carries no derivative (NonDifferentiable); it
+    then leaves the stack, and the groups are recomputed only then.  A
+    trace's ``stop_reason`` names the first four: ``gradient``,
+    ``stalled``, ``no_step`` or ``budget``.  A group whose call raised
+    reads NaN and is called no more; the other groups carry on bit for
+    bit.  Returns each start's trace or exception, or None for a start
+    whose failure could not be pinned on it alone (see
+    :func:`_group_call`)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     live, initial = [], []
@@ -579,17 +606,21 @@ def _descend_stack(n, starts, max_iter, grad_tol):
     history = _History(len(live), n, configs.shape[2], max_iter)
     history.record(0, live, rows, configs, energies, d, [0.0] * len(live))
     last = 0  # the last iteration recorded
+    # per live start, for how many iterations in a row its recorded energy
+    # equalled the one before
+    runs = [0] * len(live)
 
-    def leave(stopped, converged, *stack):
-        """Finish the starts flagged in ``stopped``, and take them and the
-        starts that failed out of the stack and its groups; returns the
-        arrays and lists of ``stack`` at the starts that stay."""
+    def leave(reasons, *stack):
+        """Finish the starts with a stop reason in ``reasons`` (None for a
+        start that goes on), and take them and the starts that failed out
+        of the stack and its groups; returns the arrays and lists of
+        ``stack`` at the starts that stay."""
         nonlocal live, groups, rows
-        keep = [k for k, (start, stop) in enumerate(zip(live, stopped))
-                if not (stop or start.failed)]
-        for start, config, stop in zip(live, configs, stopped):
-            if stop and not start.failed:
-                start.finish(history, last, config, converged)
+        keep = [k for k, (start, reason) in enumerate(zip(live, reasons))
+                if not (reason or start.failed)]
+        for start, config, reason in zip(live, configs, reasons):
+            if reason and not start.failed:
+                start.finish(history, last, config, reason)
         live, *stack = _keep(keep, live, *stack)
         groups, rows = _groups(live), [start.row for start in live]
         return stack
@@ -598,34 +629,39 @@ def _descend_stack(n, starts, max_iter, grad_tol):
     # that found none
     for it in range(1, max_iter + 1):
         norms = np.maximum.reduce(np.abs(grads), axis=(1, 2)).tolist()
-        small = [norm < grad_tol for norm in norms]
-        if any(small):
-            configs, grads, energies, steps = leave(
-                small, True, configs, grads, energies, steps)
+        reasons = ["gradient" if norm < grad_tol
+                   else "stalled" if run >= _BLOCK else None
+                   for norm, run in zip(norms, runs)]
+        if any(reasons):
+            configs, grads, energies, steps, runs = leave(
+                reasons, configs, grads, energies, steps, runs)
             if not live:
                 break
         gsq = np.add.reduce(grads * grads, axis=(1, 2)).tolist()
         passed, candidates, cand_energies, trials = _backtrack(
             live, groups, configs, grads, energies, gsq, steps)
         if not all(passed):
-            candidates, cand_energies, trials = leave(
-                [not flag for flag in passed], False,
-                candidates, cand_energies, trials)
+            candidates, cand_energies, trials, energies, runs = leave(
+                [None if flag else "no_step" for flag in passed],
+                candidates, cand_energies, trials, energies, runs)
             if not live:
                 break
 
         configs = _centred(candidates)
         steps = trials
+        previous = energies
         energies, grads, d = _descent_state(groups, configs, weights,
                                             slots)[:3]
+        runs = [run + 1 if energy == before else 0
+                for run, energy, before in zip(runs, energies, previous)]
         if not all(map(math.isfinite, energies)):
             for start, energy in zip(live, energies):
                 if not (start.failed or math.isfinite(energy)):
                     start.fail(ParticleCollision(
                         "energy became non-finite after an accepted step"))
-            configs, grads, energies, d, cand_energies, steps = leave(
-                [False] * len(live), False,
-                configs, grads, energies, d, cand_energies, steps)
+            configs, grads, energies, d, cand_energies, steps, runs = leave(
+                [None] * len(live),
+                configs, grads, energies, d, cand_energies, steps, runs)
             if not live:
                 break
         for energy, cand_energy in zip(energies, cand_energies):
@@ -636,16 +672,21 @@ def _descend_stack(n, starts, max_iter, grad_tol):
         history.record(it, live, rows, configs, energies, d, steps)
         last = it
 
-    leave([True] * len(live), False)
+    leave(["budget"] * len(live))
     return [start.outcome for start in everyone]
 
 
 def _q90_radii(configs):
     """q90 radius of each configuration of a (m, n, d) stack."""
-    centred = _centred(configs)
-    # np.linalg.norm(centred, axis=-1) evaluates this same expression
-    return np.quantile(np.sqrt(np.add.reduce(centred * centred, axis=-1)),
-                       0.9, axis=-1)
+    squares = _centred(configs)
+    # np.linalg.norm(centred, axis=-1) evaluates this same expression; the
+    # temporaries are overwritten in place, since a full block of a grid
+    # stack is as large as the history's ring
+    np.multiply(squares, squares, out=squares)
+    radii = np.add.reduce(squares, axis=-1)
+    del squares
+    np.sqrt(radii, out=radii)
+    return np.quantile(radii, 0.9, axis=-1, overwrite_input=True)
 
 
 def _median_nn_distance(config) -> float:

@@ -1,6 +1,5 @@
+import dataclasses
 import math
-
-from collections import deque
 
 import numpy as np
 import pytest
@@ -12,8 +11,9 @@ from groundlab import (GaussianMix, MinimizationTrace, Morse, PowerLaw,
                        groundstate, minimize_particles, ruc_search)
 from groundlab.errors import (InvariantViolation, NonDifferentiable,
                               ParticleCollision)
-from groundlab.groundstate import _energy, _energy_and_gradient, \
+from groundlab.groundstate import _BLOCK, _energy, _energy_and_gradient, \
     _q90_radii, preferred_spacing
+from groundlab.potentials import RadialPotential
 
 
 def test_two_particle_optimum_powerlaw():
@@ -180,6 +180,7 @@ def test_classify_real_runs():
     spread = minimize_particles(GaussianMix([(1.0, 1.0)], 2), 16, seed=0,
                                 max_iter=2000)
     assert classify_trace(spread) == "vanishing"
+    assert (spread.stop_reason, spread.converged) == ("gradient", True)
     assert spread.final_energy >= 0.0
 
     held = minimize_particles(PowerLaw(2.0, 1.0, 2), 16, seed=0,
@@ -206,6 +207,7 @@ def test_collapsed_traces_classify_as_tight():
         label, info = classify_trace(trace, return_details=True)
         assert (label, info.get("route")) == ("tight", "collapse"), \
             (n, init, seed)
+        assert trace.stop_reason == "stalled"
 
 
 def test_growing_tails_never_classify_as_vanishing():
@@ -341,7 +343,8 @@ def assert_same_trace(trace, want):
     for (k, got), (_, config) in zip(trace.snapshots, get("snapshots")):
         assert np.array_equal(got, config), k
     if not isinstance(want, dict):
-        assert trace.converged == want.converged
+        assert (trace.converged, trace.stop_reason) == (want.converged,
+                                                        want.stop_reason)
         assert (trace.init, trace.seed) == (want.init, want.seed)
 
 
@@ -555,9 +558,10 @@ def test_a_grid_stack_records_its_histories_in_little_memory():
 def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
     """The descent loop with one scipy ``pdist`` per trial energy, one for
     the gradient, one for the recorded largest pair distance and one more
-    for the slope scale, and ``np.quantile`` for the q90 radius.  The
-    production loop reuses one distance vector per configuration and must
-    reproduce this one bit for bit."""
+    for the slope scale, and ``np.quantile`` for the q90 radius.  It has
+    no stall stop: the production loop reuses one distance vector per
+    configuration and must reproduce this one bit for bit, up to the
+    iteration where it stalls (:func:`reference_prefix`)."""
     clamp = math.isfinite(potential.value_at_zero)
 
     def terms(config):
@@ -587,9 +591,7 @@ def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
     step = 1.0 / (n * slope_scale) if slope_scale > 0 else 1.0
     energies, radii, max_pd, steps = [energy], [q90(config)], \
         [float(np.max(d0))], [0.0]
-    stride = max(1, max_iter // 128)
-    snapshots = [(0, config.copy())]
-    tail = deque(maxlen=129)
+    configs = [config]
     for it in range(1, max_iter + 1):
         if float(np.max(np.abs(grad))) < grad_tol:
             break
@@ -611,32 +613,62 @@ def reference_descent(potential, n, init, seed, max_iter, grad_tol=1e-8):
         radii.append(q90(config))
         max_pd.append(float(np.max(terms(config))))
         steps.append(trial)
-        if it % stride == 0:
-            snapshots.append((it, config.copy()))
-        tail.append((it, config.copy()))
-    merged = dict(snapshots)
-    merged.update(dict(tail))
-    merged[len(energies) - 1] = config.copy()
-    return {"energies": np.asarray(energies), "q90_radii": np.asarray(radii),
+        configs.append(config)
+    full = {"energies": np.asarray(energies), "q90_radii": np.asarray(radii),
             "max_pair_distances": np.asarray(max_pd),
-            "step_sizes": np.asarray(steps), "final_config": config,
-            "snapshots": sorted(merged.items())}
+            "step_sizes": np.asarray(steps), "configs": configs,
+            "stride": max(1, max_iter // 128)}
+    return reference_prefix(full, len(energies) - 1)
 
 
-@pytest.mark.parametrize("potential, n, init", [
-    (Morse(2.0, 1.0, 1), 16, "lattice"),
-    (Morse(2.0, 1.0, 1), 16, "random_ball"),
-    (Morse(2.0, 1.0, 1), 16, "two_cluster"),
-    (Morse(1.0, 2.0, 3), 16, "random_ball"),
-    (PowerLaw(2.0, -0.5, 2), 16, "lattice"),  # W(0) = inf: no clamp
-    (Morse(1.0, 2.0, 2), 64, "two_cluster"),
+def reference_prefix(want, last):
+    """A reference_descent run as it stood after iteration ``last``: its
+    rows through ``last``, and its snapshots at multiples of the stride
+    and at its last 129 iterations."""
+    configs = want["configs"][:last + 1]
+    return dict(want, configs=configs, final_config=configs[-1],
+                snapshots=[(k, config) for k, config in enumerate(configs)
+                           if k % want["stride"] == 0 or k > last - 129],
+                **{name: want[name][:last + 1] for name in (
+                    "energies", "q90_radii", "max_pair_distances",
+                    "step_sizes")})
+
+
+REFERENCE_CASES = [
+    # the collapsing starts stall: their energy is bit-constant from about
+    # iteration 35 on
+    (Morse(2.0, 1.0, 1), 16, "lattice", "stalled"),
+    (Morse(2.0, 1.0, 1), 16, "random_ball", "stalled"),
+    (Morse(2.0, 1.0, 1), 16, "two_cluster", "stalled"),
+    (Morse(1.0, 2.0, 3), 16, "random_ball", "budget"),
+    # W(0) = inf: no clamp
+    (PowerLaw(2.0, -0.5, 2), 16, "lattice", "gradient"),
+    (Morse(1.0, 2.0, 2), 64, "two_cluster", "budget"),
     # an expanding profile, and n not a power of two
-    (Morse(0.5, 1.0, 2), 24, "random_ball"),
-], ids=lambda v: getattr(v, "label", v))
+    (Morse(0.5, 1.0, 2), 24, "random_ball", "gradient"),
+]
+
+
+@pytest.mark.parametrize("potential, n, init, reason", REFERENCE_CASES,
+                         ids=[f"{w.label}-{n}-{init}"
+                              for w, n, init, _ in REFERENCE_CASES])
 def test_descent_reproduces_the_reference_loop_bit_for_bit(potential, n,
-                                                           init):
+                                                           init, reason):
     trace = minimize_particles(potential, n, init=init, seed=1, max_iter=300)
-    want = reference_descent(potential, n, init, seed=1, max_iter=300)
+    full = reference_descent(potential, n, init, seed=1, max_iter=300)
+    assert trace.stop_reason == reason
+    last = trace.iterations
+    if reason == "stalled":
+        # the reference runs on, and every iteration it records after the
+        # stop, as the _BLOCK before it, has the stop's energy
+        assert last < full["energies"].size - 1
+        assert np.all(full["energies"][last - _BLOCK:]
+                      == full["energies"][last])
+        assert np.any(full["energies"][last - _BLOCK - 1:]
+                      != full["energies"][last])
+    else:
+        assert last == full["energies"].size - 1
+    want = reference_prefix(full, last)
     assert_same_trace(trace, want)
 
     # the same start in the middle of a stack with the other two inits
@@ -646,7 +678,8 @@ def test_descent_reproduces_the_reference_loop_bit_for_bit(potential, n,
               (potential, others[1], 0)]
     stacked = groundstate._descend(n, starts, 300)
     assert_same_trace(stacked[1], want)
-    assert stacked[1].converged == trace.converged
+    assert (stacked[1].converged, stacked[1].stop_reason) == (
+        trace.converged, reason)
     for (_, kind, seed), got in zip(starts[::2], stacked[::2]):
         assert_same_trace(got, minimize_particles(
             potential, n, init=kind, seed=seed, max_iter=300))
@@ -712,6 +745,74 @@ def test_quantile90_matches_numpy_bit_for_bit(n):
     assert math.isnan(got[1])
 
 
+class Astray(Morse):
+    """Morse whose derivative model reads NaN: every trial step along its
+    gradient has a NaN energy, so no step passes the Armijo test."""
+
+    def _profile_derivative(self, radii):
+        return np.full(radii.shape, math.nan)
+
+
+class Bump(RadialPotential):
+    """W(s) = (1 - s)**3 for s < 1, and 0 beyond: a repulsion of compact
+    support, whose spreading gas stops interacting."""
+
+    family = "bump"
+    differentiable = True
+
+    def _profile(self, radii):
+        return np.maximum(1.0 - radii, 0.0) ** 3
+
+    def _profile_derivative(self, radii):
+        return -3.0 * np.maximum(1.0 - radii, 0.0) ** 2
+
+
+def test_each_start_of_a_stack_stops_for_its_own_reason():
+    # the start that finds no step leaves before the stalling one, whose
+    # count of bit-constant energies must stay its own
+    starts = [(Morse(1.0, 2.0, 1), "lattice", 0),
+              (Astray(1.0, 2.0, 1), "lattice", 0),
+              (Morse(2.0, 1.0, 1), "random_ball", 1),
+              (Morse(0.5, 1.0, 1), "lattice", 0)]
+    stacked = groundstate._descend(16, starts, 400)
+    assert [(trace.iterations, trace.stop_reason, trace.converged)
+            for trace in stacked] == [
+        (53, "gradient", True), (0, "no_step", False),
+        (164, "stalled", True), (400, "budget", False)]
+    for (w, init, seed), trace in zip(starts, stacked):
+        assert_same_trace(trace, minimize_particles(w, 16, init=init,
+                                                    seed=seed, max_iter=400))
+    energies = stacked[2].energies
+    assert np.all(energies[-_BLOCK - 1:] == energies[-1])
+    assert energies[-_BLOCK - 2] != energies[-1]
+
+
+def test_a_stalling_start_carries_on_past_a_collision_in_its_stack():
+    # with no gradient stop the gas of bumps spreads until its energy
+    # freezes; the colliding start leaves at iteration 11, before it
+    starts = [(Cliff(1.0, 2.0, 2), "two_cluster", 2), (Bump(2), "lattice", 0)]
+    stacked = groundstate._descend(8, starts, 400, grad_tol=0.0)
+    assert isinstance(stacked[0], ParticleCollision)
+    assert (stacked[1].iterations, stacked[1].stop_reason) == (143,
+                                                               "stalled")
+    assert_same_trace(stacked[1], minimize_particles(
+        Bump(2), 8, init="lattice", seed=0, max_iter=400, grad_tol=0.0))
+
+
+def test_a_gas_whose_energy_freezes_stalls_and_still_vanishes():
+    # a stall is a fixed point, so it counts as converged and the
+    # frozen-expansion route reads the trace; were it not counted so, the
+    # frozen gas would read as a settled radius
+    trace = minimize_particles(Bump(2), 16, init="lattice", seed=0,
+                               max_iter=2000, grad_tol=0.0)
+    assert (trace.iterations, trace.stop_reason, trace.converged) == (
+        222, "stalled", True)
+    label, info = classify_trace(trace, return_details=True)
+    assert (label, info["route"]) == ("vanishing", "frozen-expansion")
+    assert classify_trace(dataclasses.replace(
+        trace, converged=False)) == "tight"
+
+
 class CountingMorse(Morse):
     """Morse profile counting its pair-energy and derivative evaluations."""
 
@@ -744,7 +845,8 @@ def test_descent_computes_each_configuration_once(monkeypatch):
     potential = CountingMorse(2.0, 1.0, 1, pairs=n * (n - 1) // 2)
     trace = minimize_particles(potential, n, init="lattice", seed=0,
                                max_iter=200)
-    assert trace.iterations == 200
+    # the collapse's energy is bit-constant from iteration 35 on
+    assert (trace.iterations, trace.stop_reason) == (163, "stalled")
     # the start and every accepted step evaluate dW/dr once, and the
     # slope scale reuses the start's values
     assert potential.derivative_calls == trace.iterations + 1

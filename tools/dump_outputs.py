@@ -9,7 +9,9 @@ outputs of two checkouts and comparing them:
 
 ``compare`` lists each non-numeric difference with both values, and
 groups numeric ones (CSV cells included) by field, with their count and
-largest absolute and relative deviation.
+largest absolute and relative deviation.  A list that is a strict prefix
+of the other (a trace that stops earlier) takes one line: both lengths,
+and whether the longer list's tail stays at the last shared value.
 
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
@@ -232,11 +234,31 @@ def _float(text):
         return text
 
 
+def _prefix_line(where, old, new):
+    """One line for two lists of which one is a strict prefix of the
+    other, or None."""
+    if not (isinstance(old, list) and isinstance(new, list)):
+        return None
+    short, long = sorted((old, new), key=len)
+    if not short or len(short) == len(long) or long[:len(short)] != short:
+        return None
+    tail = "dropped" if short is new else "added"
+    same = all(value == short[-1] for value in long[len(short):])
+    return (f"{where}: {len(old)} -> {len(new)} entries, a prefix; the "
+            f"{tail} tail {'equals' if same else 'differs from'} the last "
+            f"kept value")
+
+
 def summarize(found):
     """Lines grouping numeric differences by field, with their count and
-    largest absolute and relative deviation; other differences verbatim."""
+    largest absolute and relative deviation; prefixes in one line each
+    (:func:`_prefix_line`); other differences verbatim."""
     groups, lines = {}, []
     for where, old, new in found:
+        line = _prefix_line(where, old, new)
+        if line is not None:
+            lines.append(line)
+            continue
         for cell in _cells(old, new, where):
             if cell is None:
                 lines.append(f"{where}\n  old: {old!r}\n  new: {new!r}")
