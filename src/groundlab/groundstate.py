@@ -113,55 +113,76 @@ class MinimizationTrace:
 def _energies(groups, configs):
     """Energy of each configuration of a (S, n, d) stack, as floats, and
     the (S, pairs) distances it was read from: one distance pass for the
-    whole stack and one W call per group.  ``groups`` are the (rows,
-    starts) of the runs of rows that share a potential (:func:`_groups`);
-    each clamps its own rows, since a stack can mix profiles finite and
-    singular at contact."""
+    whole stack and one W call per run of rows (:func:`_groups`)."""
     n = configs.shape[1]
-    d = pair_distances(configs)
+    d = _distances(groups, configs)
     totals = []
-    for span, members in groups:
-        rows = d[span]
-        if members[0].clamp:
-            np.maximum(rows, _MIN_SEPARATION, out=rows)
-        values = _group_call(members[0].potential, members, rows)
-        totals += np.add.reduce(values, axis=1).tolist()
+    for span, members, values, _ in groups:
+        totals += np.add.reduce(_group_call(values, members, d[span]),
+                                axis=1).tolist()
     return [(2.0 / n**2) * total for total in totals], d
 
 
-def _group_call(evaluate, members, rows):
-    """``evaluate`` (W or dW/dr of a group's potential) at the group's
-    (k, pairs) rows of pair distances.  If the group failed before or the
-    call raises anything but InvariantViolation, its rows read NaN and its
-    starts fail: a lone start keeps the exception as its outcome, and the
-    starts of a larger group are left to descend again alone."""
+def _distances(groups, configs):
+    """(S, pairs) distances of a stack, each group's rows clamped at
+    ``_MIN_SEPARATION`` if its profile is finite at contact: a stack can
+    mix profiles finite and singular there."""
+    d = pair_distances(configs)
+    for span, members, _, _ in groups:
+        if members[0].clamp:
+            np.maximum(d[span], _MIN_SEPARATION, out=d[span])
+    return d
+
+
+def _group_call(evaluate, members, rows, parts=1):
+    """``evaluate`` at a group's (k, pairs) rows of pair distances: its
+    array, or its ``parts`` arrays, of their shape.  If the group failed
+    before or the call raises anything but InvariantViolation, they read
+    NaN and the group's starts fail: a lone start keeps the exception as
+    its outcome, and the starts of a larger group are left to descend
+    again alone."""
     if not members[0].failed:
         try:
-            return evaluate(rows.reshape(-1)).reshape(rows.shape)
+            return evaluate(rows)
         except InvariantViolation:
             raise
         except Exception as exc:
             for start in members:
                 start.fail(exc if len(members) == 1 else None)
-    return np.full(rows.shape, math.nan)
+    nan = np.full(rows.shape, math.nan)
+    return nan if parts == 1 else (nan,) * parts
+
+
+def _checked(evaluate):
+    """A potential's checked W or dW/dr at a group's (k, pairs) rows,
+    passed as one flat array, as a lone start's are."""
+    return lambda rows: evaluate(rows.reshape(-1)).reshape(rows.shape)
 
 
 def _descent_state(groups, configs, weights, slots):
     """Energies, gradients and pair distances of a (S, n, d) stack, and
-    each group's dW/dr at them, from one pass over its pairs.  ``weights``
-    is a (at least S, pairs + 1) buffer whose first column is zero,
-    ``slots`` the flattened :func:`_pair_slots` of n: the pair weights
-    dW/dr / r go into the buffer and are gathered into square form from
-    there."""
+    each group's dW/dr at them, from one distance pass: one fused W and
+    dW/dr call per run of rows that has the run forms, and a W call then
+    a dW/dr call per group of the other potentials.  ``weights`` is a
+    (at least S, pairs + 1) buffer whose first column is zero, ``slots``
+    the flattened :func:`_pair_slots` of n: the pair weights dW/dr / r go
+    into the buffer and are gathered into square form from there."""
     count, n = configs.shape[:2]
-    energies, d = _energies(groups, configs)
+    d = _distances(groups, configs)
     padded = weights[:count]
-    slopes = []
-    for span, members in groups:
+    totals, slopes = [], []
+    for span, members, values, state in groups:
         rows = d[span]
-        slope = _group_call(members[0].potential.derivative, members, rows)
+        if state is None:
+            terms = _group_call(values, members, rows)
+            slope = _group_call(_checked(members[0].potential.derivative),
+                                members, rows)
+        else:
+            terms, slope = _group_call(state, members, rows, parts=2)
+        totals += np.add.reduce(terms, axis=1).tolist()
         np.divide(slope, rows, out=padded[span, 1:])
         slopes.append(slope)
+    energies = [(2.0 / n**2) * total for total in totals]
     mat = padded.take(slots, axis=1).reshape(count, n, n)
     if configs.shape[2] == 1:
         diffs = configs[:, :, None, :] - configs[:, None, :, :]
@@ -348,12 +369,35 @@ def _descend(n, starts, max_iter, grad_tol=1e-8):
 
 
 def _groups(starts):
-    """(rows, starts) of each run of a stack's starts that share a
-    potential."""
-    edges = [0] + [k for k in range(1, len(starts))
-                   if starts[k].potential is not starts[k - 1].potential]
-    return [(slice(first, end), starts[first:end])
-            for first, end in zip(edges, edges[1:] + [len(starts)])]
+    """(rows, starts, W, W and dW/dr) of each run of a stack's
+    consecutive starts that one call per evaluation serves, with its
+    evaluators of (k, pairs) distances, built once here.  Clamped starts
+    whose potentials share one exact type with the run forms (see
+    RadialPotential) and as many run parameters are one run, evaluated
+    with a row of parameters per start: W, or W and dW/dr from the same
+    exponentials.  Other starts group while they share a potential and
+    keep its checked calls, W and then dW/dr; their W and dW/dr evaluator
+    is None."""
+    edges = [k for k in range(len(starts))
+             if k == 0 or not _joins(starts[k - 1], starts[k])]
+    groups = []
+    for first, end in zip(edges, edges[1:] + [len(starts)]):
+        members = starts[first:end]
+        if members[0].forms is None:
+            profiles = _checked(members[0].potential), None
+        else:
+            profiles = members[0].forms._run_profiles(
+                np.array([start.parameters for start in members]))
+        groups.append((slice(first, end), members, *profiles))
+    return groups
+
+
+def _joins(before, start):
+    """Whether ``start`` joins the group of the start ``before`` it."""
+    if start.forms is None:
+        return start.potential is before.potential
+    return (start.forms is before.forms
+            and len(start.parameters) == len(before.parameters))
 
 
 class _Snapshots(Sequence):
@@ -375,13 +419,23 @@ class _Snapshots(Sequence):
 
 
 class _Start:
-    """One start of a descent stack: its row, the blocks of its history
+    """One start of a descent stack: its row, its potential's run forms
+    and run parameters (None without forms), the blocks of its history
     read out so far, and its outcome."""
 
     def __init__(self, row, potential, clamp, init, seed):
         self.row = row
         self.potential = potential
         self.clamp = clamp
+        # the run forms are looked up on the exact type, not through the
+        # potential, so that a subclass that overrides a profile, or a
+        # proxy that counts the calls, keeps its two checked calls; they
+        # take clamped distances only, which no check could refuse
+        kind = type(potential)
+        self.forms = (kind if clamp and "_run_profiles" in vars(kind)
+                      else None)
+        self.parameters = (kind._run_parameters(potential) if self.forms
+                           else None)
         self.init = init
         self.seed = seed
         # per block, a (4, iterations) array of energies, largest pair
@@ -507,7 +561,9 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
     step, halving the steps that fail the test, at most
     ``_MAX_BACKTRACKS`` times.  Only the starts still backtracking are
     evaluated; their groups are recomputed when one stops.  A start whose
-    group's call raised stops at once.
+    group's call raised stops at once, and a start whose doubled step
+    overflowed finds none before any candidate is formed: its halvings
+    would stay infinite.
 
     Returns, per start, whether it found a step, and the accepted
     configurations, their energies and their steps (junk where it found
@@ -518,6 +574,8 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
         # backtracks on floats, with none of the stack's bookkeeping
         (step,), (energy,), (slope,) = steps, energies, gsq
         trial = step * 2.0
+        if not math.isfinite(trial):
+            return [False], configs, energies, [trial]
         for _ in range(_MAX_BACKTRACKS):
             candidates = configs - trial * grads
             (cand_energy,), _ = _energies(groups, candidates)
@@ -531,7 +589,14 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
     passed = [False] * len(trials)
     accepted = (np.empty_like(configs), trials[:], trials[:])
     origin = list(range(len(trials)))  # stack position of each pending row
+    rest = [k for k, trial in enumerate(trials) if math.isfinite(trial)]
     for _ in range(_MAX_BACKTRACKS):
+        if len(rest) < len(origin):
+            if not rest:
+                break
+            origin, live, configs, grads, energies, gsq, trials = _keep(
+                rest, origin, live, configs, grads, energies, gsq, trials)
+            groups = _groups(live)
         candidates = configs - np.array(trials)[:, None, None] * grads
         cand_energies, _ = _energies(groups, candidates)
         rest = []
@@ -545,39 +610,38 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
                 accepted[2][row] = trial
             elif not live[k].failed:
                 rest.append(k)
-        if not rest:
-            break
-        if len(rest) < len(origin):
-            origin, live, configs, grads, energies, gsq, trials = _keep(
-                rest, origin, live, configs, grads, energies, gsq, trials)
-            groups = _groups(live)
         trials = [trial * 0.5 for trial in trials]
     return (passed,) + accepted
 
 
 def _descend_stack(n, starts, max_iter, grad_tol):
     """The descent engine: the (potential, init, seed) starts descend as
-    one C-contiguous (S, n, d) stack, whose rows are grouped in runs that
-    share a potential.  Each energy evaluation is one distance pass over
-    the stack and one W call per group with a start still descending, and
-    each state evaluation adds one dW/dr call per group.  Every start
+    one C-contiguous (S, n, d) stack, whose rows are grouped in runs
+    (:func:`_groups`): consecutive starts of one family with the run forms,
+    such as a scan grid's Morse cells, or of one potential.  Each energy
+    evaluation is one distance pass over the stack and one W call per
+    group with a start still descending; each state evaluation makes one
+    fused W and dW/dr call per run of a family with the forms, and a W
+    call and a dW/dr call per group of another potential.  Every start
     keeps its own step, backtracking, stopping rule, history and
     snapshots.  The per-start sums run over contiguous rows, in the order
-    a lone configuration's would, and the per-start scalars are Python
-    floats, so each trace is bit for bit the one its start has alone.
+    a lone configuration's would, the run forms make the operations of the
+    checked calls element by element, and the per-start scalars are
+    Python floats, so each trace is bit for bit the one its start has
+    alone.
 
     A start stops on a small gradient, once its recorded energy has been
     bit-for-bit equal to the previous iteration's for ``_BLOCK`` (128)
     iterations in a row (``==`` on the floats, so NaN never counts), when
-    no step passes the Armijo test, on a non-finite energy (a
-    ParticleCollision), at the end of its budget, or when its group's call
-    raised or its potential carries no derivative (NonDifferentiable); it
-    then leaves the stack, and the groups are recomputed only then.  A
-    trace's ``stop_reason`` names the first four: ``gradient``,
-    ``stalled``, ``no_step`` or ``budget``.  A group whose call raised
-    reads NaN and is called no more; the other groups carry on bit for
-    bit.  Returns each start's trace or exception, or None for a start
-    whose failure could not be pinned on it alone (see
+    no step passes the Armijo test or its doubled step overflows, on a
+    non-finite energy (a ParticleCollision), at the end of its budget, or
+    when its group's call raised or its potential carries no derivative
+    (NonDifferentiable); it then leaves the stack, and the groups are
+    recomputed only then.  A trace's ``stop_reason`` names the first
+    four: ``gradient``, ``stalled``, ``no_step`` or ``budget``.  A group
+    whose call raised reads NaN and is called no more; the other groups
+    carry on bit for bit.  Returns each start's trace or exception, or
+    None for a start whose failure could not be pinned on it alone (see
     :func:`_group_call`)."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -862,17 +926,22 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     of all points of one dimension descend together as one stack, each
     with the trace ``minimize_particles`` gives it; a stack takes points
     while its (S, n, n, N) coordinate differences stay within 2**16
-    doubles, and never splits a point's starts.  Per point the scan emits
+    doubles, and never splits a point's starts.  Consecutive points whose
+    potentials are of one family with the run forms (Morse, or
+    GaussianMix with as many terms; see RadialPotential) are one run of
+    the stack, evaluated by one W call per energy evaluation and one fused
+    W and dW/dr call per state.  Per point the scan emits
     one row per seed plus an aggregate row carrying the majority
     classification and the best energy.  A tie for the majority goes to
     the tied label of the lowest (energy, seed) trace.  Failures of a
     point or of one seed are recorded in the row's ``error`` field and do
     not stop the scan, except InvariantViolation, which signals a bug and
-    propagates.  A point whose W or dW/dr raises stops only its own starts
-    in the stack: a lone seed keeps the exception, several seeds each
-    descend again alone, and the other points' starts carry on with their
-    lone traces.  When ``with_stability`` is set, the aggregate row also
-    carries the space integral criterion verdict for cross-reading.
+    propagates.  A W or dW/dr call that raises stops only the starts of
+    its run or point in the stack: a lone start keeps the exception,
+    several starts each descend again alone, and the other starts carry
+    on with their lone traces.  When ``with_stability`` is set, the
+    aggregate row also carries the space integral criterion verdict for
+    cross-reading.
     """
     cells, potentials = [], {}
     for params in param_grid:

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+# cells per write of a grid density's CSV
+_CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -235,11 +237,14 @@ class GridDensity:
             "values_csv": csv_path.name,
         }
         json_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        # the lines csv.writer writes, joined in chunks of cells: one join
+        # of a large witness grid would hold all its text at once
+        values = self.values.ravel()
         with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell_value"])
-            for v in self.values.ravel():
-                writer.writerow([f"{v:.17g}"])
+            fh.write("cell_value\r\n")
+            for first in range(0, values.size, _CSV_CHUNK):
+                fh.write("".join(f"{v:.17g}\r\n" for v in
+                                 values[first:first + _CSV_CHUNK].tolist()))
         return json_path
 
     @classmethod

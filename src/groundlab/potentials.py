@@ -53,6 +53,19 @@ class RadialPotential:
     Subclasses set ``family`` and implement ``_profile`` (vectorised) plus,
     when differentiable, ``_profile_derivative``.
 
+    A family may also define, in its own class body, the run forms the
+    descent engine evaluates a run of its potentials with in one call:
+    ``_run_parameters(self)``, a tuple of floats that includes every
+    derived constant the profiles use, computed as they compute it, and
+    ``_run_profiles(parameters)``, which takes a (rows, m) array of such
+    tuples and returns the W and the (W, dW/dr) evaluators of (rows,
+    pairs) radii, row k by the potential of parameter row k, bit for bit
+    as ``_profile`` and ``_profile_derivative`` evaluate it.  The engine
+    looks the forms up on the exact type, so a subclass that overrides a
+    profile, or a proxy, keeps its two checked calls, and it uses them
+    only on radii clamped at 1e-10, where the checks of ``__call__`` and
+    ``derivative`` could not refuse a radius.
+
     Attributes:
         dimension: ambient dimension N of the space the profile acts on
             (1, 2 or 3; distances are Euclidean).
@@ -209,6 +222,36 @@ class Morse(RadialPotential):
         out += attraction
         return out
 
+    def _run_parameters(self):
+        return self.G, self.L, self.G / self.L
+
+    @staticmethod
+    def _run_profiles(parameters):
+        G, L, ratio = parameters.T[:, :, None]
+        return (lambda radii: Morse._terms(radii, G, L),
+                lambda radii: Morse._terms(radii, G, L, ratio))
+
+    @staticmethod
+    def _terms(radii, G, L, ratio=None):
+        """W at ``radii``, and with ``ratio`` (G / L) also dW/dr, from one
+        exp(-s) and one exp(-s / L), with the parameters in (rows, 1)
+        columns of (rows, pairs) radii.  W takes the operations of
+        ``_profile`` and dW/dr those of ``_profile_derivative``: their
+        -exp(-s) + x is x - exp(-s), bit for bit."""
+        minus = np.negative(radii)
+        out = np.exp(minus)
+        attraction = np.divide(minus, L, out=minus)
+        np.exp(attraction, out=attraction)
+        if ratio is None:
+            attraction *= G
+            out -= attraction
+            return out
+        slope = attraction * ratio
+        slope -= out
+        attraction *= G
+        out -= attraction
+        return out, slope
+
     @property
     def value_at_zero(self):
         return 1.0 - self.G
@@ -255,6 +298,39 @@ class GaussianMix(RadialPotential):
             slope *= self._bump(radii, width)
             out += slope
         return out
+
+    def _run_parameters(self):
+        return tuple(value for amp, width in self.terms
+                     for value in (amp, width, width**2))
+
+    @staticmethod
+    def _run_profiles(parameters):
+        # one (amplitude, width, width**2) triple of (rows, 1) columns per
+        # term; a run's potentials have as many terms, since their
+        # parameter tuples are as long
+        terms = parameters.T.reshape(-1, 3, len(parameters), 1)
+        return (lambda radii: GaussianMix._sums(radii, terms),
+                lambda radii: GaussianMix._sums(radii, terms, True))
+
+    @staticmethod
+    def _sums(radii, terms, with_slopes=False):
+        """W at ``radii``, and with ``with_slopes`` also dW/dr, from one
+        bump per (amplitude, width, width**2) term, with the parameters in
+        (rows, 1) columns of (rows, pairs) radii.  W takes the operations
+        of ``_profile`` and dW/dr those of ``_profile_derivative``."""
+        out = np.zeros_like(radii)
+        slopes = np.zeros_like(radii) if with_slopes else None
+        for amp, width, square in terms:
+            bump = GaussianMix._bump(radii, width)
+            if with_slopes:
+                slope = -2.0 * radii
+                slope /= square
+                slope *= amp
+                slope *= bump
+                slopes += slope
+            bump *= amp
+            out += bump
+        return (out, slopes) if with_slopes else out
 
     @staticmethod
     def _bump(radii, width):

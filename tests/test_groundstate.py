@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,13 @@ def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
     assert [len(starts) for starts in calls] == [9, 1, 1, 1]
     assert [row.error for row in rows if row.params["G"] == 1.0] == [
         "", "", "radius beyond 6.0", ""]
+    # Brittle overrides dW/dr, so its cell keeps the checked calls and is
+    # not merged into a run with the Morse cells, which stay two runs
+    live = [groundstate._Start(row, made[G], True, "lattice", 0)
+            for row, G in enumerate((0.5, 1.0, 2.0))]
+    assert [(members[0].potential, state is not None)
+            for _, members, _, state in groundstate._groups(live)] == [
+        (made[0.5], True), (made[1.0], False), (made[2.0], True)]
     for G in (0.5, 2.0):
         for init, seed in zip(("lattice", "random_ball", "two_cluster"),
                               (0, 1, 2)):
@@ -854,3 +862,92 @@ def test_descent_computes_each_configuration_once(monkeypatch):
     # start, every trial step, every accepted (recentred) step
     assert len(kernel_calls) == potential.energy_calls
     assert potential.energy_calls > 2 * trace.iterations
+
+
+def test_runs_of_one_family_give_each_start_its_lone_trace(monkeypatch):
+    # one stack: a Morse run of two cells, a PowerLaw cell, a second Morse
+    # run, a run of two-term GaussianMix cells and a one-term GaussianMix
+    # cell, which has fewer run parameters
+    calls, outcomes = spy_stacks(monkeypatch)
+    cells = [Morse(0.5, 2.0, 2), Morse(1.0, 2.0, 2), PowerLaw(2.0, 1.0, 2),
+             Morse(2.0, 1.0, 2), GaussianMix([(1.0, 1.0), (-1.5, 2.0)], 2),
+             GaussianMix([(2.0, 1.0), (-1.0, 2.0)], 2),
+             GaussianMix([(-0.5, 1.2)], 2)]
+    starts = [start for w in cells
+              for start in groundstate._cycled_starts(w, (0, 1))]
+    groups = groundstate._groups([
+        groundstate._Start(row, w, math.isfinite(w.value_at_zero), init,
+                           seed)
+        for row, (w, init, seed) in enumerate(starts)])
+    assert [(len(members), state is not None)
+            for _, members, _, state in groups] == [
+        (4, True), (2, False), (2, True), (4, True), (2, True)]
+    stacked = groundstate._descend(8, starts, 300)
+    assert [len(starts) for starts in calls] == [14]
+    for (w, init, seed), trace in zip(starts, stacked):
+        assert_same_trace(trace, minimize_particles(w, 8, init=init,
+                                                    seed=seed, max_iter=300))
+
+
+def test_the_readme_grid_makes_one_w_call_per_energy_evaluation(
+        monkeypatch):
+    # the twelve Morse cells of the README scan are one run of 36 starts:
+    # each distance pass over the live starts feeds one call of the run's
+    # evaluators, and the checked profiles evaluate W only for each cell's
+    # preferred spacing
+    calls, _ = spy_stacks(monkeypatch)
+    passes, evaluations, profiles = [], [], []
+    distances, run_profiles = groundstate._distances, Morse._run_profiles
+    profile, derivative = Morse._profile, Morse._profile_derivative
+
+    def spied_distances(groups, configs):
+        passes.append(len(configs))
+        return distances(groups, configs)
+
+    def counted(evaluate, kind):
+        def call(radii):
+            evaluations.append((kind, len(radii)))
+            return evaluate(radii)
+        return call
+
+    def spied_profiles(parameters):
+        values, state = run_profiles(parameters)
+        return counted(values, "W"), counted(state, "W and dW/dr")
+
+    def spied_profile(self, radii):
+        profiles.append("W")
+        return profile(self, radii)
+
+    def spied_derivative(self, radii):
+        profiles.append("dW/dr")
+        return derivative(self, radii)
+
+    monkeypatch.setattr(groundstate, "_distances", spied_distances)
+    monkeypatch.setattr(Morse, "_run_profiles", staticmethod(spied_profiles))
+    monkeypatch.setattr(Morse, "_profile", spied_profile)
+    monkeypatch.setattr(Morse, "_profile_derivative", spied_derivative)
+    grid = [{"G": G, "L": L} for G in (0.25, 0.5, 1.0, 2.0)
+            for L in (0.5, 1.0, 2.0)]
+    rows = ground_state_scan(lambda G, L: Morse(G, L, 1), grid, n=16,
+                             seeds=(0, 1, 2), with_stability=False)
+    assert [len(starts) for starts in calls] == [36]
+    assert not any(row.error for row in rows)
+    assert [count for _, count in evaluations] == passes
+    assert passes[0] == 36 and evaluations[0][0] == "W and dW/dr"
+    assert 1000 < len(passes) < 3000
+    assert profiles == ["W"] * 12
+
+
+def test_an_overflowing_step_finds_none_before_its_candidate():
+    # a spreading gas with no gradient stop keeps doubling its step on
+    # subnormal energies until the doubled trial step is infinite: it
+    # leaves there with no_step, and no NaN candidate is evaluated: that
+    # warned "invalid value encountered in subtract"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = minimize_particles(GaussianMix([(1.0, 1.0)], 2), 16, seed=0,
+                                   max_iter=3000, grad_tol=0.0)
+    assert (trace.iterations, trace.stop_reason, trace.converged) == (
+        1787, "no_step", False)
+    assert float(trace.step_sizes[-1]) * 2.0 == math.inf
+    assert np.all(np.isfinite(trace.final_config))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -84,6 +86,24 @@ def test_grid_density_save_load_round_trip(tmp_path):
     assert back.cell_width == pytest.approx(rho.cell_width)
     np.testing.assert_allclose(back.origin, rho.origin)
     np.testing.assert_allclose(back.values, rho.values, rtol=1e-15)
+
+
+def test_grid_density_csv_is_what_csv_writer_writes(tmp_path):
+    # more cells than one chunk of lines, and values whose shortest
+    # round-trip text differs from their 17-digit one
+    rng = np.random.default_rng(5)
+    values = rng.exponential(size=(70, 70))
+    values[0, :4] = [0.0, 5e-324, 0.1, 1e300]
+    rho = GridDensity(np.zeros(2), 0.5, values)
+    rho.save(tmp_path / "grid")
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["cell_value"])
+    for v in rho.values.ravel():
+        writer.writerow([f"{v:.17g}"])
+    assert (tmp_path / "grid.csv").read_bytes() == want.getvalue().encode()
+    assert np.array_equal(GridDensity.load(tmp_path / "grid.json").values,
+                          rho.values)
 
 
 def test_uniform_ball_probability_and_support():

@@ -118,6 +118,38 @@ def test_profiles_are_bit_for_bit_the_plain_expressions(w):
         assert np.array_equal(w.derivative(radii[1:]), slopes[1:])
 
 
+RUNS = [
+    [Morse(2.0, 1.0, 1), Morse(1.0, 2.0, 1), Morse(0.25, 0.5, 1),
+     Morse(0.0, 3.0, 1), Morse(1.7, 0.3, 1)],
+    [Morse(0.5, 3.0, 3)],
+    [GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1),
+     GaussianMix([(1.0, 1.0), (-0.3, 1.5)], 1)],
+    [GaussianMix([(1.0, 1.0)], 2)],
+]
+
+
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: run[0].family
+                         + f"x{len(run)}")
+def test_run_forms_are_bit_for_bit_the_checked_calls(run):
+    # the descent engine evaluates a run of one family's potentials in one
+    # call on (rows, pairs) radii, and W with dW/dr from the same
+    # exponentials; the large radii underflow them to zero
+    rng = np.random.default_rng(11)
+    radii = np.concatenate(([1e-10, 1.0, 800.0, 1e3, 1e5],
+                            10.0 ** rng.uniform(-10, 3, size=1995)))
+    rows = np.stack([rng.permutation(radii) for _ in run])
+    kind = type(run[0])
+    values, state = kind._run_profiles(
+        np.array([kind._run_parameters(w) for w in run]))
+    fused = state(rows)
+    assert [part.shape for part in fused] == [rows.shape] * 2
+    for w, got, got_fused, got_slopes, row in zip(run, values(rows), *fused,
+                                                  rows):
+        assert np.array_equal(got, w(row))
+        assert np.array_equal(got_fused, w(row))
+        assert np.array_equal(got_slopes, w.derivative(row))
+
+
 def test_tabulated_interpolation_and_edges():
     w = Tabulated([0.0, 1.0, 2.0], [3.0, 1.0, 0.0], 1)
     assert w(0.5) == pytest.approx(2.0)
