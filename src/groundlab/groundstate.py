@@ -201,7 +201,7 @@ def _descent_state(groups, configs, weights, slots):
 
 # one configuration's groups: a W or dW/dr call that raises reads NaN
 def _lone_groups(potential, clamp):
-    return _groups([_Start(0, potential, clamp, None, None)])
+    return _groups(_tabulate([_Start(0, potential, clamp, None, None)]))
 
 
 def _energy(potential, config, clamp):
@@ -368,36 +368,44 @@ def _descend(n, starts, max_iter, grad_tol=1e-8):
             for start, outcome in zip(starts, outcomes)]
 
 
+def _tabulate(starts):
+    """Give each start of a stack (rows 0 to S - 1) with run forms its
+    run parameters, as its row of an (S, m) table shared by the stack's
+    starts of its family with as many parameters (see RadialPotential),
+    and so the run it joins.  Returns the starts."""
+    tables = {}
+    for start in starts:
+        if start.forms is not None:
+            parameters = start.forms._run_parameters(start.potential)
+            key = start.forms, len(parameters)
+            if key not in tables:
+                tables[key] = np.zeros((len(starts), len(parameters)))
+            tables[key][start.row] = parameters
+            start.table = start.run = tables[key]
+    return starts
+
+
 def _groups(starts):
     """(rows, starts, W, W and dW/dr) of each run of a stack's
     consecutive starts that one call per evaluation serves, with its
-    evaluators of (k, pairs) distances, built once here.  Clamped starts
-    whose potentials share one exact type with the run forms (see
-    RadialPotential) and as many run parameters are one run, evaluated
-    with a row of parameters per start: W, or W and dW/dr from the same
-    exponentials.  Other starts group while they share a potential and
-    keep its checked calls, W and then dW/dr; their W and dW/dr evaluator
-    is None."""
+    evaluators of (k, pairs) distances, built here.  Clamped starts that
+    share a table of run parameters (:func:`_tabulate`) are one run,
+    evaluated with their rows of the table: W, or W and dW/dr from the
+    same exponentials.  Other starts group while they share a potential
+    and keep its checked calls, W and then dW/dr; their W and dW/dr
+    evaluator is None."""
     edges = [k for k in range(len(starts))
-             if k == 0 or not _joins(starts[k - 1], starts[k])]
+             if k == 0 or starts[k].run is not starts[k - 1].run]
     groups = []
     for first, end in zip(edges, edges[1:] + [len(starts)]):
         members = starts[first:end]
-        if members[0].forms is None:
+        if members[0].table is None:
             profiles = _checked(members[0].potential), None
         else:
             profiles = members[0].forms._run_profiles(
-                np.array([start.parameters for start in members]))
+                members[0].table[[start.row for start in members]])
         groups.append((slice(first, end), members, *profiles))
     return groups
-
-
-def _joins(before, start):
-    """Whether ``start`` joins the group of the start ``before`` it."""
-    if start.forms is None:
-        return start.potential is before.potential
-    return (start.forms is before.forms
-            and len(start.parameters) == len(before.parameters))
 
 
 class _Snapshots(Sequence):
@@ -420,8 +428,10 @@ class _Snapshots(Sequence):
 
 class _Start:
     """One start of a descent stack: its row, its potential's run forms
-    and run parameters (None without forms), the blocks of its history
-    read out so far, and its outcome."""
+    and table of run parameters (None without forms, and the table until
+    :func:`_tabulate`), what its group shares (the table, or else the
+    potential), the blocks of its history read out so far, and its
+    outcome."""
 
     def __init__(self, row, potential, clamp, init, seed):
         self.row = row
@@ -434,8 +444,8 @@ class _Start:
         kind = type(potential)
         self.forms = (kind if clamp and "_run_profiles" in vars(kind)
                       else None)
-        self.parameters = (kind._run_parameters(potential) if self.forms
-                           else None)
+        self.table = None
+        self.run = potential
         self.init = init
         self.seed = seed
         # per block, a (4, iterations) array of energies, largest pair
@@ -656,7 +666,7 @@ def _descend_stack(n, starts, max_iter, grad_tol):
                 f"{potential.label} carries no derivative model"))
         initial.append(_initial_config(spacing, n, potential.dimension,
                                        init, seed))
-    everyone = list(live)
+    everyone = _tabulate(list(live))
     configs = _centred(np.stack(initial))
     groups, rows = _groups(live), slice(None)
     weights = np.zeros((len(live), n * (n - 1) // 2 + 1))

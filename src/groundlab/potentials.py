@@ -60,7 +60,9 @@ class RadialPotential:
     ``_run_profiles(parameters)``, which takes a (rows, m) array of such
     tuples and returns the W and the (W, dW/dr) evaluators of (rows,
     pairs) radii, row k by the potential of parameter row k, bit for bit
-    as ``_profile`` and ``_profile_derivative`` evaluate it.  The engine
+    as ``_profile`` and ``_profile_derivative`` evaluate it.  Morse and
+    GaussianMix evaluate their profiles and their run forms with one body
+    (``_terms``, ``_sums``), on float parameters or on columns.  The engine
     looks the forms up on the exact type, so a subclass that overrides a
     profile, or a proxy, keeps its two checked calls, and it uses them
     only on radii clamped at 1e-10, where the checks of ``__call__`` and
@@ -200,27 +202,12 @@ class Morse(RadialPotential):
         self.G = G
         self.L = L
 
-    # the profiles compute exp(-s) - G * exp(-s / L) and
-    # -exp(-s) + (G / L) * exp(-s / L) operation by operation in two
-    # arrays, so a large evaluation holds two temporaries, not four
     def _profile(self, radii):
-        minus = np.negative(radii)
-        out = np.exp(minus)
-        attraction = np.divide(minus, self.L, out=minus)
-        np.exp(attraction, out=attraction)
-        attraction *= self.G
-        out -= attraction
-        return out
+        return self._terms(radii, self.G, self.L)
 
     def _profile_derivative(self, radii):
-        minus = np.negative(radii)
-        out = np.exp(minus)
-        np.negative(out, out=out)
-        attraction = np.divide(minus, self.L, out=minus)
-        np.exp(attraction, out=attraction)
-        attraction *= self.G / self.L
-        out += attraction
-        return out
+        return self._terms(radii, self.G, self.L, self.G / self.L,
+                           values=False)
 
     def _run_parameters(self):
         return self.G, self.L, self.G / self.L
@@ -232,12 +219,14 @@ class Morse(RadialPotential):
                 lambda radii: Morse._terms(radii, G, L, ratio))
 
     @staticmethod
-    def _terms(radii, G, L, ratio=None):
-        """W at ``radii``, and with ``ratio`` (G / L) also dW/dr, from one
-        exp(-s) and one exp(-s / L), with the parameters in (rows, 1)
-        columns of (rows, pairs) radii.  W takes the operations of
-        ``_profile`` and dW/dr those of ``_profile_derivative``: their
-        -exp(-s) + x is x - exp(-s), bit for bit."""
+    def _terms(radii, G, L, ratio=None, values=True):
+        """W = exp(-s) - G * exp(-s / L) at ``radii``; with ``ratio``
+        (G / L) also dW/dr = (G / L) * exp(-s / L) - exp(-s) from the same
+        two exponentials, or dW/dr alone if ``values`` is False.  The
+        parameters are floats, or (rows, 1) columns of (rows, pairs)
+        radii, one potential per row: broadcasting makes the same
+        operations element by element.  The work is done in two arrays,
+        so a large evaluation holds two temporaries, not four."""
         minus = np.negative(radii)
         out = np.exp(minus)
         attraction = np.divide(minus, L, out=minus)
@@ -246,6 +235,10 @@ class Morse(RadialPotential):
             attraction *= G
             out -= attraction
             return out
+        if not values:
+            attraction *= ratio
+            attraction -= out
+            return attraction
         slope = attraction * ratio
         slope -= out
         attraction *= G
@@ -282,26 +275,17 @@ class GaussianMix(RadialPotential):
         self.terms = tuple(cleaned)
 
     def _profile(self, radii):
-        out = np.zeros_like(radii)
-        for amp, width in self.terms:
-            bump = self._bump(radii, width)
-            bump *= amp
-            out += bump
-        return out
+        return self._sums(radii, self._columns())
 
     def _profile_derivative(self, radii):
-        out = np.zeros_like(radii)
-        for amp, width in self.terms:
-            slope = -2.0 * radii
-            slope /= width**2
-            slope *= amp
-            slope *= self._bump(radii, width)
-            out += slope
-        return out
+        return self._sums(radii, self._columns(), values=False, slopes=True)
+
+    def _columns(self):
+        """(amplitude, width, width**2) per term."""
+        return [(amp, width, width**2) for amp, width in self.terms]
 
     def _run_parameters(self):
-        return tuple(value for amp, width in self.terms
-                     for value in (amp, width, width**2))
+        return tuple(value for term in self._columns() for value in term)
 
     @staticmethod
     def _run_profiles(parameters):
@@ -310,27 +294,31 @@ class GaussianMix(RadialPotential):
         # parameter tuples are as long
         terms = parameters.T.reshape(-1, 3, len(parameters), 1)
         return (lambda radii: GaussianMix._sums(radii, terms),
-                lambda radii: GaussianMix._sums(radii, terms, True))
+                lambda radii: GaussianMix._sums(radii, terms, slopes=True))
 
     @staticmethod
-    def _sums(radii, terms, with_slopes=False):
-        """W at ``radii``, and with ``with_slopes`` also dW/dr, from one
-        bump per (amplitude, width, width**2) term, with the parameters in
-        (rows, 1) columns of (rows, pairs) radii.  W takes the operations
-        of ``_profile`` and dW/dr those of ``_profile_derivative``."""
-        out = np.zeros_like(radii)
-        slopes = np.zeros_like(radii) if with_slopes else None
+    def _sums(radii, terms, values=True, slopes=False):
+        """W at ``radii``, with ``slopes`` also dW/dr from the same bumps,
+        or dW/dr alone if ``values`` is False: one bump per (amplitude,
+        width, width**2) term.  The parameters are floats, or (rows, 1)
+        columns of (rows, pairs) radii, one potential per row:
+        broadcasting makes the same operations element by element."""
+        out = np.zeros_like(radii) if values else None
+        derivative = np.zeros_like(radii) if slopes else None
         for amp, width, square in terms:
             bump = GaussianMix._bump(radii, width)
-            if with_slopes:
+            if slopes:
                 slope = -2.0 * radii
                 slope /= square
                 slope *= amp
                 slope *= bump
-                slopes += slope
-            bump *= amp
-            out += bump
-        return (out, slopes) if with_slopes else out
+                derivative += slope
+            if values:
+                bump *= amp
+                out += bump
+        if not slopes:
+            return out
+        return (out, derivative) if values else derivative
 
     @staticmethod
     def _bump(radii, width):

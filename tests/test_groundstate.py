@@ -474,8 +474,9 @@ def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
         "", "", "radius beyond 6.0", ""]
     # Brittle overrides dW/dr, so its cell keeps the checked calls and is
     # not merged into a run with the Morse cells, which stay two runs
-    live = [groundstate._Start(row, made[G], True, "lattice", 0)
-            for row, G in enumerate((0.5, 1.0, 2.0))]
+    live = groundstate._tabulate([
+        groundstate._Start(row, made[G], True, "lattice", 0)
+        for row, G in enumerate((0.5, 1.0, 2.0))])
     assert [(members[0].potential, state is not None)
             for _, members, _, state in groundstate._groups(live)] == [
         (made[0.5], True), (made[1.0], False), (made[2.0], True)]
@@ -875,10 +876,10 @@ def test_runs_of_one_family_give_each_start_its_lone_trace(monkeypatch):
              GaussianMix([(-0.5, 1.2)], 2)]
     starts = [start for w in cells
               for start in groundstate._cycled_starts(w, (0, 1))]
-    groups = groundstate._groups([
+    groups = groundstate._groups(groundstate._tabulate([
         groundstate._Start(row, w, math.isfinite(w.value_at_zero), init,
                            seed)
-        for row, (w, init, seed) in enumerate(starts)])
+        for row, (w, init, seed) in enumerate(starts)]))
     assert [(len(members), state is not None)
             for _, members, _, state in groups] == [
         (4, True), (2, False), (2, True), (4, True), (2, True)]
