@@ -276,6 +276,9 @@ def _rasterized(radius, dimension, per_half, profile):
 
     ``rsq`` holds the squared distance of each cell center from the origin
     and ``x1`` the first coordinate, shaped to broadcast against ``rsq``.
+    ``rsq`` is the rasterizer's own full-size array and is dropped once the
+    profile returns, so a profile may overwrite it, as the ball's does,
+    and spare one array of the grid's size.
     """
     check_dimension(dimension)
     if radius <= 0 or per_half < 1:
@@ -284,6 +287,7 @@ def _rasterized(radius, dimension, per_half, profile):
     axis = -radius + h * (np.arange(2 * per_half) + 0.5)
     rsq = sum(np.ix_(*[axis**2] * dimension))
     values = profile(rsq, axis.reshape((-1,) + (1,) * (dimension - 1)))
+    del rsq
     mass = values.sum() * h**dimension
     if mass <= 0:
         raise ValueError("profile has no mass on the requested grid")
@@ -298,7 +302,7 @@ def uniform_ball_density(radius: float, dimension: int,
     radius = float(radius)
     return _rasterized(
         radius, dimension, cells_per_radius,
-        lambda rsq, x1: (np.sqrt(rsq) <= radius).astype(float))
+        lambda rsq, x1: (np.sqrt(rsq, out=rsq) <= radius).astype(float))
 
 
 def gaussian_witness_density(p: float, dimension: int) -> GridDensity:

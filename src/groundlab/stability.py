@@ -644,11 +644,15 @@ def ruc_search(potential: RadialPotential,
     i.e. c near 0) indicates stability; m(n) approaching a negative
     constant (c below -``_CATASTROPHIC_TOL``, -1e-3) certifies a
     negative-energy empirical measure, provided the best configuration's
-    energy is negative; otherwise the verdict is inconclusive.
+    energy is negative; otherwise the verdict is inconclusive.  For W
+    finite at contact that energy is the empirical measure's own, its
+    self-interaction diagonal W(0)/n included, so the certificate states
+    the energy of the measure it carries.
 
     Verdicts for profiles singular at contact are advisory (recorded in
     details): the per-pair form ignores the diagonal that the continuum
-    energy of an atom carries.
+    energy of an atom carries, and their certificate's energy leaves it
+    out.
     """
     from .groundstate import _cycled_starts, _descend
 
@@ -698,14 +702,12 @@ def ruc_search(potential: RadialPotential,
     if c_fit < -_CATASTROPHIC_TOL:
         config = best_overall[1]
         cloud = PointCloudMeasure.empirical(config)
-        with_diag = (energy_pointcloud(potential, cloud,
-                                       include_diagonal=True)
-                     if math.isfinite(potential.value_at_zero) else None)
-        if with_diag is not None and with_diag.value < 0:
-            report = with_diag
-        else:
-            report = energy_pointcloud(potential, cloud,
-                                       include_diagonal=False)
+        # the energy of the stated measure; a point cloud's diagonal is
+        # +inf for W singular at contact, so that advisory case drops it
+        finite_contact = math.isfinite(potential.value_at_zero)
+        report = energy_pointcloud(potential, cloud,
+                                   include_diagonal=finite_contact)
+        if not finite_contact:
             details["certificate_note"] = ("energy reported without the "
                                            "self-interaction diagonal")
         if not report.value < 0:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import dct, dctn, dst, next_fast_len
 from scipy.spatial.distance import cdist
 
 import groundlab
@@ -17,6 +17,7 @@ from groundlab import (GaussianMix, GridDensity, Morse, PointCloudMeasure,
                        uniform_ball_density)
 from groundlab import energy
 from groundlab.energy import _octant_kernel, _self_cell_average
+from groundlab.geometry import pair_distances, pair_indices
 
 
 def test_two_atom_oracle():
@@ -308,3 +309,125 @@ def test_grid_energy_reports_mode_and_diagonal():
     assert report.mode == "grid-radial_fast"
     assert report.diagonal_contribution > 0.0
     assert report.potential_label == w.label
+
+
+def reference_energy_grid(potential, rho):
+    """The grid energy's arithmetic before the fold read the density
+    itself: a full-size mass array first, then the kernel spectrum, then
+    each parity component of the masses folded out of whole new arrays."""
+    masses = rho.values * rho.cell_volume
+    self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
+    diagonal = float(np.sum(masses**2)) * self_avg
+    if any(e % 2 for e in masses.shape):
+        masses = np.pad(masses, [(0, e % 2) for e in masses.shape])
+    lengths = [next_fast_len(e, real=True) for e in masses.shape]
+    spectrum = dctn(_octant_kernel(potential, rho.extents, rho.cell_width,
+                                   [n + 1 for n in lengths]),
+                    type=1, overwrite_x=True)
+    for axis in range(spectrum.ndim):
+        spectrum[(slice(None),) * axis + (slice(1, -1),)] *= 2.0
+    off = 0.0
+    for parities, part in reference_components(masses):
+        for axis, (parity, n) in enumerate(zip(parities, lengths)):
+            part = (dst if parity else dct)(part, type=2, n=n, axis=axis)
+        part *= part
+        part *= spectrum[tuple(slice(p, p + n)
+                               for p, n in zip(parities, lengths))]
+        off += float(np.sum(part))
+    off /= 4**len(lengths) * math.prod(2 * n for n in lengths)
+    return off + diagonal, diagonal
+
+
+def reference_components(masses):
+    parts = [((), masses)]
+    for axis in range(masses.ndim):
+        folded = []
+        for parities, part in parts:
+            lower, upper = np.split(part, 2, axis=axis)
+            lower = np.flip(lower, axis)
+            for parity, half in enumerate((upper + lower, upper - lower)):
+                if half.any():
+                    folded.append((parities + (parity,), half))
+        parts = folded
+    return parts
+
+
+ORACLE_SHAPES = [(1,), (2,), (7,), (64,), (1021,), (1, 6), (6, 5), (8, 8),
+                 (13, 9), (3, 1, 2), (7, 5, 3), (9, 14, 5), (8, 6, 10),
+                 (12, 12, 12)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES,
+                         ids=["x".join(map(str, s)) for s in ORACLE_SHAPES])
+def test_grid_energy_keeps_the_mass_first_arithmetic_bit_for_bit(shape):
+    w = Morse(1.2, 1.0, len(shape))
+    rho = random_density(shape, 80 + len(shape) * sum(shape))
+    if min(shape) > 1:
+        # asymmetric: every parity component of the masses takes part
+        masses = np.pad(rho.values * rho.cell_volume,
+                        [(0, e % 2) for e in shape])
+        assert len(reference_components(masses)) == 2**len(shape)
+    report = energy_grid(w, rho)
+    assert (report.value, report.diagonal_contribution) == \
+        reference_energy_grid(w, rho)
+
+
+@pytest.mark.parametrize("shape", [(7,), (64,), (6, 5), (13, 9), (7, 5, 3),
+                                   (8, 6, 10)])
+def test_first_fold_in_small_blocks_keeps_the_bits(shape, monkeypatch):
+    # blocks of 5 cells: one row or a few per block, and a short last one
+    monkeypatch.setattr(energy, "_FOLD_BLOCK", 5)
+    w = Morse(1.2, 1.0, len(shape))
+    rho = random_density(shape, 90 + sum(shape))
+    assert energy_grid(w, rho).value == reference_energy_grid(w, rho)[0]
+
+
+@pytest.mark.parametrize("shape", [(5,), (8,), (4, 7), (6, 6, 6),
+                                   (3, 5, 4)])
+def test_zero_density_has_zero_grid_energy(shape):
+    w = Morse(1.2, 1.0, len(shape))
+    rho = GridDensity(np.zeros(len(shape)), 0.25, np.zeros(shape))
+    report = energy_grid(w, rho)
+    assert (report.value, report.diagonal_contribution) == (0.0, 0.0)
+    assert (report.value, report.diagonal_contribution) == \
+        reference_energy_grid(w, rho)
+
+
+def test_witness_build_and_grid_energy_hold_little_more_than_the_grid():
+    # the 128^3 ball of the 3-d integral criterion: the build and the
+    # energy each peak below 2.25 grids' bytes, the energy counted above
+    # the witness it reads
+    import tracemalloc
+
+    w = Morse(1.0, 2.0, 3)
+    tracemalloc.start()
+    try:
+        rho = uniform_ball_density(2.0, 3, cells_per_radius=64)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        energy_grid(w, rho)
+        energy_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    grid = rho.values.nbytes
+    assert rho.extents == (128, 128, 128)
+    assert build_peak <= 2.25 * grid
+    assert energy_peak <= 2.25 * grid
+
+
+def test_pointcloud_pair_weights_keep_the_outer_product_bits():
+    # the pair weights w_i w_j over the condensed pairs, as the n x n outer
+    # product indexed by the pairs gave them
+    rng = np.random.default_rng(81)
+    w = Morse(1.2, 1.0, 2)
+    for n in (2, 3, 17, 64):
+        weights = rng.uniform(0.1, 1.0, n)
+        mu = PointCloudMeasure(rng.normal(size=(n, 2)),
+                               weights / weights.sum())
+        pair_w = (mu.weights[:, None] * mu.weights[None, :])[pair_indices(n)]
+        off = 2.0 * float(np.dot(pair_w, w(pair_distances(mu.points))))
+        report = energy_pointcloud(w, mu, include_diagonal=False)
+        assert report.value == off
+        assert energy_pointcloud(w, mu).value == \
+            off + w.value_at_zero * float(np.dot(mu.weights, mu.weights))

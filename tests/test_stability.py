@@ -627,6 +627,21 @@ def test_ruc_search_needs_a_negative_certificate(monkeypatch):
     assert "is not" in verdict.details["certificate_note"]
 
 
+def test_ruc_search_certifies_the_energy_of_its_own_measure():
+    # W(0) = 0.5 > 0: the best 8-atom configuration's pair sum is negative,
+    # but its empirical measure's energy, diagonal included, is not, so
+    # there is no certificate
+    w = Morse(0.5, 1.5, 3)
+    assert w.value_at_zero == 0.5
+    verdict = ruc_search(w)
+    assert verdict.numeric_value < -1e-3
+    assert verdict.outcome == "inconclusive"
+    assert verdict.certificate is None
+    note = verdict.details["certificate_note"]
+    assert "is not" in note
+    assert float(note.split("energy ")[1].split()[0]) > 0.0
+
+
 def test_integral_criterion_without_a_verified_ball_is_inconclusive(
         tmp_path, monkeypatch):
     # a negative integral alone does not make HE_satisfied with witnesses
