@@ -24,11 +24,18 @@ is integrated again, when it is read, by one adaptive
 ``scipy.integrate.quad`` call per integrand (:func:`segment`); a failure
 raises there, so a caller that stops at it makes no further call.
 :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and reads every row
-through the gates; :func:`kernel_integrals` weighs with an oscillating
-kernel K(x r) over [0, upper], with no gate, one octave band of x in
-(2^(b-1), 2^b] at a time, each on panels refined to at most half a period
-of the band's fastest kernel; the contact probe and the ball-radius search
-read per-segment |W| masses.  No other module calls ``quad``.
+through the gates; the contact probe and the ball-radius search read
+per-segment |W| masses.
+
+The Fourier transforms integrate against an oscillating kernel K(x r) over
+[0, upper], with no gate, by Filon-Legendre quadrature
+(:func:`kernel_integrals`).  The same log-graded panels and bounds are
+bisected until the 20-node Legendre interpolant of the integrand resolves
+it; the interpolant times e^{i x r} then integrates exactly, through
+spherical Bessel functions of x times the panel's half-width.  The panels
+are sized by W, not by the frequency, and are built once for every
+frequency; the rule pair's check and its ``quad`` fallback are the ones
+above.  No other module calls ``quad``.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import j0, y0
 
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
 
@@ -158,31 +166,27 @@ def _segment_sums(signed, parts, factor, x, edges, bounds):
 
 
 def _gaussian(x):
-    """exp(-x^2), with the factors below _NEGLIGIBLE flushed to zero; the
-    kernels of :func:`kernel_integrals` never fall that low."""
+    """exp(-x^2), with the factors below _NEGLIGIBLE flushed to zero."""
     return _flushed(np.exp(-np.square(x)))
 
 
 def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
-                   scales=(0.0,), extra_edges=(), changes=None):
+                   scales=(0.0,)):
     """Reader ``read(row, s)`` of the integrals of part(signed(r)) factor(x r)
     over [bounds[s], bounds[s + 1]], one for each ufunc in ``parts``
     (np.positive: the signed integrand, np.abs: its absolute value), with x
     the entry ``row`` of ``scales``; by default the plain integrals.
 
-    Panels are cut at the log-graded edges, the bounds, the sign changes of
-    ``signed`` (``changes`` when given, else :func:`sign_changes`) and
-    ``extra_edges``.  Every rule sum is formed here, with ``signed``
-    evaluated once, as an array, on the nodes of both rules.  A read
-    returns the 20-node sums when the two rules agree to
+    Panels are cut at the log-graded edges, the bounds and the sign changes
+    of ``signed`` (:func:`sign_changes`).  Every rule sum is formed here,
+    with ``signed`` evaluated once, as an array, on the nodes of both
+    rules.  A read returns the 20-node sums when the two rules agree to
     quad_tol * max(1, |value|) on every part; otherwise it calls
     :func:`segment` once per part and raises its QuadratureFailure.
     """
     x = np.asarray(scales, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    if changes is None:
-        changes = sign_changes(signed)
-    edges = np.concatenate([_PANEL_EDGES, changes, extra_edges])
+    edges = np.concatenate([_PANEL_EDGES, sign_changes(signed)])
     edges = np.union1d(edges[(edges > bounds[0]) & (edges < bounds[-1])],
                        bounds)
     sums = _segment_sums(signed, parts, factor, x, edges, bounds)
@@ -255,31 +259,199 @@ def gaussian_integrals(signed, p_values, quad_tol):
     return results
 
 
-def kernel_integrals(signed, kernel, scales, upper, quad_tol,
-                     changes=None) -> np.ndarray:
-    """Integral of signed(r) kernel(x r) over [0, upper] for each x > 0 in
-    ``scales``, with no gate, from the floor, origin and tail segments of
-    :func:`gaussian_integrals` cut at ``upper``; QuadratureFailure when a
-    segment's fallback quadrature fails.
 
-    The rows are grouped into octave bands, x in (2^(b-1), 2^b], and each
-    band is integrated on its own panels, at most pi / max(x in band)
-    wide: half a period of the band's fastest kernel, so a row costs in
-    proportion to its own frequency.  The sign changes of ``signed``
-    (``changes`` when given) are found once for every band.
-    """
-    x = np.asarray(scales, dtype=float)
-    bounds = [b for b in _BOUNDS if b < upper] + [upper]
-    if changes is None:
-        changes = sign_changes(signed)
-    band = np.ceil(np.log2(x))
-    out = np.empty(x.size)
-    for b in np.unique(band):
-        rows = np.flatnonzero(band == b)
-        uniform = np.linspace(0.0, upper, 1 + math.ceil(
-            upper * float(x[rows].max()) / math.pi))
-        read = segment_reader(signed, bounds, quad_tol, (np.positive,),
-                              kernel, x[rows], uniform, changes)
-        out[rows] = np.array([[read(k, s)[0] for s in range(len(bounds) - 1)]
-                              for k in range(rows.size)]).sum(axis=1)
+
+def _sinc(x):
+    """sin(x) / x for x > 0, bit for bit np.sinc(x / pi), on one buffer."""
+    y = x / math.pi
+    y *= math.pi
+    out = np.sin(y)
+    out /= y
     return out
+
+
+# K_N(z): the radial kernel of the N-dimensional Fourier transform
+_FOURIER_KERNELS = {1: np.cos, 2: j0, 3: _sinc}
+
+# Filon panels: bisected until the Legendre coefficients of degree _NODES
+# and up are at most _TAIL_TOL max|g|, small enough that the 10-node sums
+# agree with the 20-node ones to the default quad_tol and no smooth profile
+# falls back to quad; a kink or a jump stops after _SPLITS halvings and is
+# left to the rule pair's check.  A J_0 panel whose left edge lies at
+# x r >= _HANKEL_FROM takes the Hankel form
+_TAIL_TOL = 1e-11
+_SPLITS = 40
+_HANKEL_FROM = 8.0
+# terms of the power series of j_k, and the order Miller's recurrence
+# starts from
+_SERIES_TERMS = 10
+_MILLER = 50
+# Legendre coefficients of the interpolant through either rule's nodes, from
+# the values there, and the factors 2 i^k that turn j_k(w) into the moment
+# of P_k(t) e^{i w t} over [-1, 1]
+_ANALYSIS = tuple((np.arange(t.size)[:, None] + 0.5)
+                  * np.polynomial.legendre.legvander(t, t.size - 1).T * w
+                  for t, w in _RULES)
+_MOMENTS = 2.0 * 1j ** np.arange(2 * _NODES)
+
+
+def _spherical_bessels(w):
+    """j_k(w) for k < 20 and w > 0, one row per w, flushed below
+    _NEGLIGIBLE: the power series below w = 1, Miller's downward recurrence
+    from order _MILLER (scaled to j_0 or j_1, whichever is larger) below
+    w = 20, the upward recurrence, stable for k < w, above."""
+    k = np.arange(2 * _NODES)
+    out = np.empty((w.size, k.size))
+    small, large = w < 1.0, w >= k.size
+    if small.any():
+        x = w[small, None]
+        term = np.ones((x.size, k.size))
+        series = term.copy()
+        for m in range(1, _SERIES_TERMS):
+            term *= -0.5 * x * x / (m * (2 * k + 2 * m + 1))
+            series += term
+        series[:, 1:] *= np.cumprod(x / (2 * k[1:] + 1), axis=1)
+        out[small] = series
+    middle = ~small & ~large
+    if middle.any():
+        x = w[middle]
+        downward = np.empty((k.size, x.size))
+        above, j = np.zeros_like(x), np.full_like(x, 1e-300)
+        for n in range(_MILLER, 0, -1):
+            above, j = j, (2 * n + 1) / x * j - above
+            if n <= k.size:
+                downward[n - 1] = j
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+        first = np.abs(j0) >= np.abs(j1)
+        out[middle] = (downward * (np.where(first, j0, j1) / np.where(
+            first, downward[0], downward[1]))).T
+    if large.any():
+        x = w[large]
+        below = np.sin(x) / x
+        j = (below - np.cos(x)) / x
+        rows = [below, j]
+        for n in k[1:-1]:
+            below, j = j, (2 * n + 1) / x * j - below
+            rows.append(j)
+        out[large] = np.stack(rows, axis=1)
+    return _flushed(out)
+
+
+def _nodes(lo, hi, t):
+    """The abscissae ``t`` on [-1, 1] mapped onto each panel [lo, hi], one
+    row per panel."""
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+
+
+def _resolved(g, edges):
+    """``edges`` with each panel bisected until the Legendre coefficients of
+    degree _NODES and up of g's 20-node interpolant are at most
+    _TAIL_TOL max|g|, and g at the 20 nodes of every panel.  A panel is
+    bisected _SPLITS times at most, and a panel on which g is not finite
+    not at all; the rule pair's check catches what either leaves."""
+    t = _RULES[1][0]
+    values = g(_nodes(edges[:-1], edges[1:], t))
+    for _ in range(_SPLITS):
+        scale = np.abs(values[np.isfinite(values)]).max(initial=0.0)
+        tail = np.abs(values @ _ANALYSIS[1][_NODES:].T).max(axis=1)
+        split = tail > _TAIL_TOL * scale
+        if not split.any():
+            break
+        lo, hi = edges[:-1][split], edges[1:][split]
+        mid = 0.5 * (lo + hi)
+        halves = g(_nodes(np.stack([lo, mid], axis=1).ravel(),
+                          np.stack([mid, hi], axis=1).ravel(), t))
+        first = np.arange(split.size) + np.cumsum(split) - split
+        merged = np.empty((values.shape[0] + mid.size, t.size))
+        merged[first[~split]] = values[~split]
+        merged[(first[split, None] + [0, 1]).ravel()] = halves
+        edges, values = np.union1d(edges, mid), merged
+    return edges, values
+
+
+def kernel_integrals(signed, dimension, upper, quad_tol):
+    """The integrals of signed(r) K_N(x r) over [0, upper], with K_N the
+    radial kernel of the N-dimensional Fourier transform, N = ``dimension``
+    (cos, J_0 and sin(x)/x), as a function of an array of x > 0; no gate.
+
+    Everything that does not depend on x is built here, once: the log-graded
+    panels and the segment bounds of :func:`gaussian_integrals` cut at
+    ``upper``, bisected until the Legendre tail of W r^{N-1}'s 20-node
+    interpolant is negligible (:func:`_resolved`), ``signed`` on the nodes of
+    both rules and the Legendre coefficients of its interpolants.  Each
+    kernel is Re[A(x r) e^{i x r}], with A = 1 for cos, -i / (x r) for
+    sin(x)/x (the interpolant is then of W r^{N-1} / r, smooth at 0) and
+    H_0^(1)(x r) e^{-i x r} for J_0 on panels beyond x r = _HANKEL_FROM,
+    where J_0 is integrated by the plain rules.  On the panel of centre m
+    and half-width h the interpolant sum_k c_k P_k times e^{i x r}
+    integrates exactly to h e^{i x m} sum_k c_k 2 i^k j_k(x h), so the panels
+    are sized by W, not by the frequency.  A (row, segment) whose 10- and
+    20-node sums disagree by more than quad_tol * max(1, |value|) is
+    integrated again by :func:`segment`, whose QuadratureFailure it raises.
+    """
+    kernel = _FOURIER_KERNELS[dimension]
+    bounds = np.array([b for b in _BOUNDS if b < upper] + [upper])
+
+    def g(r):
+        values = signed(r.ravel()).reshape(r.shape)
+        return _flushed(values / r if dimension == 3 else values)
+
+    edges, high_values = _resolved(g, np.union1d(
+        _PANEL_EDGES[_PANEL_EDGES < upper], bounds))
+    lo, hi = edges[:-1], edges[1:]
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # per rule: nodes, weights, node values and the Legendre coefficients
+    # of their interpolant, times 2 i^k
+    rules = []
+    for (t, w), analysis in zip(_RULES, _ANALYSIS):
+        r = _nodes(lo, hi, t)
+        values = high_values if t.size == high_values.shape[1] else g(r)
+        rules.append((r, w, values, values @ analysis.T * _MOMENTS[:t.size]))
+    starts = np.searchsorted(edges, bounds[:-1])
+
+    def panel_sums(x):
+        """(rows, 2, panels) low- and high-rule sums, one row per x."""
+        # the (row, panel) pairs integrated through the moments; J_0 takes
+        # the plain rules below x r = _HANKEL_FROM
+        by_moments = (np.outer(x, lo) >= _HANKEL_FROM if dimension == 2
+                      else np.ones((x.size, lo.size), dtype=bool))
+        rows, cols = np.nonzero(by_moments)
+        plain_rows, plain_cols = np.nonzero(~by_moments)
+        j = _spherical_bessels(x[rows] * half[cols])
+        phase = half[cols] * np.exp(1j * x[rows] * centre[cols])
+        sums = np.empty((x.size, 2, lo.size))
+        for rule, (r, w, values, coefficients) in enumerate(rules):
+            k = w.size
+            if dimension == 2:
+                z = x[rows, None] * r[cols]
+                hankel = (j0(z) + 1j * y0(z)) * np.exp(-1j * z)
+                coefficients = ((values[cols] * hankel) @ _ANALYSIS[rule].T
+                                * _MOMENTS[:k])
+                plain = x[plain_rows, None] * r[plain_cols]
+                sums[plain_rows, rule, plain_cols] = half[plain_cols] * (
+                    (values[plain_cols] * j0(plain)) @ w)
+            else:
+                coefficients = coefficients[cols]
+            filon = phase * np.einsum("ik,ik->i", coefficients, j[:, :k])
+            sums[rows, rule, cols] = (filon.imag / x[rows] if dimension == 3
+                                      else filon.real)
+        return sums
+
+    def integrals(scales):
+        x = np.asarray(scales, dtype=float)
+        sums = np.empty((x.size, 2, bounds.size - 1))
+        step = max(1, _CHUNK_ELEMENTS // (2 * _NODES * lo.size))
+        for first in range(0, x.size, step):
+            sums[first:first + step] = np.add.reduceat(
+                panel_sums(x[first:first + step]), starts, axis=2)
+        low, high = sums[:, 0], sums[:, 1]
+        agree = (np.isfinite(sums).all(axis=1)
+                 & (np.abs(high - low)
+                    <= quad_tol * np.maximum(1.0, np.abs(high))))
+        for row, s in zip(*np.nonzero(~agree)):
+            high[row, s] = segment(lambda r: kernel(x[row] * r) * signed(r),
+                                   bounds[s], bounds[s + 1], quad_tol)[0]
+        return high.sum(axis=1)
+
+    return integrals

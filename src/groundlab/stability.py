@@ -25,9 +25,11 @@ with a ``witness_note`` in its details.  Every witness energy comes from
 Every radial integral reads the one lazy per-segment table of
 :mod:`groundlab.radial`: the space integral, each weighted integral and the
 whole Gaussian-weighted scan are rows of
-:func:`groundlab.radial.gaussian_integrals`, and the Fourier transform
-weighs all its frequencies through :func:`groundlab.radial.kernel_integrals`,
-with the kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3.
+:func:`groundlab.radial.gaussian_integrals`.  The Fourier transform, with
+the kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3, is the Filon
+quadrature of :func:`groundlab.radial.kernel_integrals`: W is sampled once
+per criterion, on panels sized by W and not by the frequency, and every
+frequency, the polish included, reuses those samples.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import j0
 
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
@@ -48,8 +49,7 @@ from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import (gaussian_integrals, kernel_integrals, segment_reader,
-                     sign_changes)
+from .radial import gaussian_integrals, kernel_integrals, segment_reader
 
 __all__ = [
     "Certificate",
@@ -418,26 +418,14 @@ def _decay_radius(potential) -> float:
     return _DECAY_RADIUS_CAP
 
 
-def _sinc(x):
-    """sin(x) / x for x > 0, bit for bit np.sinc(x / pi), on one buffer."""
-    y = x / math.pi
-    y *= math.pi
-    out = np.sin(y)
-    out /= y
-    return out
-
-
-# K_N(x): the radial kernel of the N-dimensional Fourier transform
-_FOURIER_KERNELS = {1: np.cos, 2: j0, 3: _sinc}
-
-
-def _kernel_transform(potential, xi, upper, changes, quad_tol):
-    """The transform at the positive frequencies ``xi``, truncated at
-    ``upper``, with ``changes`` the sign changes of W(r) r^{N-1}."""
+def _fourier_transform(potential, quad_tol):
+    """The transform at positive frequencies, truncated at the decay radius,
+    as a function of an array of them; the panels, node values and Legendre
+    coefficients of W(r) r^{N-1} are built here, once for every frequency."""
     n = potential.dimension
-    return unit_sphere_area(n) * kernel_integrals(
-        _radial_density(potential), _FOURIER_KERNELS[n], xi, upper,
-        quad_tol, changes)
+    integrals = kernel_integrals(_radial_density(potential), n,
+                                 _decay_radius(potential), quad_tol)
+    return lambda xi: unit_sphere_area(n) * integrals(xi)
 
 
 def radial_fourier_transform(potential: RadialPotential,
@@ -448,10 +436,11 @@ def radial_fourier_transform(potential: RadialPotential,
 
     FT(xi) = S_{N-1} int_0^R W(r) r^{N-1} K_N(xi r) dr with K_1 = cos,
     K_2 = J_0 and K_3(x) = sin(x) / x, truncated at the radius R beyond
-    which |W| is negligible; the nonzero frequencies are weighed by
-    :func:`groundlab.radial.kernel_integrals`, each octave band on nodes
-    sized for its fastest frequency.  The zero frequency delegates to
-    :func:`space_integral`.
+    which |W| is negligible.  The nonzero frequencies share one set of
+    panels and samples of W, sized by W and not by the frequency, and are
+    integrated by the Filon quadrature of
+    :func:`groundlab.radial.kernel_integrals`.  The zero frequency
+    delegates to :func:`space_integral`.
     """
     xi = np.asarray(frequencies, dtype=float)
     flat = np.atleast_1d(xi)
@@ -462,9 +451,7 @@ def radial_fourier_transform(potential: RadialPotential,
     if zero.any():
         out[zero] = space_integral(potential, quad_tol)
     if not zero.all():
-        out[~zero] = _kernel_transform(potential, flat[~zero],
-                                       _decay_radius(potential), None,
-                                       quad_tol)
+        out[~zero] = _fourier_transform(potential, quad_tol)(flat[~zero])
     return float(out[0]) if xi.ndim == 0 else out
 
 
@@ -517,15 +504,12 @@ def fourier_criterion(potential: RadialPotential,
 
     frequencies = np.concatenate([grid, tails])
     # the transform at zero frequency is the space integral computed above;
-    # the truncation radius and the sign changes of W(r) r^{N-1} serve
-    # every other frequency, the polish included
-    upper = _decay_radius(potential)
-    changes = sign_changes(_radial_density(potential))
+    # one set of panels serves every other frequency, the polish included
+    transform_at = _fourier_transform(potential, quad_tol)
     zero = frequencies == 0.0
     transform = np.empty(frequencies.shape)
     transform[zero] = integral
-    transform[~zero] = _kernel_transform(potential, frequencies[~zero], upper,
-                                         changes, quad_tol)
+    transform[~zero] = transform_at(frequencies[~zero])
 
     details: dict = {
         "quad_tol": quad_tol, "decision_tol": decision_tol,
@@ -545,8 +529,7 @@ def fourier_criterion(potential: RadialPotential,
         if best_xi > 0:
             lo, hi = max(best_xi - step, 1e-6), best_xi + step
             result = minimize_scalar(
-                lambda f: float(_kernel_transform(potential, [f], upper,
-                                                  changes, quad_tol)[0]),
+                lambda f: float(transform_at(np.array([f]))[0]),
                 bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-6})
             if result.success and result.fun < best_value:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 from groundlab import (EnergyReport, GaussianMix, Morse, PointCloudMeasure,
                        PowerLaw, Tabulated, check_ruc, cli, energy_grid,
@@ -294,15 +295,32 @@ def criterion_frequencies():
     return np.concatenate([grid, np.array([1.5, 2.0, 3.0]) * grid.max()])
 
 
-def test_fourier_transform_matches_gaussmix_closed_form():
+def test_fourier_transform_matches_gaussmix_closed_form(monkeypatch):
+    fallbacks = []
+    segment = radial.segment
+    monkeypatch.setattr(radial, "segment", lambda *args: (
+        fallbacks.append(args[1:3]) or segment(*args)))
     xi = criterion_frequencies()
-    # the long-range Morse profile decays by radius 1024, so its panels are
-    # evaluated in two blocks
     for w in [w for w, _ in REGRESSION_CASES] + [Morse(0.5, 10.0, 2)]:
         want = (w.fourier_transform(xi) if isinstance(w, GaussianMix)
                 else morse_fourier_transform(w, xi))
         np.testing.assert_allclose(radial_fourier_transform(w, xi), want,
                                    rtol=1e-12, atol=1e-13, err_msg=w.label)
+    # every (row, segment) is read from the Filon panels
+    assert fallbacks == []
+
+
+def test_long_range_fourier_transforms_match_closed_form():
+    # decay radii up to 131072: the panels follow exp(-r / L), whatever
+    # the frequency
+    xi = criterion_frequencies()
+    for w in (Morse(0.5, 10.0, 1), Morse(0.5, 100.0, 1),
+              Morse(0.5, 1000.0, 1), Morse(0.5, 100.0, 2),
+              Morse(0.5, 100.0, 3)):
+        want = morse_fourier_transform(w, xi)
+        got = radial_fourier_transform(w, xi)
+        assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want))), \
+            w.label
 
 
 def qawo_fourier_transform(potential, frequencies, quad_tol=1e-8):
@@ -356,28 +374,48 @@ def test_fourier_transform_agrees_with_adaptive_oscillatory_quadrature():
 def test_sinc_kernel_matches_numpy_bit_for_bit():
     x = 10.0 ** np.random.default_rng(0).uniform(-18.0, 7.0, 200_000)
     want = np.sinc(x / math.pi)
-    kernel = stability._FOURIER_KERNELS[3]
+    kernel = radial._FOURIER_KERNELS[3]
     assert np.array_equal(kernel(x), want)
     assert np.array_equal(kernel(x.reshape(400, 500)), want.reshape(400, 500))
 
 
-def test_fourier_rows_pay_for_their_own_frequency(monkeypatch):
-    # octave bands: each row is integrated on panels sized for the fastest
-    # row of its band, not for the fastest row of the grid
-    sizes = []
-    kernel = stability._FOURIER_KERNELS[3]
+def test_spherical_bessels_match_scipy():
+    # the three branches (series, Miller's recurrence, upward recurrence)
+    # and their joins at w = 1 and w = 20
+    w = np.concatenate([np.geomspace(1e-30, 1e7, 20001),
+                        np.nextafter([1.0, 20.0], 0.0), [1.0, 20.0]])
+    want = spherical_jn(np.arange(20), w[:, None])
+    envelope = np.minimum(1.0, 1.0 / w)[:, None]
+    assert np.all(np.abs(radial._spherical_bessels(w) - want)
+                  <= 1e-13 * envelope)
 
-    def recording(x):
-        sizes.append(x.size)
-        return kernel(x)
 
-    monkeypatch.setitem(stability._FOURIER_KERNELS, 3, recording)
-    w = Morse(1.0, 2.0, 3)
+def test_fourier_panels_do_not_depend_on_the_frequency():
+    # the panels are sized by W alone: a hundredfold faster grid costs no
+    # W evaluation more
     xi = criterion_frequencies()[1:]
-    radial_fourier_transform(w, xi)
-    single_band = xi.size * math.ceil(
-        stability._decay_radius(w) * xi.max() / math.pi) * 30
-    assert sum(sizes) <= 0.3 * single_band
+    counts = []
+    for scale in (1.0, 100.0):
+        w = RadiusRecording(1.0, 2.0, 3)
+        radial_fourier_transform(w, scale * xi)
+        counts.append(len(w.radii))
+    assert counts[0] == counts[1]
+
+
+def test_fourier_criterion_samples_its_panels_once(monkeypatch):
+    builds, radii = [], []
+    build = stability.kernel_integrals
+
+    def recording(signed, *args):
+        builds.append(args)
+        return build(lambda r: radii.extend(r.tolist()) or signed(r), *args)
+
+    monkeypatch.setattr(stability, "kernel_integrals", recording)
+    verdict = fourier_criterion(GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1))
+    # the grid, the tail probes and the polish share one set of nodes
+    assert verdict.details["minimizing_xi"] not in verdict.details["xi_values"]
+    assert len(builds) == 1
+    assert len(radii) == len(set(radii)) > 0
 
 
 def test_gaussian_factors_below_negligible_are_zero():

@@ -11,18 +11,27 @@ outputs of two checkouts and comparing them:
 groups numeric ones (CSV cells included) by field, with their count and
 largest absolute and relative deviation.  A list that is a strict prefix
 of the other (a trace that stops earlier) takes one line: both lengths,
-and whether the longer list's tail stays at the last shared value.
+and whether the longer list's tail stays at the last shared value.  It
+then prints one line per transformed profile, with the largest deviation
+of its transform, |old - new| and |old - new| / (1 + |old|), zero
+included.
 
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure), ``probe_hypotheses`` of the same
-potentials, eight CLI runs (exit code, stdout and every output file: JSON
-without its timestamp, CSV verbatim, others hashed), and the jobs of
+potentials, ``radial_fourier_transform`` of the same potentials and of
+five long-range Morse profiles (L up to 1000) on ``fourier_criterion``'s
+default frequencies and tail probes, eight CLI runs (exit code, stdout and
+every output file: JSON without its timestamp, CSV verbatim, others
+hashed), and the jobs of
 perfbench's ``descent`` workload with start seed 0: for each of the 19
 ``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
 configuration, a hash of its snapshots and its ``classify_trace`` label,
 and the two ``ruc_search`` verdicts with their per-pair minima.  A dump
-takes 9-12 s on a 2-vCPU x86-64 box, and its peak RSS is about 180 MB.
+takes 9-12 s on a 2-vCPU x86-64 box, and its peak RSS is about 180 MB;
+a checkout whose transforms cost decay radius x frequency (octave bands
+or a fixed panel width) takes about 25 s more, most of it on
+Morse(0.5, 1000, 1).
 """
 
 from __future__ import annotations
@@ -91,6 +100,12 @@ DESCENT_JOBS = (
     + [(4, 64, init, 0) for init in INIT_KINDS]
     + [(0, 256, "two_cluster", 0)])
 RUC_PROFILES = (1, 3)  # Morse(1,2,2) and Morse(0.5,1,2)
+# (G, L, dimension) of the long-range Morse profiles whose transforms are
+# dumped besides the battery's
+LONG_RANGE = ((0.5, 10.0, 1), (0.5, 100.0, 1), (0.5, 1000.0, 1),
+              (0.5, 100.0, 2), (0.5, 100.0, 3))
+# fourier_criterion's default frequencies and its three tail probes
+FREQUENCIES = np.concatenate([np.linspace(0.0, 16.0, 65), [24.0, 32.0, 48.0]])
 
 
 def _measure_hash(measure):
@@ -172,11 +187,26 @@ def _descents():
     return {"jobs": jobs, "ruc_search": ruc}
 
 
+def _transforms(potentials):
+    """The transform of each potential on FREQUENCIES, by label, or the
+    error it raised."""
+    from groundlab import radial_fourier_transform
+
+    out = {}
+    for w in potentials:
+        try:
+            out[w.label] = radial_fourier_transform(w, FREQUENCIES).tolist()
+        except Exception as exc:
+            out[w.label] = {"raised": type(exc).__name__,
+                            "message": str(exc)}
+    return out
+
+
 def dump(root: Path) -> dict:
     sys.path.insert(0, str(root / "tests"))
     from conftest import REGRESSION_CASES
 
-    from groundlab import (fourier_criterion, gaussian_criterion,
+    from groundlab import (Morse, fourier_criterion, gaussian_criterion,
                            integral_criterion, probe_hypotheses)
     from groundlab.cli import main
 
@@ -190,9 +220,11 @@ def dump(root: Path) -> dict:
     } for w, _ in REGRESSION_CASES]
     probes = [_outcome(lambda: probe_hypotheses(w))
               for w, _ in REGRESSION_CASES]
+    transforms = _transforms([w for w, _ in REGRESSION_CASES]
+                             + [Morse(*row) for row in LONG_RANGE])
     cli = {name: _cli_run(main, config) for name, config in CLI_RUNS.items()}
-    return {"battery": battery, "probes": probes, "cli": cli,
-            "descent": _descents()}
+    return {"battery": battery, "probes": probes, "transforms": transforms,
+            "cli": cli, "descent": _descents()}
 
 
 def differences(old, new, path=""):
@@ -272,15 +304,34 @@ def summarize(found):
     return lines
 
 
+def transform_deviations(old, new):
+    """One line per profile whose transform both dumps hold: its largest
+    deviation |old - new| and |old - new| / (1 + |old|) over the
+    frequencies, zero included."""
+    lines = []
+    old, new = old.get("transforms", {}), new.get("transforms", {})
+    for label in sorted(set(old) & set(new)):
+        a, b = old[label], new[label]
+        if not (isinstance(a, list) and isinstance(b, list)
+                and len(a) == len(b)):
+            continue
+        a, b = np.array(a), np.array(b)
+        deviation = np.abs(a - b)
+        lines.append(f"transform {label}: largest deviation "
+                     f"{deviation.max():.3g}, relative to 1 + |old| "
+                     f"{(deviation / (1.0 + np.abs(a))).max():.3g}")
+    return lines
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "dump":
         Path(argv[2]).write_text(json.dumps(dump(Path(argv[1])), indent=1,
                                             sort_keys=True))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
-        found = differences(json.loads(Path(argv[1]).read_text()),
-                            json.loads(Path(argv[2]).read_text()))
-        for line in summarize(found):
+        old, new = (json.loads(Path(path).read_text()) for path in argv[1:])
+        found = differences(old, new)
+        for line in summarize(found) + transform_deviations(old, new):
             print(line)
         print(f"{len(found)} differences")
         return 1 if found else 0
