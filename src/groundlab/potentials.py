@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import radial
 from .errors import NonDifferentiable, QuadratureFailure
@@ -452,7 +451,9 @@ def _probe_tail(potential):
 
 
 def _locate_infimum(potential):
-    """Minimum of the profile over a log grid on (0, inf), then polished."""
+    """Minimum of the profile over a log grid on (0, inf), then polished by
+    ``minimize_scalar``; scipy.optimize is imported there, at the first
+    polish, so a run that never probes a profile does not load it."""
     lo, hi = _INFIMUM_GRID_SPAN
     grid = np.logspace(math.log10(lo), math.log10(hi), _INFIMUM_GRID_POINTS)
     values = potential(grid)
@@ -464,6 +465,7 @@ def _locate_infimum(potential):
     left = float(grid[max(idx - 1, 0)])
     right = float(grid[min(idx + 1, grid.size - 1)])
     if right > left:
+        from scipy.optimize import minimize_scalar
         result = minimize_scalar(
             lambda r: float(potential(r)), bounds=(left, right),
             method="bounded", options={"xatol": 1e-12})

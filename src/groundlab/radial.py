@@ -22,7 +22,9 @@ MB at a time.  Its reader returns one (row, segment) at a time, and only a
 segment whose two rules disagree by more than quad_tol * max(1, |value|)
 is integrated again, when it is read, by one adaptive
 ``scipy.integrate.quad`` call per integrand (:func:`segment`); a failure
-raises there, so a caller that stops at it makes no further call.
+raises there, so a caller that stops at it makes no further call.  The
+rows whose factor is exactly 1 over a segment share that call, and
+scipy.integrate is imported only at the first one (:func:`quad`).
 :func:`gaussian_integrals` weighs with exp(-p^2 r^2) and reads every row
 through the gates; the contact probe and the ball-radius search read
 per-segment |W| masses.
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0, y0
 
 from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
@@ -81,6 +82,14 @@ _PANEL_EDGES = np.unique(np.concatenate([[0.0]] + [
     for lo, hi in zip(_BOUNDS[1:], _BOUNDS[2:])]))
 _RULES = tuple(np.polynomial.legendre.leggauss(n)
                for n in (_NODES, 2 * _NODES))
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call: no rule pair
+    on the battery falls back, and a descent integrates nothing, so a run
+    that never needs it does not load scipy.integrate."""
+    from scipy.integrate import quad as adaptive_quad
+    return adaptive_quad(*args, **kwargs)
 
 
 def segment(func, lo, hi, quad_tol):
@@ -182,7 +191,11 @@ def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
     with ``signed`` evaluated once, as an array, on the nodes of both
     rules.  A read returns the 20-node sums when the two rules agree to
     quad_tol * max(1, |value|) on every part; otherwise it calls
-    :func:`segment` once per part and raises its QuadratureFailure.
+    :func:`segment` once per part and raises its QuadratureFailure.  Where
+    a row's factor is exactly 1.0 up to the segment's end (the floor of
+    every p below about 70, and p = 0 throughout), the factor changes no
+    bit of the integrand, so all such rows share one :func:`segment` of
+    part(signed(r)) per (segment, part), its failure included.
     """
     x = np.asarray(scales, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
@@ -194,13 +207,27 @@ def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
     agree = (np.isfinite(sums).all(axis=2)
              & (np.abs(high - low) <= quad_tol * np.maximum(1.0, np.abs(high))))
     agree, high = agree.all(axis=1).tolist(), high.tolist()
+    unweighted = {}     # (s, part): value or QuadratureFailure
+
+    def fallback(row, s, part):
+        lo, hi = bounds[s], bounds[s + 1]
+        if factor(x[row] * hi) != 1.0:
+            return segment(lambda r: factor(x[row] * r) * part(signed(r)),
+                           lo, hi, quad_tol)[0]
+        if (s, part) not in unweighted:
+            try:
+                unweighted[s, part] = segment(lambda r: part(signed(r)), lo,
+                                              hi, quad_tol)[0]
+            except QuadratureFailure as exc:
+                unweighted[s, part] = exc
+        if isinstance(unweighted[s, part], QuadratureFailure):
+            raise unweighted[s, part]
+        return unweighted[s, part]
 
     def read(row, s):
         if agree[row][s]:
             return [part_sums[s] for part_sums in high[row]]
-        return [segment(lambda r: factor(x[row] * r) * part(signed(r)),
-                        bounds[s], bounds[s + 1], quad_tol)[0]
-                for part in parts]
+        return [fallback(row, s, part) for part in parts]
 
     return read
 

@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .energy import EnergyReport, energy_grid, energy_pointcloud
 from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
@@ -319,7 +318,9 @@ def gaussian_criterion(potential: RadialPotential,
     member (the plain space integral) joins the scan whenever the profile
     is absolutely integrable.  With ``build_witness`` the Gaussian witness
     is rasterized and its energy re-verified; without it the certificate
-    records the minimizing p and value.
+    records the minimizing p and value.  A minimum within 10 decision_tol
+    of zero is first polished by ``minimize_scalar``; scipy.optimize is
+    imported there, at the first polish.
     """
     grid = np.asarray(_default_p_grid() if p_grid is None else p_grid,
                       dtype=float)
@@ -356,6 +357,7 @@ def gaussian_criterion(potential: RadialPotential,
         lo = best_p / 4.0
         hi = min(best_p * 4.0, float(grid.max()))
         if hi > lo:
+            from scipy.optimize import minimize_scalar
             result = minimize_scalar(
                 lambda q: weighted_space_integral(potential, q, quad_tol),
                 bounds=(lo, hi), method="bounded",
@@ -474,7 +476,9 @@ def fourier_criterion(potential: RadialPotential,
     once a concentrated-in-frequency density built at the minimizing
     frequency re-evaluates to negative energy; otherwise the verdict stays
     inconclusive, because a negative transform value alone does not bound
-    the nonnegative-density energies.
+    the nonnegative-density energies.  A negative minimum is first polished
+    by ``minimize_scalar`` between its grid neighbours; scipy.optimize is
+    imported there, at the first polish.
 
     Raises NotSquareIntegrable when W^2 fails to integrate, and
     QuadratureFailure when a fallback quadrature of the transform fails.
@@ -528,6 +532,7 @@ def fourier_criterion(potential: RadialPotential,
         step = float(np.median(np.diff(grid))) if grid.size > 1 else 0.5
         if best_xi > 0:
             lo, hi = max(best_xi - step, 1e-6), best_xi + step
+            from scipy.optimize import minimize_scalar
             result = minimize_scalar(
                 lambda f: float(transform_at(np.array([f]))[0]),
                 bounds=(lo, hi), method="bounded",

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -283,14 +284,56 @@ def test_gaussian_witness_transforms_odd_components_and_matches_oracle(
     assert value == pytest.approx(direct_grid_energy(w, rho), rel=1e-12)
 
 
-def test_importing_groundlab_leaves_scipy_signal_unloaded():
-    # scipy.signal alone used to cost more than a second of every start-up
+IMPORT_BUDGET = """
+import json, sys
+from pathlib import Path
+
+import groundlab
+from groundlab import (Morse, classify_trace, cli, ground_state_scan,
+                       integral_criterion, minimize_particles, ruc_search)
+
+def loaded():
+    return [name for name in ("scipy.signal", "scipy.integrate",
+                              "scipy.optimize") if name in sys.modules]
+
+seen = {"import": loaded()}
+w = Morse(1.0, 2.0, 2)
+classify_trace(minimize_particles(w, n=8, max_iter=50))
+ruc_search(w, n_list=(4, 8), seeds=(0,), optimizer_budget=50)
+ground_state_scan(lambda G: Morse(G, 1.0, 1), [{"G": 0.5}, {"G": 2.0}],
+                  n=4, seeds=(0, 1), max_iter=50)
+seen["descent"] = loaded()
+out = Path(sys.argv[1])
+for command, extra in (
+        ("minimize", {"n": 8, "seeds": [0, 1], "max_iter": 50}),
+        ("scan", {"grid": {"G": [0.5, 2.0], "L": [0.5, 1.0]}, "n": 4,
+                  "seeds": [0], "max_iter": 50})):
+    config = out / f"{command}.json"
+    config.write_text(json.dumps({
+        "command": command, "output_dir": str(out / command),
+        "potential": {"family": "morse", "G": 1.0, "L": 1.0,
+                      "dimension": 1}, **extra}))
+    assert cli.main([command, "--config", str(config)]) == 0
+seen["cli"] = loaded()
+integral_criterion(Morse(1.0, 2.0, 1), build_witness=True)
+seen["witness"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_descents_load_no_quadrature_or_optimizer(tmp_path):
+    # A fresh process: pytest's own -W flags may import scipy.integrate.
+    # scipy.signal alone used to cost more than a second of every
+    # start-up; scipy.integrate and scipy.optimize 13 MB of a descent's
+    # peak memory, which never calls quad or minimize_scalar
     src = str(Path(groundlab.__file__).resolve().parents[1])
-    code = "import sys, groundlab; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET,
+                           str(tmp_path)], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["descent"] == seen["cli"] == []
+    # the ball witness's scale polishes the profile's infimum
+    assert "scipy.optimize" in seen["witness"]
 
 
 def test_grid_energy_has_one_mode():

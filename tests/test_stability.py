@@ -45,6 +45,20 @@ def test_space_integral_matches_gaussmix_closed_form():
     assert space_integral(w) == pytest.approx(w.space_integral(), rel=1e-8)
 
 
+def test_no_certificate_at_positive_definite_morse_points():
+    # W-hat = c_N [(1 + xi^2)^(-(N+1)/2) - G L^N (1 + L^2 xi^2)^(-(N+1)/2)]
+    # is >= 0 on [0, inf) exactly when G L^N <= min(1, L^(N+1)): there every
+    # measure has positive energy, whatever energy_grid says of a witness
+    for N in (1, 2, 3):
+        for L in (0.5, 1.5):
+            for share in (0.97, 0.999):
+                w = Morse(share * min(1.0, L ** (N + 1)) / L**N, L, N)
+                for verdict in (integral_criterion(w, build_witness=True),
+                                gaussian_criterion(w, build_witness=True),
+                                fourier_criterion(w)):
+                    assert verdict.outcome != HE, (w.label, verdict.criterion)
+
+
 def test_space_integral_rejects_growing_or_heavy_tails():
     with pytest.raises(NotAbsolutelyIntegrable):
         space_integral(PowerLaw(2.0, 1.0, 1))
@@ -152,16 +166,31 @@ def test_gaussian_scan_matches_gaussmix_closed_form():
                                    rtol=1e-10, atol=0.0, err_msg=w.label)
 
 
-def test_gaussian_scan_drops_only_p_zero_for_heavy_tails():
+def test_gaussian_scan_drops_only_p_zero_for_heavy_tails(monkeypatch):
     # W ~ -2 r^-0.5 in the tail: the space integral diverges, every
     # Gaussian-weighted one converges
     w = PowerLaw(-0.5, -0.9, 1)
+    calls = []
+    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (
+        calls.append(args[1:3]) or quad(*args, **kwargs)))
     scan = gaussian_criterion(w, build_witness=False).details
+    # r^-0.9 defeats the rule pair only on the floor [0, 1e-10]; the rows
+    # whose factor is 1.0 there (p = 0 and p below about 70) share one
+    # quad per part, where each row used to make its own: 402 calls
+    assert set(calls) == {(0.0, 1e-10)}
+    assert len(calls) <= 80
     assert "tail integral" in scan["p_zero_skipped"]
     assert scan["p_values"] == stability._default_p_grid().tolist()
     for k in (0, 100, 199):
         assert scan["weighted_integrals"][k] == pytest.approx(
             weighted_space_integral(w, scan["p_values"][k]), rel=1e-12)
+    # a shared floor value is the old per-row integrand's, bit for bit
+    signed, parts, p = stability._radial_density(w), (np.positive, np.abs), 1.0
+    read = radial.segment_reader(signed, radial._BOUNDS, stability.QUAD_TOL,
+                                 parts, scales=[0.0, p])
+    assert read(0, 0) == read(1, 0) == [radial.segment(
+        lambda r, part=part: radial._gaussian(p * r) * part(signed(r)), 0.0,
+        1e-10, stability.QUAD_TOL)[0] for part in parts]
 
 
 class CountingPotential:
