@@ -70,10 +70,14 @@ class RadialPotential:
     Attributes:
         dimension: ambient dimension N of the space the profile acts on
             (1, 2 or 3; distances are Euclidean).
+        kinks: radii where the profile or its slope jumps, an empty tuple
+            for the smooth families; the radial integrals cut their panels
+            there and probe for sign changes between them.
     """
 
     family = "abstract"
     differentiable = False
+    kinks = ()
 
     def __init__(self, dimension: int):
         self.dimension = check_dimension(dimension)
@@ -386,6 +390,8 @@ class Tabulated(RadialPotential):
         self.knot_values = v.copy()
         self.knot_radii.flags.writeable = False
         self.knot_values.flags.writeable = False
+        # the profile is linear between its knots
+        self.kinks = self.knot_radii
 
     def _profile(self, radii):
         return np.interp(radii, self.knot_radii, self.knot_values, right=0.0)
@@ -489,16 +495,16 @@ def probe_hypotheses(potential: RadialPotential,
         estimate.
     """
     n = potential.dimension
-    read = radial.segment_reader(
-        lambda r: potential(r) * r ** (n - 1), radial.ORIGIN_EDGES[::-1],
-        quad_tol, (np.abs,))
+    edges = radial.ORIGIN_EDGES
+    read = radial.Panels(lambda r: potential(r) * r ** (n - 1), edges[::-1],
+                         quad_tol, potential.kinks).integrals(
+                             (radial.abs_part,))
     # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a segment
     # whose quadrature fails stops the refinement and leaves it unclean
-    segments = len(radial.ORIGIN_EDGES) - 1
     estimates, total = [], 0.0
     with suppress(QuadratureFailure):
-        for s in reversed(range(segments)):
-            total += read(0, s)[0]
+        for hi, lo in zip(edges, edges[1:]):
+            total += read(0, lo, hi)[0]
             estimates.append(total)
     if not estimates:
         raise QuadratureFailure(
@@ -506,7 +512,7 @@ def probe_hypotheses(potential: RadialPotential,
             f"{potential.label}")
 
     area = unit_sphere_area(n)
-    if len(estimates) < segments:
+    if len(estimates) < len(edges) - 1:
         verdict = "inconclusive"
     elif radial.origin_growth(estimates) > radial.ORIGIN_GROWTH:
         verdict = "fails"

@@ -1,43 +1,40 @@
-"""Decade-segmented radial integrals over (0, inf) with divergence gates.
+"""Radial integrals of a profile over (0, inf), all read from one panel set.
 
-The origin piece (0, 1] is cut at 1e-2 ... 1e-10 and declared divergent
+Every radial integral of W is a row of factors over one sampling of the
+integrand W(r) r^{N-1}, its panel set (:class:`Panels`).  The panels are
+cut at log-graded edges, four per decade from 1e-10 to 1e8, at the bounds
+the caller reads, at the sign changes of the integrand and at the
+potential's kinks (``RadialPotential.kinks``), so that no panel holds a
+kink of the integrand or of its absolute value.  Each panel but the floor
+[0, 1e-10] is then bisected until the 20-node Legendre interpolant of the
+integrand resolves it (:func:`_resolved`), and the integrand is evaluated
+once, as an array, on the nodes of an embedded pair of composite
+Gauss-Legendre rules (10 and 20 nodes per panel).
+
+A row integrates part(W r^{N-1}) f(x r): the part is the integrand, its
+absolute value or W^2 r^{N-1}, and the factor f, 1 at 0 and monotone on
+[0, 1], is the Gaussian exp(-x^2) of the weighted scan (x = 0 gives the
+plain integrals) or the radial kernel K_N of the N-dimensional Fourier
+transform (cos, J_0 and sin(x)/x).  The Gaussian rows sum the rule nodes
+(:meth:`Panels.integrals`); the transform rows integrate each panel's
+interpolant times e^{i x r} exactly (Filon-Legendre,
+:meth:`Panels.transform`), so their panels are sized by W and not by the
+frequency.  Every row goes through one check: a segment between two
+bounds whose 10- and 20-node sums disagree by more than
+quad_tol * max(1, |value|) is integrated again, when it is read, by one
+adaptive ``scipy.integrate.quad`` call (:func:`segment`), whose
+QuadratureFailure the read raises; the rows whose factor is within 1e-14
+of 1 over the segment share that call, its failure included.
+scipy.integrate is imported only at the first call (:func:`quad`), and no
+other module calls it.
+
+The gates (:func:`gated`) read a row over the segments between BOUNDS:
+the origin piece (0, 1] is cut at 1e-2 ... 1e-10 and declared divergent
 when its absolute integral still grows by more than 10 % over the final
 cutoff; the tail [1, inf) is cut into decades and declared divergent when
 no decade up to radius 1e8 falls below the quadrature noise floor.  The
-floor [0, 1e-10] below the last cutoff joins each value after the origin
-gate; no gate and no tail mass reads it.
-
-Each of these 18 segments is split into log-graded panels, four per
-decade (the floor is one panel), and a panel edge is added wherever the
-integrand changes sign, so that its absolute value has no kink inside a
-panel.  The integrand is evaluated once, as an array, on the nodes of an
-embedded pair of composite Gauss-Legendre rules (10 and 20 nodes per
-panel).  The 20-node sum is the segment's value and its distance from the
-10-node sum the error estimate.  The absolute value of the integrand is
-taken from the same node values.
-
-One engine, :func:`segment_reader`, forms the rule sums of every segment of
-many integrals at once, each a row of factors over the shared nodes, a few
-MB at a time.  Its reader returns one (row, segment) at a time, and only a
-segment whose two rules disagree by more than quad_tol * max(1, |value|)
-is integrated again, when it is read, by one adaptive
-``scipy.integrate.quad`` call per integrand (:func:`segment`); a failure
-raises there, so a caller that stops at it makes no further call.  The
-rows whose factor is exactly 1 over a segment share that call, and
-scipy.integrate is imported only at the first one (:func:`quad`).
-:func:`gaussian_integrals` weighs with exp(-p^2 r^2) and reads every row
-through the gates; the contact probe and the ball-radius search read
-per-segment |W| masses.
-
-The Fourier transforms integrate against an oscillating kernel K(x r) over
-[0, upper], with no gate, by Filon-Legendre quadrature
-(:func:`kernel_integrals`).  The same log-graded panels and bounds are
-bisected until the 20-node Legendre interpolant of the integrand resolves
-it; the interpolant times e^{i x r} then integrates exactly, through
-spherical Bessel functions of x times the panel's half-width.  The panels
-are sized by W, not by the frequency, and are built once for every
-frequency; the rule pair's check and its ``quad`` fallback are the ones
-above.  No other module calls ``quad``.
+floor [0, 1e-10] joins each value after the origin gate; no gate and no
+tail mass reads it.
 """
 
 from __future__ import annotations
@@ -47,39 +44,41 @@ import math
 import numpy as np
 from scipy.special import j0, y0
 
-from .errors import GroundlabError, NotAbsolutelyIntegrable, QuadratureFailure
+from .errors import NotAbsolutelyIntegrable, QuadratureFailure
 
-__all__ = ["segment", "origin_growth", "sign_changes", "segment_reader",
-           "gaussian_integrals", "kernel_integrals"]
+__all__ = ["BOUNDS", "Panels", "signed_part", "abs_part", "segment",
+           "origin_growth", "gated"]
 
 # Cutoff edges of the origin piece, from 1 down to 1e-10.
 ORIGIN_EDGES = (1.0,) + tuple(10.0 ** (-decade) for decade in range(2, 11))
 ORIGIN_GROWTH = 0.10
 _TAIL_MAX_DECADE = 8
 
-# Segment bounds in increasing radius, 0, 1e-10 ... 1 ... 1e8: segment 0 is
-# the floor [0, 1e-10], segments 1 .. _N_ORIGIN make up the origin piece,
-# the rest the tail decades.
-_BOUNDS = (0.0,) + ORIGIN_EDGES[::-1] + tuple(10.0**k for k in
-                                              range(1, _TAIL_MAX_DECADE + 1))
+# Segment bounds of the gates in increasing radius, 0, 1e-10 ... 1 ... 1e8:
+# segment 0 is the floor [0, 1e-10], segments 1 .. _N_ORIGIN make up the
+# origin piece, the rest the tail decades.
+BOUNDS = (0.0,) + ORIGIN_EDGES[::-1] + tuple(10.0**k for k in
+                                             range(1, _TAIL_MAX_DECADE + 1))
 _N_ORIGIN = len(ORIGIN_EDGES) - 1
-_N_SEGMENTS = len(_BOUNDS) - 1
 _PANELS_PER_DECADE = 4
 _NODES = 10                 # per panel in the low rule; twice that in the high
 _PROBES_PER_DECADE = 32     # sign-change search grid
 _BISECTIONS = 48            # shrinks a probe bracket below 1e-13 relative
-_CHUNK_ELEMENTS = 1 << 18   # nodes, or row factors, formed at a time: 2 MB
+_CHUNK_ELEMENTS = 1 << 18   # row terms formed at a time: 2 MB
 # Factors and weighted values below this are dropped before they are
 # multiplied: two of them make a subnormal number, which the processor
 # handles up to a hundred times slower, and a term this small moves no sum
 # or gate.
 _NEGLIGIBLE = 1e-150
+# A factor this close to 1 over a segment changes the integrand by less
+# than quad's own tolerance, so the row shares the unweighted fallback.
+_UNIT_TOL = 1e-14
 
 # Log-graded panel edges over all segments (the floor is one panel), and the
 # two Gauss-Legendre rules on [-1, 1].
 _PANEL_EDGES = np.unique(np.concatenate([[0.0]] + [
     np.geomspace(lo, hi, 1 + round(_PANELS_PER_DECADE * math.log10(hi / lo)))
-    for lo, hi in zip(_BOUNDS[1:], _BOUNDS[2:])]))
+    for lo, hi in zip(BOUNDS[1:], BOUNDS[2:])]))
 _RULES = tuple(np.polynomial.legendre.leggauss(n)
                for n in (_NODES, 2 * _NODES))
 
@@ -114,11 +113,14 @@ def origin_growth(estimates) -> float:
     return (last - prev) / prev if prev > 0 else 0.0
 
 
-def sign_changes(func) -> np.ndarray:
+def _sign_changes(func, kinks) -> np.ndarray:
     """Radii where the array function ``func`` changes sign, bracketed on a
-    log grid from 1e-10 to 1e8 and narrowed by bisection."""
-    grid = np.geomspace(_BOUNDS[1], _BOUNDS[-1], 1 + round(
-        _PROBES_PER_DECADE * math.log10(_BOUNDS[-1] / _BOUNDS[1])))
+    log grid from 1e-10 to 1e8 joined with the ``kinks``, clipped to it, and
+    narrowed by bisection.  A profile linear between its kinks changes
+    sign at most once between two of them, so every change is found."""
+    lo, hi = BOUNDS[1], BOUNDS[-1]
+    grid = np.union1d(np.geomspace(lo, hi, 1 + round(
+        _PROBES_PER_DECADE * math.log10(hi / lo))), np.clip(kinks, lo, hi))
     sign = np.sign(func(grid))
     signed_at = np.flatnonzero(np.isfinite(sign) & (sign != 0))
     left, right = signed_at[:-1], signed_at[1:]
@@ -133,45 +135,8 @@ def sign_changes(func) -> np.ndarray:
     return hi
 
 
-def _rule_pair(edges, bounds):
-    """Nodes, weights and output column of both composite rules on the
-    panels between consecutive ``edges``, in increasing column order.
-    Column s holds the low rule on segment [bounds[s], bounds[s + 1]],
-    column len(bounds) - 1 + s the high rule."""
-    lo = edges[:-1, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    owner = np.searchsorted(bounds, edges[:-1], side="right") - 1
-    nodes, weights, columns = [], [], []
-    for offset, (x, w) in zip((0, len(bounds) - 1), _RULES):
-        nodes.append((lo + half * (x + 1.0)).ravel())
-        weights.append((half * w).ravel())
-        columns.append(np.repeat(offset + owner, x.size))
-    return (np.concatenate(nodes), np.concatenate(weights),
-            np.concatenate(columns))
-
-
 def _flushed(a):
     return np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a)
-
-
-def _segment_sums(signed, parts, factor, x, edges, bounds):
-    """Array (rows, parts, 2, segments) of the low- and high-rule sums of
-    part(signed(r)) factor(x r), one row per entry of the array ``x``, for
-    each ufunc in ``parts``.  ``signed`` is evaluated once per node, and
-    nodes and factors are formed _CHUNK_ELEMENTS at a time."""
-    sums = np.zeros((x.size, len(parts), 2 * (len(bounds) - 1)))
-    step = max(1, _CHUNK_ELEMENTS // (3 * _NODES))
-    for first in range(0, edges.size - 1, step):
-        r, w, column = _rule_pair(edges[first:first + step + 1], bounds)
-        values = signed(r) * w
-        weighted = _flushed(np.stack([part(values) for part in parts]))
-        present, starts = np.unique(column, return_index=True)
-        chunk = max(1, _CHUNK_ELEMENTS // r.size)
-        for k in range(0, x.size, chunk):
-            factors = factor(np.outer(x[k:k + chunk], r))
-            sums[k:k + chunk, :, present] += np.add.reduceat(
-                factors[:, None, :] * weighted, starts, axis=2)
-    return sums.reshape(x.size, len(parts), 2, len(bounds) - 1)
 
 
 def _gaussian(x):
@@ -179,113 +144,14 @@ def _gaussian(x):
     return _flushed(np.exp(-np.square(x)))
 
 
-def segment_reader(signed, bounds, quad_tol, parts, factor=_gaussian,
-                   scales=(0.0,)):
-    """Reader ``read(row, s)`` of the integrals of part(signed(r)) factor(x r)
-    over [bounds[s], bounds[s + 1]], one for each ufunc in ``parts``
-    (np.positive: the signed integrand, np.abs: its absolute value), with x
-    the entry ``row`` of ``scales``; by default the plain integrals.
-
-    Panels are cut at the log-graded edges, the bounds and the sign changes
-    of ``signed`` (:func:`sign_changes`).  Every rule sum is formed here,
-    with ``signed`` evaluated once, as an array, on the nodes of both
-    rules.  A read returns the 20-node sums when the two rules agree to
-    quad_tol * max(1, |value|) on every part; otherwise it calls
-    :func:`segment` once per part and raises its QuadratureFailure.  Where
-    a row's factor is exactly 1.0 up to the segment's end (the floor of
-    every p below about 70, and p = 0 throughout), the factor changes no
-    bit of the integrand, so all such rows share one :func:`segment` of
-    part(signed(r)) per (segment, part), its failure included.
-    """
-    x = np.asarray(scales, dtype=float)
-    bounds = np.asarray(bounds, dtype=float)
-    edges = np.concatenate([_PANEL_EDGES, sign_changes(signed)])
-    edges = np.union1d(edges[(edges > bounds[0]) & (edges < bounds[-1])],
-                       bounds)
-    sums = _segment_sums(signed, parts, factor, x, edges, bounds)
-    low, high = sums[:, :, 0], sums[:, :, 1]
-    agree = (np.isfinite(sums).all(axis=2)
-             & (np.abs(high - low) <= quad_tol * np.maximum(1.0, np.abs(high))))
-    agree, high = agree.all(axis=1).tolist(), high.tolist()
-    unweighted = {}     # (s, part): value or QuadratureFailure
-
-    def fallback(row, s, part):
-        lo, hi = bounds[s], bounds[s + 1]
-        if factor(x[row] * hi) != 1.0:
-            return segment(lambda r: factor(x[row] * r) * part(signed(r)),
-                           lo, hi, quad_tol)[0]
-        if (s, part) not in unweighted:
-            try:
-                unweighted[s, part] = segment(lambda r: part(signed(r)), lo,
-                                              hi, quad_tol)[0]
-            except QuadratureFailure as exc:
-                unweighted[s, part] = exc
-        if isinstance(unweighted[s, part], QuadratureFailure):
-            raise unweighted[s, part]
-        return unweighted[s, part]
-
-    def read(row, s):
-        if agree[row][s]:
-            return [part_sums[s] for part_sums in high[row]]
-        return [fallback(row, s, part) for part in parts]
-
-    return read
+def signed_part(values, r):
+    """The integrand itself."""
+    return values
 
 
-def _gated(piece, quad_tol):
-    """(integral, tail_masses) from ``piece(s)``, the (value, |value|
-    mass) of segment s, with the origin-growth gate and the tail stopping
-    rule; NotAbsolutelyIntegrable when a gate trips.  The floor [0, 1e-10]
-    joins the value after the gate and no gate reads it."""
-    near = 0.0
-    abs_total = 0.0
-    abs_estimates = []
-    for s in reversed(range(1, _N_ORIGIN + 1)):
-        value, mass = piece(s)
-        near += value
-        abs_total += mass
-        abs_estimates.append(abs_total)
-    growth = origin_growth(abs_estimates)
-    if growth > ORIGIN_GROWTH:
-        raise NotAbsolutelyIntegrable(
-            f"integral near the origin still grew {growth:.1%} over the "
-            f"final cutoff decade")
-    near += piece(0)[0]
-
-    far = 0.0
-    masses = []
-    for s in range(_N_ORIGIN + 1, _N_SEGMENTS):
-        value, mass = piece(s)
-        far += value
-        masses.append(mass)
-        if mass < max(quad_tol * 1e-2, 1e-12 * (1.0 + abs(far))):
-            return near + far, masses
-    raise NotAbsolutelyIntegrable(
-        f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
-        f"last decade contributed {masses[-1]:.3g}")
-
-
-def gaussian_integrals(signed, p_values, quad_tol):
-    """For each p, (integral of signed(r) exp(-p^2 r^2) over (0, inf),
-    tail_masses), where tail_masses[k] integrates the weighted |signed| over
-    [10**k, 10**(k+1)]; or the GroundlabError its gates or its fallback
-    quadrature raised.
-
-    ``signed`` takes and returns arrays; the fallback calls it with one
-    radius.  Its sign changes are the panel edges of every row, since the
-    Gaussian factors are positive.
-    """
-    read = segment_reader(signed, _BOUNDS, quad_tol, (np.positive, np.abs),
-                          scales=p_values)
-    results = []
-    for row in range(len(p_values)):
-        try:
-            results.append(_gated(lambda s, row=row: read(row, s), quad_tol))
-        except GroundlabError as exc:
-            results.append(exc)
-    return results
-
-
+def abs_part(values, r):
+    """The integrand's absolute value."""
+    return np.abs(values)
 
 
 def _sinc(x):
@@ -300,12 +166,12 @@ def _sinc(x):
 # K_N(z): the radial kernel of the N-dimensional Fourier transform
 _FOURIER_KERNELS = {1: np.cos, 2: j0, 3: _sinc}
 
-# Filon panels: bisected until the Legendre coefficients of degree _NODES
-# and up are at most _TAIL_TOL max|g|, small enough that the 10-node sums
-# agree with the 20-node ones to the default quad_tol and no smooth profile
-# falls back to quad; a kink or a jump stops after _SPLITS halvings and is
-# left to the rule pair's check.  A J_0 panel whose left edge lies at
-# x r >= _HANKEL_FROM takes the Hankel form
+# Panels are bisected until the Legendre coefficients of degree _NODES and
+# up are at most _TAIL_TOL max|g|, small enough that the 10-node sums agree
+# with the 20-node ones to the default quad_tol and no smooth profile falls
+# back to quad; a kink or a jump that is not an edge stops after _SPLITS
+# halvings and is left to the rule pair's check.  A J_0 panel whose left
+# edge lies at x r >= _HANKEL_FROM takes the Hankel form
 _TAIL_TOL = 1e-11
 _SPLITS = 40
 _HANKEL_FROM = 8.0
@@ -372,113 +238,239 @@ def _nodes(lo, hi, t):
 
 
 def _resolved(g, edges):
-    """``edges`` with each panel bisected until the Legendre coefficients of
-    degree _NODES and up of g's 20-node interpolant are at most
-    _TAIL_TOL max|g|, and g at the 20 nodes of every panel.  A panel is
-    bisected _SPLITS times at most, and a panel on which g is not finite
-    not at all; the rule pair's check catches what either leaves."""
+    """``edges`` with each panel but the floor (the one starting at 0)
+    bisected until the Legendre coefficients of degree _NODES and up of g's
+    20-node interpolant are at most _TAIL_TOL max|g|, and g at the 20 nodes
+    of every panel.  A panel is bisected _SPLITS times at most, and a panel
+    on which g is not finite not at all; the rule pair's check catches what
+    either leaves."""
     t = _RULES[1][0]
     values = g(_nodes(edges[:-1], edges[1:], t))
     for _ in range(_SPLITS):
         scale = np.abs(values[np.isfinite(values)]).max(initial=0.0)
         tail = np.abs(values @ _ANALYSIS[1][_NODES:].T).max(axis=1)
-        split = tail > _TAIL_TOL * scale
+        split = (tail > _TAIL_TOL * scale) & (edges[:-1] > 0.0)
         if not split.any():
             break
         lo, hi = edges[:-1][split], edges[1:][split]
         mid = 0.5 * (lo + hi)
         halves = g(_nodes(np.stack([lo, mid], axis=1).ravel(),
                           np.stack([mid, hi], axis=1).ravel(), t))
-        first = np.arange(split.size) + np.cumsum(split) - split
-        merged = np.empty((values.shape[0] + mid.size, t.size))
-        merged[first[~split]] = values[~split]
-        merged[(first[split, None] + [0, 1]).ravel()] = halves
-        edges, values = np.union1d(edges, mid), merged
+        # each split panel's values give way to its two halves'
+        values = values[np.repeat(np.arange(split.size), 1 + split)]
+        values[np.repeat(split, 1 + split)] = halves
+        edges = np.union1d(edges, mid)
     return edges, values
 
 
-def kernel_integrals(signed, dimension, upper, quad_tol):
-    """The integrals of signed(r) K_N(x r) over [0, upper], with K_N the
-    radial kernel of the N-dimensional Fourier transform, N = ``dimension``
-    (cos, J_0 and sin(x)/x), as a function of an array of x > 0; no gate.
+class Panels:
+    """The panel set of one integrand ``signed(r)`` = W(r) r^{N-1} over
+    [bounds[0], bounds[-1]], and the reader of every integral over it.
 
-    Everything that does not depend on x is built here, once: the log-graded
-    panels and the segment bounds of :func:`gaussian_integrals` cut at
-    ``upper``, bisected until the Legendre tail of W r^{N-1}'s 20-node
-    interpolant is negligible (:func:`_resolved`), ``signed`` on the nodes of
-    both rules and the Legendre coefficients of its interpolants.  Each
-    kernel is Re[A(x r) e^{i x r}], with A = 1 for cos, -i / (x r) for
-    sin(x)/x (the interpolant is then of W r^{N-1} / r, smooth at 0) and
-    H_0^(1)(x r) e^{-i x r} for J_0 on panels beyond x r = _HANKEL_FROM,
-    where J_0 is integrated by the plain rules.  On the panel of centre m
-    and half-width h the interpolant sum_k c_k P_k times e^{i x r}
-    integrates exactly to h e^{i x m} sum_k c_k 2 i^k j_k(x h), so the panels
-    are sized by W, not by the frequency.  A (row, segment) whose 10- and
-    20-node sums disagree by more than quad_tol * max(1, |value|) is
-    integrated again by :func:`segment`, whose QuadratureFailure it raises.
+    The panels are cut at the log-graded edges, the ``bounds``, the sign
+    changes of ``signed`` and the ``kinks``, and bisected by
+    :func:`_resolved`; ``signed`` takes and returns arrays, and is
+    evaluated on the nodes of both rules once, here.  The fallback calls it
+    with one radius.
     """
-    kernel = _FOURIER_KERNELS[dimension]
-    bounds = np.array([b for b in _BOUNDS if b < upper] + [upper])
 
-    def g(r):
-        values = signed(r.ravel()).reshape(r.shape)
-        return _flushed(values / r if dimension == 3 else values)
+    def __init__(self, signed, bounds, quad_tol, kinks=()):
+        self.quad_tol, self._signed = quad_tol, signed
+        self._bounds = [float(b) for b in bounds]
+        self._index = {b: s for s, b in enumerate(self._bounds)}
+        lo, hi = self._bounds[0], self._bounds[-1]
+        edges = np.concatenate([_PANEL_EDGES, _sign_changes(signed, kinks),
+                                kinks])
+        edges = np.union1d(edges[(edges > lo) & (edges < hi)], self._bounds)
 
-    edges, high_values = _resolved(g, np.union1d(
-        _PANEL_EDGES[_PANEL_EDGES < upper], bounds))
-    lo, hi = edges[:-1], edges[1:]
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # per rule: nodes, weights, node values and the Legendre coefficients
-    # of their interpolant, times 2 i^k
-    rules = []
-    for (t, w), analysis in zip(_RULES, _ANALYSIS):
-        r = _nodes(lo, hi, t)
-        values = high_values if t.size == high_values.shape[1] else g(r)
-        rules.append((r, w, values, values @ analysis.T * _MOMENTS[:t.size]))
-    starts = np.searchsorted(edges, bounds[:-1])
+        def g(r):
+            return _flushed(signed(r.ravel()).reshape(r.shape))
 
-    def panel_sums(x):
-        """(rows, 2, panels) low- and high-rule sums, one row per x."""
-        # the (row, panel) pairs integrated through the moments; J_0 takes
-        # the plain rules below x r = _HANKEL_FROM
-        by_moments = (np.outer(x, lo) >= _HANKEL_FROM if dimension == 2
-                      else np.ones((x.size, lo.size), dtype=bool))
-        rows, cols = np.nonzero(by_moments)
-        plain_rows, plain_cols = np.nonzero(~by_moments)
-        j = _spherical_bessels(x[rows] * half[cols])
-        phase = half[cols] * np.exp(1j * x[rows] * centre[cols])
-        sums = np.empty((x.size, 2, lo.size))
-        for rule, (r, w, values, coefficients) in enumerate(rules):
-            k = w.size
-            if dimension == 2:
-                z = x[rows, None] * r[cols]
-                hankel = (j0(z) + 1j * y0(z)) * np.exp(-1j * z)
-                coefficients = ((values[cols] * hankel) @ _ANALYSIS[rule].T
-                                * _MOMENTS[:k])
-                plain = x[plain_rows, None] * r[plain_cols]
-                sums[plain_rows, rule, plain_cols] = half[plain_cols] * (
-                    (values[plain_cols] * j0(plain)) @ w)
-            else:
-                coefficients = coefficients[cols]
-            filon = phase * np.einsum("ik,ik->i", coefficients, j[:, :k])
-            sums[rows, rule, cols] = (filon.imag / x[rows] if dimension == 3
-                                      else filon.real)
-        return sums
+        edges, high = _resolved(g, edges)
+        self._edges = edges
+        self._starts = np.searchsorted(edges, self._bounds[:-1])
+        # per rule: nodes and weights (one row per panel) and the integrand
+        # at the nodes
+        half = 0.5 * np.diff(edges)[:, None]
+        self._rules = []
+        for t, w in _RULES:
+            r = _nodes(edges[:-1], edges[1:], t)
+            values = high if t.size == high.shape[1] else g(r)
+            self._rules.append((r, half * w, values))
+        self._fallbacks = {}    # key: value or QuadratureFailure
 
-    def integrals(scales):
+    def integrals(self, parts, factor=_gaussian, scales=(0.0,)):
+        """Reader ``read(row, lo, hi)`` of the integrals of
+        part(signed(r), r) factor(x r) over [lo, hi], two of the bounds, one
+        per part in ``parts``, with x the entry ``row`` of ``scales``; by
+        default the plain integrals.  The rule sums of every row are formed
+        here, the terms of all parts _CHUNK_ELEMENTS at a time."""
         x = np.asarray(scales, dtype=float)
-        sums = np.empty((x.size, 2, bounds.size - 1))
-        step = max(1, _CHUNK_ELEMENTS // (2 * _NODES * lo.size))
-        for first in range(0, x.size, step):
-            sums[first:first + step] = np.add.reduceat(
-                panel_sums(x[first:first + step]), starts, axis=2)
-        low, high = sums[:, 0], sums[:, 1]
-        agree = (np.isfinite(sums).all(axis=1)
-                 & (np.abs(high - low)
-                    <= quad_tol * np.maximum(1.0, np.abs(high))))
-        for row, s in zip(*np.nonzero(~agree)):
-            high[row, s] = segment(lambda r: kernel(x[row] * r) * signed(r),
-                                   bounds[s], bounds[s + 1], quad_tol)[0]
-        return high.sum(axis=1)
+        # both rules' nodes in one run, and the first node of each segment
+        # under either rule
+        r, weights, values = (np.concatenate([a.ravel() for a in arrays])
+                              for arrays in zip(*self._rules))
+        starts = np.concatenate([self._starts * _NODES, (
+            self._edges.size - 1 + 2 * self._starts) * _NODES])
+        weighted = _flushed(np.stack([part(values, r) * weights
+                                      for part in parts]))
+        sums = np.empty((x.size, len(parts), starts.size))
+        chunk = max(1, _CHUNK_ELEMENTS // (len(parts) * r.size))
+        for first in range(0, x.size, chunk):
+            factors = factor(np.outer(x[first:first + chunk], r))
+            sums[first:first + chunk] = np.add.reduceat(
+                factors[:, None] * weighted, starts, axis=2)
+        sums = sums.reshape(x.size, len(parts), 2, -1)
+        return self._reader(sums, parts, factor, x)
 
-    return integrals
+    def transform(self, dimension, upper):
+        """The integrals of signed(r) K_N(x r) over [0, upper], with K_N the
+        radial kernel of the N-dimensional Fourier transform, N =
+        ``dimension`` (cos, J_0 and sin(x)/x), as a function of an array of
+        x > 0; no gate.  ``upper`` is one of the bounds, and 0 the first.
+
+        Each kernel is Re[A(x r) e^{i x r}], with A = 1 for cos, -i / (x r)
+        for sin(x)/x (the interpolant is then of signed(r) / r) and
+        H_0^(1)(x r) e^{-i x r} for J_0 on panels beyond x r =
+        _HANKEL_FROM, where J_0 is integrated by the plain rules.  On the
+        panel of centre m and half-width h the interpolant sum_k c_k P_k
+        times e^{i x r} integrates exactly to
+        h e^{i x m} sum_k c_k 2 i^k j_k(x h).
+        """
+        kernel = _FOURIER_KERNELS[dimension]
+        panels = int(np.searchsorted(self._edges, upper))
+        lo, hi = self._edges[:panels], self._edges[1:panels + 1]
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        # per rule: nodes, weights, node values and the Legendre
+        # coefficients of their interpolant, times 2 i^k
+        rules = []
+        for (r, _, values), (t, w), analysis in zip(self._rules, _RULES,
+                                                    _ANALYSIS):
+            r = r[:panels]
+            values = values[:panels] / (r if dimension == 3 else 1.0)
+            rules.append((r, w, values,
+                          values @ analysis.T * _MOMENTS[:t.size]))
+
+        def panel_sums(x):
+            """(rows, 2, panels) low- and high-rule sums, one row per x."""
+            # the (row, panel) pairs integrated through the moments; J_0
+            # takes the plain rules below x r = _HANKEL_FROM
+            by_moments = (np.outer(x, lo) >= _HANKEL_FROM if dimension == 2
+                          else np.ones((x.size, lo.size), dtype=bool))
+            rows, cols = np.nonzero(by_moments)
+            plain_rows, plain_cols = np.nonzero(~by_moments)
+            j = _spherical_bessels(x[rows] * half[cols])
+            phase = half[cols] * np.exp(1j * x[rows] * centre[cols])
+            sums = np.empty((x.size, 2, lo.size))
+            for rule, (r, w, values, coefficients) in enumerate(rules):
+                if dimension == 2:
+                    z = x[rows, None] * r[cols]
+                    hankel = (j0(z) + 1j * y0(z)) * np.exp(-1j * z)
+                    coefficients = ((values[cols] * hankel)
+                                    @ _ANALYSIS[rule].T * _MOMENTS[:w.size])
+                    plain = x[plain_rows, None] * r[plain_cols]
+                    sums[plain_rows, rule, plain_cols] = half[plain_cols] * (
+                        (values[plain_cols] * j0(plain)) @ w)
+                else:
+                    coefficients = coefficients[cols]
+                filon = phase * np.einsum("ik,ik->i", coefficients,
+                                          j[:, :w.size])
+                sums[rows, rule, cols] = (filon.imag / x[rows]
+                                          if dimension == 3 else filon.real)
+            return sums
+
+        def integrals(scales):
+            x = np.asarray(scales, dtype=float)
+            step = max(1, _CHUNK_ELEMENTS // (2 * _NODES * panels))
+            sums = np.concatenate([panel_sums(x[first:first + step])
+                                   for first in range(0, x.size, step)])
+            read = self._reader(np.add.reduceat(
+                sums, self._starts[self._starts < panels], axis=2)[:, None],
+                (signed_part,), kernel, x)
+            return np.array([read(row, self._bounds[0], upper)[0]
+                             for row in range(x.size)])
+
+        return integrals
+
+    def _reader(self, sums, parts, factor, x):
+        """``read(row, lo, hi)``: for each part, the integral of
+        part(signed(r), r) factor(x[row] r) over [lo, hi], two of the
+        bounds, from ``sums``, its (rows, parts, 2, segments) low- and
+        high-rule sums on the first segments.  A segment is read from the
+        20-node sum when the two rules agree to
+        quad_tol * max(1, |value|), and otherwise from :func:`segment`,
+        whose QuadratureFailure the read raises."""
+        low, high = sums[:, :, 0], sums[:, :, 1]
+        agree = (np.isfinite(sums).all(axis=2)
+                 & (np.abs(high - low)
+                    <= self.quad_tol * np.maximum(1.0, np.abs(high))))
+        # indexed [row][segment][part]
+        agree = agree.transpose(0, 2, 1).tolist()
+        high, x = high.transpose(0, 2, 1).tolist(), x.tolist()
+
+        def read(row, lo, hi):
+            s, end = self._index[lo], self._index[hi]
+            if end == s + 1 and all(agree[row][s]):
+                return high[row][s]
+            out = [0.0] * len(parts)
+            for s in range(s, end):
+                for j, part in enumerate(parts):
+                    out[j] += (high[row][s][j] if agree[row][s][j] else
+                               self._fallback(part, factor, x[row], s))
+            return out
+
+        return read
+
+    def _fallback(self, part, factor, x, s):
+        """The integral of part(signed(r), r) factor(x r) over segment s by
+        :func:`segment`, once per panel set.  Every factor is 1 at 0 and
+        monotone on [0, 1], so where x r stays below 1 and the factor at the
+        segment's end is within _UNIT_TOL of 1 (the floor of every p of the
+        Gaussian scan, and p = 0 throughout), the rows share one call of
+        the unweighted part per (segment, part), its failure included."""
+        lo, hi = self._bounds[s], self._bounds[s + 1]
+        if x * hi <= 1.0 and abs(factor(x * hi) - 1.0) <= _UNIT_TOL:
+            factor, x = _gaussian, 0.0
+        key = (s, part, factor, x)
+        if key not in self._fallbacks:
+            try:
+                self._fallbacks[key] = segment(
+                    lambda r: factor(x * r) * part(self._signed(r), r), lo,
+                    hi, self.quad_tol)[0]
+            except QuadratureFailure as exc:
+                self._fallbacks[key] = exc
+        if isinstance(self._fallbacks[key], QuadratureFailure):
+            raise self._fallbacks[key]
+        return self._fallbacks[key]
+
+
+def gated(piece, quad_tol):
+    """(integral, tail_masses) from ``piece(lo, hi)``, the (value, |value|
+    mass) over [lo, hi], two consecutive BOUNDS, with the origin-growth
+    gate and the tail stopping rule; NotAbsolutelyIntegrable when a gate
+    trips.  The floor [0, 1e-10] joins the value after the gate and no
+    gate reads it."""
+    near, abs_total, abs_estimates = 0.0, 0.0, []
+    for s in reversed(range(1, _N_ORIGIN + 1)):
+        value, mass = piece(BOUNDS[s], BOUNDS[s + 1])
+        near += value
+        abs_total += mass
+        abs_estimates.append(abs_total)
+    growth = origin_growth(abs_estimates)
+    if growth > ORIGIN_GROWTH:
+        raise NotAbsolutelyIntegrable(
+            f"integral near the origin still grew {growth:.1%} over the "
+            f"final cutoff decade")
+    near += piece(BOUNDS[0], BOUNDS[1])[0]
+
+    far, masses = 0.0, []
+    for lo, hi in zip(BOUNDS[_N_ORIGIN + 1:], BOUNDS[_N_ORIGIN + 2:]):
+        value, mass = piece(lo, hi)
+        far += value
+        masses.append(mass)
+        if mass < max(quad_tol * 1e-2, 1e-12 * (1.0 + abs(far))):
+            return near + far, masses
+    raise NotAbsolutelyIntegrable(
+        f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
+        f"last decade contributed {masses[-1]:.3g}")
+

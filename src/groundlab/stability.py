@@ -22,14 +22,14 @@ keeps the first negative one; when none is, the verdict is ``inconclusive``
 with a ``witness_note`` in its details.  Every witness energy comes from
 :func:`groundlab.energy.energy_grid`, the one grid-energy path.
 ``stable_indication`` records the scanned domain and never claims a proof.
-Every radial integral reads the one lazy per-segment table of
-:mod:`groundlab.radial`: the space integral, each weighted integral and the
-whole Gaussian-weighted scan are rows of
-:func:`groundlab.radial.gaussian_integrals`.  The Fourier transform, with
-the kernels cos, J_0 and sin(x)/x of dimensions 1, 2 and 3, is the Filon
-quadrature of :func:`groundlab.radial.kernel_integrals`: W is sampled once
-per criterion, on panels sized by W and not by the frequency, and every
-frequency, the polish included, reuses those samples.
+Every radial integral of a criterion call reads one panel set of W(r)
+r^{N-1} (:class:`groundlab.radial.Panels`): the space integral is the row
+p = 0 of the Gaussian-weighted scan, whose rows and polish all read the
+same samples; the ball witness reads its |W| masses between powers of two
+from the space integral's; and :func:`fourier_criterion` reads its W^2
+gate, its space integral and its Filon transform, with the kernels cos,
+J_0 and sin(x)/x of dimensions 1, 2 and 3, from one sampling, every
+frequency and the polish included.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
 from .potentials import RadialPotential, _locate_infimum
-from .radial import gaussian_integrals, kernel_integrals, segment_reader
+from .radial import BOUNDS, Panels, abs_part, gated, signed_part
 
 __all__ = [
     "Certificate",
@@ -69,6 +69,8 @@ DECISION_TOL = 1e-6
 
 _BALL_CELL_CAP = {1: 4096, 2: 512, 3: 64}
 _BALL_SCALES = (4, 8, 16, 32)
+# the ball witness reads the |W| mass between consecutive powers of two
+_BALL_RADII = [2.0**k for k in range(25)]
 # largest radius the doubling scan of _decay_radius reaches
 _DECAY_RADIUS_CAP = 1e5
 # ruc_search certifies only a fitted asymptote below -_CATASTROPHIC_TOL
@@ -147,21 +149,30 @@ def _plain(obj):
 # radial integrals of the profile
 
 
-def _radial_density(potential):
-    """W(r) r^{N-1} as an array function."""
-    n = potential.dimension
-    return lambda r: potential(r) * r ** (n - 1)
+def _panels(potential, quad_tol, cuts=()):
+    """The panel set of W(r) r^{N-1} over BOUNDS and the radii ``cuts``,
+    cut at the potential's kinks."""
+    return Panels(lambda r: potential(r) * r ** (potential.dimension - 1),
+                  np.union1d(BOUNDS, cuts), quad_tol, potential.kinks)
 
 
-def _weighted_integral(potential, p, quad_tol):
-    """S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr and the absolute
-    mass of each tail decade; p = 0 gives the space integral.  It is the
-    row p of the Gaussian-weighted scan, bit for bit."""
-    result = gaussian_integrals(_radial_density(potential), [p], quad_tol)[0]
-    if isinstance(result, Exception):
-        raise result
-    value, tail_masses = result
-    return unit_sphere_area(potential.dimension) * value, tail_masses
+def _weighted(potential, panels, p_values):
+    """``row(k)``: S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr on
+    ``panels`` for p = p_values[k], and tail_masses, where tail_masses[j]
+    integrates the weighted |W| r^{N-1} over [10**j, 10**(j+1)]; it raises
+    what the gates or the fallback quadrature raise.  p = 0 gives the space
+    integral, and a lone p is the row p of the scan, bit for bit.  The
+    Gaussian factors are positive, so the sign changes of W, panel edges,
+    are the kinks of every row's absolute value."""
+    read = panels.integrals((signed_part, abs_part), scales=p_values)
+    area = unit_sphere_area(potential.dimension)
+
+    def row(k):
+        value, masses = gated(lambda lo, hi: read(k, lo, hi),
+                              panels.quad_tol)
+        return area * value, masses
+
+    return row
 
 
 def space_integral(potential: RadialPotential,
@@ -171,7 +182,7 @@ def space_integral(potential: RadialPotential,
     Raises NotAbsolutelyIntegrable when |W| fails to integrate near the
     origin or in the tail.
     """
-    return _weighted_integral(potential, 0.0, quad_tol)[0]
+    return _weighted(potential, _panels(potential, quad_tol), [0.0])(0)[0]
 
 
 def weighted_space_integral(potential: RadialPotential, p: float,
@@ -183,7 +194,7 @@ def weighted_space_integral(potential: RadialPotential, p: float,
     """
     if p <= 0:
         raise ValueError("p must be > 0; use space_integral for p = 0")
-    return _weighted_integral(potential, p, quad_tol)[0]
+    return _weighted(potential, _panels(potential, quad_tol), [p])(0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +242,21 @@ def _ball_density(potential, radius, scale):
     return uniform_ball_density(radius, potential.dimension, cells)
 
 
-def _choose_ball_radius(potential, value, tail_masses, quad_tol):
+def _choose_ball_radius(potential, value, tail_masses, panels):
     """Smallest power-of-two radius R whose exterior holds at most a
     quarter of |value| worth of |W| mass, or 2**24 if none up to 2**23
     does before the quadrature of a shell fails; ``tail_masses`` are the
     space integral's per-decade |W| r^{N-1} masses beyond radius 1, and
-    ``head`` the mass over [1, R]."""
-    radii = 2.0 ** np.arange(25)
-    read = segment_reader(_radial_density(potential), radii, quad_tol,
-                          (np.abs,))
+    ``head`` the mass over [1, R], read from ``panels``."""
+    read = panels.integrals((abs_part,))
     area = unit_sphere_area(potential.dimension)
     total, head = sum(tail_masses), 0.0
     with suppress(QuadratureFailure):
-        for k, radius in enumerate(radii[:-1].tolist()):
+        for radius, outer in zip(_BALL_RADII, _BALL_RADII[1:]):
             if area * max(total - head, 0.0) <= abs(value) / 4:
                 return radius
-            head += read(0, k)[0]
-    return float(radii[-1])
+            head += read(0, radius, outer)[0]
+    return _BALL_RADII[-1]
 
 
 def integral_criterion(potential: RadialPotential,
@@ -265,7 +274,8 @@ def integral_criterion(potential: RadialPotential,
 
     Raises NotAbsolutelyIntegrable when |W| is not integrable over R^N.
     """
-    value, tail_masses = _weighted_integral(potential, 0.0, quad_tol)
+    panels = _panels(potential, quad_tol, _BALL_RADII)
+    value, tail_masses = _weighted(potential, panels, [0.0])(0)
     details = {"quad_tol": quad_tol, "decision_tol": decision_tol,
                "potential": potential.label}
 
@@ -273,7 +283,7 @@ def integral_criterion(potential: RadialPotential,
         certificate = Certificate(kind="integral_value",
                                   certified_value=value)
         if build_witness:
-            R = _choose_ball_radius(potential, value, tail_masses, quad_tol)
+            R = _choose_ball_radius(potential, value, tail_masses, panels)
             details["witness_R"] = R
             scale = _profile_scale(potential)
             balls = (("ball_density",
@@ -334,19 +344,18 @@ def gaussian_criterion(potential: RadialPotential,
         details["advisory"] = ("profile grows at infinity; criterion "
                               "hypotheses unmet, verdict advisory")
 
-    # p = 0 and the whole grid are weighed on one set of nodes at once
+    # p = 0, the whole grid and the polish are weighed on one set of nodes
     p_values = [0.0] + grid.tolist()
-    results = gaussian_integrals(_radial_density(potential), p_values,
-                                 quad_tol)
-    area = unit_sphere_area(potential.dimension)
+    panels = _panels(potential, quad_tol)
+    row = _weighted(potential, panels, p_values)
     entries = []
-    for p, result in zip(p_values, results):
-        if p == 0.0 and isinstance(result, NotAbsolutelyIntegrable):
-            details["p_zero_skipped"] = str(result)
-        elif isinstance(result, Exception):
-            raise result
-        else:
-            entries.append((p, area * result[0]))
+    for k, p in enumerate(p_values):
+        try:
+            entries.append((p, row(k)[0]))
+        except NotAbsolutelyIntegrable as exc:
+            if p > 0.0:
+                raise
+            details["p_zero_skipped"] = str(exc)
 
     values = np.array([v for _, v in entries])
     best_idx = int(np.argmin(values))
@@ -359,7 +368,7 @@ def gaussian_criterion(potential: RadialPotential,
         if hi > lo:
             from scipy.optimize import minimize_scalar
             result = minimize_scalar(
-                lambda q: weighted_space_integral(potential, q, quad_tol),
+                lambda q: _weighted(potential, panels, [q])(0)[0],
                 bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-10})
             if result.success and result.fun < best_value:
@@ -420,14 +429,15 @@ def _decay_radius(potential) -> float:
     return _DECAY_RADIUS_CAP
 
 
-def _fourier_transform(potential, quad_tol):
-    """The transform at positive frequencies, truncated at the decay radius,
-    as a function of an array of them; the panels, node values and Legendre
-    coefficients of W(r) r^{N-1} are built here, once for every frequency."""
+def _fourier_panels(potential, quad_tol):
+    """The panel set of W(r) r^{N-1} with the decay radius as one more
+    bound, and the transform at positive frequencies, truncated there, as a
+    function of an array of them."""
     n = potential.dimension
-    integrals = kernel_integrals(_radial_density(potential), n,
-                                 _decay_radius(potential), quad_tol)
-    return lambda xi: unit_sphere_area(n) * integrals(xi)
+    upper = _decay_radius(potential)
+    panels = _panels(potential, quad_tol, [upper])
+    integrals = panels.transform(n, upper)
+    return panels, lambda xi: unit_sphere_area(n) * integrals(xi)
 
 
 def radial_fourier_transform(potential: RadialPotential,
@@ -438,11 +448,10 @@ def radial_fourier_transform(potential: RadialPotential,
 
     FT(xi) = S_{N-1} int_0^R W(r) r^{N-1} K_N(xi r) dr with K_1 = cos,
     K_2 = J_0 and K_3(x) = sin(x) / x, truncated at the radius R beyond
-    which |W| is negligible.  The nonzero frequencies share one set of
-    panels and samples of W, sized by W and not by the frequency, and are
-    integrated by the Filon quadrature of
-    :func:`groundlab.radial.kernel_integrals`.  The zero frequency
-    delegates to :func:`space_integral`.
+    which |W| is negligible.  Every frequency reads one panel set of W,
+    sized by W and not by the frequency: the nonzero ones are integrated by
+    the Filon quadrature of :meth:`groundlab.radial.Panels.transform`, and
+    the zero frequency is the space integral on the same panels.
     """
     xi = np.asarray(frequencies, dtype=float)
     flat = np.atleast_1d(xi)
@@ -450,10 +459,11 @@ def radial_fourier_transform(potential: RadialPotential,
         raise ValueError("frequencies must be nonnegative")
     out = np.empty(flat.shape)
     zero = flat == 0.0
+    panels, transform_at = _fourier_panels(potential, quad_tol)
     if zero.any():
-        out[zero] = space_integral(potential, quad_tol)
+        out[zero] = _weighted(potential, panels, [0.0])(0)[0]
     if not zero.all():
-        out[~zero] = _fourier_transform(potential, quad_tol)(flat[~zero])
+        out[~zero] = transform_at(flat[~zero])
     return float(out[0]) if xi.ndim == 0 else out
 
 
@@ -484,13 +494,16 @@ def fourier_criterion(potential: RadialPotential,
     QuadratureFailure when a fallback quadrature of the transform fails.
     """
     n = potential.dimension
-    squared = gaussian_integrals(lambda r: potential(r) ** 2 * r ** (n - 1),
-                                 [0.0], quad_tol)[0]
-    if isinstance(squared, NotAbsolutelyIntegrable):
+    # the W^2 gate, the space integral and the transform read one panel set
+    panels, transform_at = _fourier_panels(potential, quad_tol)
+    read = panels.integrals((lambda values, r: values * values
+                             / r ** (n - 1),))
+    try:
+        # W^2 r^{N-1} is its own absolute value
+        gated(lambda lo, hi: 2 * read(0, lo, hi), quad_tol)
+    except NotAbsolutelyIntegrable as exc:
         raise NotSquareIntegrable(f"{potential.label}: W^2 is not "
-                                  f"integrable ({squared})") from squared
-    if isinstance(squared, Exception):
-        raise squared
+                                  f"integrable ({exc})") from exc
 
     grid = np.asarray(_default_xi_grid() if xi_grid is None else xi_grid,
                       dtype=float)
@@ -501,15 +514,13 @@ def fourier_criterion(potential: RadialPotential,
     tails = np.array([1.5 * top, 2.0 * top, 3.0 * top])
 
     try:
-        integral = space_integral(potential, quad_tol)
+        integral = _weighted(potential, panels, [0.0])(0)[0]
     except NotAbsolutelyIntegrable:
         integral = None
         grid = grid[grid > 0]
 
     frequencies = np.concatenate([grid, tails])
-    # the transform at zero frequency is the space integral computed above;
-    # one set of panels serves every other frequency, the polish included
-    transform_at = _fourier_transform(potential, quad_tol)
+    # the transform at zero frequency is the space integral computed above
     zero = frequencies == 0.0
     transform = np.empty(frequencies.shape)
     transform[zero] = integral

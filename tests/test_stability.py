@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -174,23 +175,22 @@ def test_gaussian_scan_drops_only_p_zero_for_heavy_tails(monkeypatch):
     monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (
         calls.append(args[1:3]) or quad(*args, **kwargs)))
     scan = gaussian_criterion(w, build_witness=False).details
-    # r^-0.9 defeats the rule pair only on the floor [0, 1e-10]; the rows
-    # whose factor is 1.0 there (p = 0 and p below about 70) share one
-    # quad per part, where each row used to make its own: 402 calls
-    assert set(calls) == {(0.0, 1e-10)}
-    assert len(calls) <= 80
+    # r^-0.9 defeats the rule pair only on the floor [0, 1e-10], where
+    # every factor is within 1e-14 of 1: all rows share one quad per part,
+    # where each row used to make its own (402 calls)
+    assert calls == [(0.0, 1e-10)] * 2
     assert "tail integral" in scan["p_zero_skipped"]
     assert scan["p_values"] == stability._default_p_grid().tolist()
     for k in (0, 100, 199):
         assert scan["weighted_integrals"][k] == pytest.approx(
             weighted_space_integral(w, scan["p_values"][k]), rel=1e-12)
-    # a shared floor value is the old per-row integrand's, bit for bit
-    signed, parts, p = stability._radial_density(w), (np.positive, np.abs), 1.0
-    read = radial.segment_reader(signed, radial._BOUNDS, stability.QUAD_TOL,
-                                 parts, scales=[0.0, p])
-    assert read(0, 0) == read(1, 0) == [radial.segment(
-        lambda r, part=part: radial._gaussian(p * r) * part(signed(r)), 0.0,
-        1e-10, stability.QUAD_TOL)[0] for part in parts]
+    # the shared floor value is the unweighted integrand's, bit for bit
+    parts = (radial.signed_part, radial.abs_part)
+    read = stability._panels(w, stability.QUAD_TOL).integrals(
+        parts, scales=[0.0, 1e3])
+    assert read(0, 0.0, 1e-10) == read(1, 0.0, 1e-10) == [radial.segment(
+        lambda r, part=part: part(w(r), r), 0.0, 1e-10,
+        stability.QUAD_TOL)[0] for part in parts]
 
 
 class CountingPotential:
@@ -236,17 +236,69 @@ def test_gaussian_scan_evaluates_w_only_as_arrays(monkeypatch):
     assert per_p == []
 
 
-def test_kinked_profile_falls_back_to_adaptive_quad(monkeypatch):
-    # the knot at r = 2 puts a kink inside a panel of the decade [1, 10];
-    # the two rules disagree there, so that decade alone goes to quad
+def test_kinked_profile_integrates_exactly_on_its_knot_panels(monkeypatch):
+    # the knots at r = 1 and 2 and the sign change at r = 0.5 are panel
+    # edges, so every panel holds a linear piece and no segment goes to quad
     fallbacks = []
     segment = radial.segment
     monkeypatch.setattr(radial, "segment", lambda *args: (
         fallbacks.append(args[1:3]) or segment(*args)))
     w = Tabulated([0.0, 1.0, 2.0], [-1.0, 1.0, 0.0], 1)
-    # 2 * (int_0^1 (2r - 1) dr + int_1^2 (2 - r) dr) = 1
-    assert space_integral(w) == pytest.approx(1.0, abs=1e-12)
-    assert set(fallbacks) == {(1.0, 10.0)}
+    # 2 * (int_0^1 (2r - 1) dr + int_1^2 (2 - r) dr) = 1, to rounding
+    assert space_integral(w) == pytest.approx(1.0, rel=0.0, abs=4e-16)
+    assert fallbacks == []
+
+
+def random_knots(n=200, top=10.0):
+    """A Tabulated profile in N = 1 through ``n`` random values on evenly
+    spaced knots over [0, top], the last value 0: about 100 kinks and 100
+    sign changes."""
+    knots = np.linspace(0.0, top, n)
+    values = np.random.default_rng(0).normal(size=n)
+    values[-1] = 0.0
+    return Tabulated(knots, values, 1)
+
+
+def piecewise_linear_transform(w, xi):
+    """Closed form of 2 int_0^R W(r) cos(xi r) dr for a Tabulated profile
+    in N = 1 whose first knot is 0 and whose last value is 0, summed piece
+    by piece in extended precision."""
+    r = w.knot_radii.astype(np.longdouble)
+    v = w.knot_values.astype(np.longdouble)
+    a, b = r[:-1], r[1:]
+    slope = np.diff(v) / np.diff(r)
+    out = []
+    for f in np.asarray(xi, dtype=np.longdouble):
+        if f == 0:
+            out.append(np.sum((v[:-1] + v[1:]) * (b - a)))
+            continue
+        # int_a^b (v_a + slope (r - a)) cos(f r) dr
+        body = (v[1:] * np.sin(f * b) - v[:-1] * np.sin(f * a)) / f
+        body += slope * (np.cos(f * b) - np.cos(f * a)) / f**2
+        out.append(2 * np.sum(body))
+    return np.array(out, dtype=float)
+
+
+def test_knots_are_panel_edges_and_sign_change_probes(recwarn, monkeypatch):
+    # no kink lies inside a panel, so no rule pair disagrees: no quad call,
+    # no IntegrationWarning, and sums exact to rounding
+    calls = []
+    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (
+        calls.append(args[1:3]) or quad(*args, **kwargs)))
+    w = random_knots()
+    v = w.knot_values
+    exact = 2.0 * float(np.sum(0.5 * (v[:-1] + v[1:]) * np.diff(w.knot_radii)))
+    assert abs(space_integral(w) - exact) <= 1e-12
+    start = time.perf_counter()
+    verdict = gaussian_criterion(w, build_witness=False)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.numeric_value == pytest.approx(-0.23263047, abs=1e-8)
+    xi = criterion_frequencies()
+    assert 11.75 in xi
+    got = radial_fourier_transform(w, xi)
+    assert np.all(np.abs(got - piecewise_linear_transform(w, xi)) <= 1e-12)
+    assert calls == []
+    assert len(recwarn) == 0
 
 
 def test_integral_criterion_three_outcomes():
@@ -433,13 +485,13 @@ def test_fourier_panels_do_not_depend_on_the_frequency():
 
 def test_fourier_criterion_samples_its_panels_once(monkeypatch):
     builds, radii = [], []
-    build = stability.kernel_integrals
+    build = stability.Panels
 
     def recording(signed, *args):
         builds.append(args)
         return build(lambda r: radii.extend(r.tolist()) or signed(r), *args)
 
-    monkeypatch.setattr(stability, "kernel_integrals", recording)
+    monkeypatch.setattr(stability, "Panels", recording)
     verdict = fourier_criterion(GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1))
     # the grid, the tail probes and the polish share one set of nodes
     assert verdict.details["minimizing_xi"] not in verdict.details["xi_values"]
@@ -447,8 +499,60 @@ def test_fourier_criterion_samples_its_panels_once(monkeypatch):
     assert len(radii) == len(set(radii)) > 0
 
 
+class NodeRecording(GaussianMix):
+    """GaussianMix profile that records every radius it is evaluated at,
+    except while ``quiet``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.radii, self.quiet = [], False
+
+    def _profile(self, radii):
+        if not self.quiet:
+            self.radii.extend(radii.ravel().tolist())
+        return super()._profile(radii)
+
+
+def test_fourier_criterion_reads_one_node_set(monkeypatch):
+    # the W^2 gate, the space integral and the transform share one sampling
+    # of W; sampled apart, they took 5,612 points for the first two and
+    # 1,890 more for the transform.  The decay-radius probe, the witness
+    # energies and the sign-change search are left out of the distinctness
+    # check
+    w = NodeRecording([(4.0, 2.0), (-7.0, 1.0)], 1)
+    searched = []
+
+    def quiet(fn):
+        def wrapper(*args, **kwargs):
+            w.quiet = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                w.quiet = False
+        return wrapper
+
+    monkeypatch.setattr(stability, "_decay_radius",
+                        quiet(stability._decay_radius))
+    monkeypatch.setattr(stability, "energy_grid", quiet(stability.energy_grid))
+    sign_changes = radial._sign_changes
+
+    def counted(func, kinks):
+        before = len(w.radii)
+        out = sign_changes(func, kinks)
+        searched.append(len(w.radii) - before)
+        return out
+
+    monkeypatch.setattr(radial, "_sign_changes", counted)
+    verdict = fourier_criterion(w)
+    assert verdict.outcome == HE
+    assert len(searched) == 1
+    nodes = w.radii[searched[0]:]
+    assert len(nodes) == len(set(nodes)) > 0
+    assert len(w.radii) < 5612 + 1890
+
+
 def test_gaussian_factors_below_negligible_are_zero():
-    assert (inspect.signature(radial.segment_reader).parameters["factor"]
+    assert (inspect.signature(radial.Panels.integrals).parameters["factor"]
             .default is radial._gaussian)
     x = np.linspace(0.0, 30.0, 3001)
     exact = np.exp(-np.square(x))
@@ -563,22 +667,29 @@ def test_fourier_criterion_unverifiable_dip_stays_inconclusive():
     assert "witness_note" in verdict.details
 
 
-def _count_radial_integrals(monkeypatch, potential):
-    """Records, per row of a Gaussian-weighted integral of ``potential``,
-    "squared" when the integrand is W(r)^2 r^{N-1} (the W^2 check) and
-    "signed" otherwise (the space integral is the row p = 0); the two are
-    told apart by their values at r = 0.5."""
+def _count_radial_integrals(monkeypatch):
+    """Records "panels" for each panel set built and, per row of the
+    integrals read from one, "squared" when the integrand is W(r)^2
+    r^{N-1} (the W^2 gate) and "signed" when it is W(r) r^{N-1} (the space
+    integral is the row p = 0); the rows of |W| alone (the ball witness's
+    masses) are not recorded."""
     calls = []
-    scan = stability.gaussian_integrals
-    r = np.array([0.5])
-    squared = potential(r) ** 2 * r ** (potential.dimension - 1)
+    build, integrals = stability.Panels, radial.Panels.integrals
 
-    def counting_scan(signed, p_values, quad_tol):
-        kind = "squared" if np.array_equal(signed(r), squared) else "signed"
-        calls.extend([kind] * len(p_values))
-        return scan(signed, p_values, quad_tol)
+    def building(*args):
+        calls.append("panels")
+        return build(*args)
 
-    monkeypatch.setattr(stability, "gaussian_integrals", counting_scan)
+    def counting(self, parts, *args, **kwargs):
+        if parts[0] is radial.signed_part:
+            calls.extend(["signed"] * len(kwargs.get("scales", [0.0])))
+        elif parts[0] is not radial.abs_part:
+            assert parts[0](-2.0, 1.0) == 4.0
+            calls.append("squared")
+        return integrals(self, parts, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "Panels", building)
+    monkeypatch.setattr(radial.Panels, "integrals", counting)
     return calls
 
 
@@ -603,17 +714,17 @@ def test_space_integral_evaluates_each_radius_once():
 
 def test_integral_criterion_integrates_once(monkeypatch):
     w = Morse(1.0, 2.0, 2)
-    calls = _count_radial_integrals(monkeypatch, w)
+    calls = _count_radial_integrals(monkeypatch)
     verdict = integral_criterion(w, build_witness=True)
     assert verdict.certificate.kind == "ball_density"
-    assert calls == ["signed"]
+    assert calls == ["panels", "signed"]
 
 
 def test_fourier_criterion_integrates_once(monkeypatch):
     w = GaussianMix([(1.0, 1.0), (-1.5, 2.0)], 1)
-    calls = _count_radial_integrals(monkeypatch, w)
+    calls = _count_radial_integrals(monkeypatch)
     fourier_criterion(w)
-    assert sorted(calls) == ["signed", "squared"]
+    assert calls == ["panels", "squared", "signed"]
 
 
 def test_fourier_witnesses_built_only_when_evaluated(monkeypatch):

@@ -19,19 +19,23 @@ included.
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure), ``probe_hypotheses`` of the same
-potentials, ``radial_fourier_transform`` of the same potentials and of
-five long-range Morse profiles (L up to 1000) on ``fourier_criterion``'s
-default frequencies and tail probes, eight CLI runs (exit code, stdout and
+potentials, ``radial_fourier_transform`` of the same potentials, of five
+long-range Morse profiles (L up to 1000) and of a 200-knot random
+``Tabulated`` profile (about 100 kinks and 100 sign changes) on
+``fourier_criterion``'s default frequencies and tail probes, the
+``space_integral`` of that profile, eight CLI runs (exit code, stdout and
 every output file: JSON without its timestamp, CSV verbatim, others
 hashed), and the jobs of
 perfbench's ``descent`` workload with start seed 0: for each of the 19
 ``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
 configuration, a hash of its snapshots and its ``classify_trace`` label,
 and the two ``ruc_search`` verdicts with their per-pair minima.  A dump
-takes 9-12 s on a 2-vCPU x86-64 box, and its peak RSS is about 180 MB;
+takes 7-12 s on a 2-vCPU x86-64 box, and its peak RSS is 140-180 MB;
 a checkout whose transforms cost decay radius x frequency (octave bands
 or a fixed panel width) takes about 25 s more, most of it on
-Morse(0.5, 1000, 1).
+Morse(0.5, 1000, 1), and one whose panels are not cut at the knots about
+0.5 s more on the tabulated profile, whose Gaussian-weighted scan is left
+out: such a checkout takes about 50 s over it.
 """
 
 from __future__ import annotations
@@ -104,6 +108,9 @@ RUC_PROFILES = (1, 3)  # Morse(1,2,2) and Morse(0.5,1,2)
 # dumped besides the battery's
 LONG_RANGE = ((0.5, 10.0, 1), (0.5, 100.0, 1), (0.5, 1000.0, 1),
               (0.5, 100.0, 2), (0.5, 100.0, 3))
+# knots and values of the kinked profile: values default_rng(0).normal on
+# linspace(0, 10, 200), the last one 0
+KINKED_KNOTS = 200
 # fourier_criterion's default frequencies and its three tail probes
 FREQUENCIES = np.concatenate([np.linspace(0.0, 16.0, 65), [24.0, 32.0, 48.0]])
 
@@ -202,6 +209,23 @@ def _transforms(potentials):
     return out
 
 
+def _kinked():
+    from groundlab import Tabulated
+
+    values = np.random.default_rng(0).normal(size=KINKED_KNOTS)
+    values[-1] = 0.0
+    return Tabulated(np.linspace(0.0, 10.0, KINKED_KNOTS), values, 1)
+
+
+def _space_integral(w):
+    from groundlab import space_integral
+
+    try:
+        return space_integral(w)
+    except Exception as exc:
+        return {"raised": type(exc).__name__, "message": str(exc)}
+
+
 def dump(root: Path) -> dict:
     sys.path.insert(0, str(root / "tests"))
     from conftest import REGRESSION_CASES
@@ -220,10 +244,12 @@ def dump(root: Path) -> dict:
     } for w, _ in REGRESSION_CASES]
     probes = [_outcome(lambda: probe_hypotheses(w))
               for w, _ in REGRESSION_CASES]
+    kinked = _kinked()
     transforms = _transforms([w for w, _ in REGRESSION_CASES]
-                             + [Morse(*row) for row in LONG_RANGE])
+                             + [Morse(*row) for row in LONG_RANGE] + [kinked])
     cli = {name: _cli_run(main, config) for name, config in CLI_RUNS.items()}
     return {"battery": battery, "probes": probes, "transforms": transforms,
+            "space_integrals": {kinked.label: _space_integral(kinked)},
             "cli": cli, "descent": _descents()}
 
 
