@@ -153,17 +153,10 @@ def _group_call(evaluate, members, rows, parts=1):
     return nan if parts == 1 else (nan,) * parts
 
 
-def _checked(evaluate):
-    """A potential's checked W or dW/dr at a group's (k, pairs) rows,
-    passed as one flat array, as a lone start's are."""
-    return lambda rows: evaluate(rows.reshape(-1)).reshape(rows.shape)
-
-
 def _descent_state(groups, configs, weights, slots):
     """Energies, gradients and pair distances of a (S, n, d) stack, and
-    each group's dW/dr at them, from one distance pass: one fused W and
-    dW/dr call per run of rows that has the run forms, and a W call then
-    a dW/dr call per group of the other potentials.  ``weights`` is a
+    each group's dW/dr at them, from one distance pass and one W and
+    dW/dr call per group (:func:`_groups`).  ``weights`` is a
     (at least S, pairs + 1) buffer whose first column is zero, ``slots``
     the flattened :func:`_pair_slots` of n: the pair weights dW/dr / r go
     into the buffer and are gathered into square form from there."""
@@ -171,14 +164,9 @@ def _descent_state(groups, configs, weights, slots):
     d = _distances(groups, configs)
     padded = weights[:count]
     totals, slopes = [], []
-    for span, members, values, state in groups:
+    for span, members, _, state in groups:
         rows = d[span]
-        if state is None:
-            terms = _group_call(values, members, rows)
-            slope = _group_call(_checked(members[0].potential.derivative),
-                                members, rows)
-        else:
-            terms, slope = _group_call(state, members, rows, parts=2)
+        terms, slope = _group_call(state, members, rows, parts=2)
         totals += np.add.reduce(terms, axis=1).tolist()
         np.divide(slope, rows, out=padded[span, 1:])
         slopes.append(slope)
@@ -201,7 +189,7 @@ def _descent_state(groups, configs, weights, slots):
 
 # one configuration's groups: a W or dW/dr call that raises reads NaN
 def _lone_groups(potential, clamp):
-    return _groups(_tabulate([_Start(0, potential, clamp, None, None)]))
+    return _groups([_Start(0, potential, clamp, None, None)])
 
 
 def _energy(potential, config, clamp):
@@ -368,43 +356,22 @@ def _descend(n, starts, max_iter, grad_tol=1e-8):
             for start, outcome in zip(starts, outcomes)]
 
 
-def _tabulate(starts):
-    """Give each start of a stack (rows 0 to S - 1) with run forms its
-    run parameters, as its row of an (S, m) table shared by the stack's
-    starts of its family with as many parameters (see RadialPotential),
-    and so the run it joins.  Returns the starts."""
-    tables = {}
-    for start in starts:
-        if start.forms is not None:
-            parameters = start.forms._run_parameters(start.potential)
-            key = start.forms, len(parameters)
-            if key not in tables:
-                tables[key] = np.zeros((len(starts), len(parameters)))
-            tables[key][start.row] = parameters
-            start.table = start.run = tables[key]
-    return starts
-
-
 def _groups(starts):
     """(rows, starts, W, W and dW/dr) of each run of a stack's
-    consecutive starts that one call per evaluation serves, with its
-    evaluators of (k, pairs) distances, built here.  Clamped starts that
-    share a table of run parameters (:func:`_tabulate`) are one run,
-    evaluated with their rows of the table: W, or W and dW/dr from the
-    same exponentials.  Other starts group while they share a potential
-    and keep its checked calls, W and then dW/dr; their W and dW/dr
-    evaluator is None."""
+    consecutive starts, with its evaluators of (k, pairs) distances: a
+    run ends wherever the starts' run key changes, and its evaluators are
+    its forms' ``_run_profiles`` of the starts' potentials (see
+    RadialPotential).  Starts of one family with run forms are one run,
+    evaluated on their rows of parameter columns; the other starts group
+    while they share a potential and keep its checked calls."""
     edges = [k for k in range(len(starts))
-             if k == 0 or starts[k].run is not starts[k - 1].run]
+             if k == 0 or starts[k].key != starts[k - 1].key]
     groups = []
     for first, end in zip(edges, edges[1:] + [len(starts)]):
         members = starts[first:end]
-        if members[0].table is None:
-            profiles = _checked(members[0].potential), None
-        else:
-            profiles = members[0].forms._run_profiles(
-                members[0].table[[start.row for start in members]])
-        groups.append((slice(first, end), members, *profiles))
+        groups.append((slice(first, end), members,
+                       *members[0].forms._run_profiles(
+                           [start.potential for start in members])))
     return groups
 
 
@@ -428,10 +395,8 @@ class _Snapshots(Sequence):
 
 class _Start:
     """One start of a descent stack: its row, its potential's run forms
-    and table of run parameters (None without forms, and the table until
-    :func:`_tabulate`), what its group shares (the table, or else the
-    potential), the blocks of its history read out so far, and its
-    outcome."""
+    and run key (see :func:`_groups`), the blocks of its history read out
+    so far, and its outcome."""
 
     def __init__(self, row, potential, clamp, init, seed):
         self.row = row
@@ -439,13 +404,13 @@ class _Start:
         self.clamp = clamp
         # the run forms are looked up on the exact type, not through the
         # potential, so that a subclass that overrides a profile, or a
-        # proxy that counts the calls, keeps its two checked calls; they
-        # take clamped distances only, which no check could refuse
+        # proxy that counts the calls, keeps its checked calls on the
+        # default run of one potential; a family's forms take clamped
+        # distances only, which no check could refuse
         kind = type(potential)
         self.forms = (kind if clamp and "_run_profiles" in vars(kind)
-                      else None)
-        self.table = None
-        self.run = potential
+                      else RadialPotential)
+        self.key = self.forms, self.forms._run_key(potential)
         self.init = init
         self.seed = seed
         # per block, a (4, iterations) array of energies, largest pair
@@ -627,18 +592,16 @@ def _backtrack(live, groups, configs, grads, energies, gsq, steps):
 def _descend_stack(n, starts, max_iter, grad_tol):
     """The descent engine: the (potential, init, seed) starts descend as
     one C-contiguous (S, n, d) stack, whose rows are grouped in runs
-    (:func:`_groups`): consecutive starts of one family with the run forms,
-    such as a scan grid's Morse cells, or of one potential.  Each energy
-    evaluation is one distance pass over the stack and one W call per
-    group with a start still descending; each state evaluation makes one
-    fused W and dW/dr call per run of a family with the forms, and a W
-    call and a dW/dr call per group of another potential.  Every start
-    keeps its own step, backtracking, stopping rule, history and
-    snapshots.  The per-start sums run over contiguous rows, in the order
-    a lone configuration's would, the run forms make the operations of the
-    checked calls element by element, and the per-start scalars are
-    Python floats, so each trace is bit for bit the one its start has
-    alone.
+    (:func:`_groups`): consecutive starts of one family with run forms,
+    such as a scan grid's Morse cells, or else of one potential.  Each
+    energy evaluation is one distance pass over the stack and one W call
+    per run with a start still descending, and each state evaluation one
+    W and dW/dr call per run.  Every start keeps its own step,
+    backtracking, stopping rule, history and snapshots.  The per-start
+    sums run over contiguous rows, in the order a lone configuration's
+    would, a family's run forms make the operations of the checked calls
+    element by element, and the per-start scalars are Python floats, so
+    each trace is bit for bit the one its start has alone.
 
     A start stops on a small gradient, once its recorded energy has been
     bit-for-bit equal to the previous iteration's for ``_BLOCK`` (128)
@@ -666,7 +629,7 @@ def _descend_stack(n, starts, max_iter, grad_tol):
                 f"{potential.label} carries no derivative model"))
         initial.append(_initial_config(spacing, n, potential.dimension,
                                        init, seed))
-    everyone = _tabulate(list(live))
+    everyone = list(live)
     configs = _centred(np.stack(initial))
     groups, rows = _groups(live), slice(None)
     weights = np.zeros((len(live), n * (n - 1) // 2 + 1))
@@ -937,10 +900,11 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     with the trace ``minimize_particles`` gives it; a stack takes points
     while its (S, n, n, N) coordinate differences stay within 2**16
     doubles, and never splits a point's starts.  Consecutive points whose
-    potentials are of one family with the run forms (Morse, or
-    GaussianMix with as many terms; see RadialPotential) are one run of
-    the stack, evaluated by one W call per energy evaluation and one fused
-    W and dW/dr call per state.  Per point the scan emits
+    potentials are of one family with run forms (Morse, or GaussianMix
+    with as many terms; see RadialPotential) are one run of the stack, and
+    the starts of any other point are a run of their own; each run is
+    evaluated by one W call per energy evaluation and one W and dW/dr
+    call per state.  Per point the scan emits
     one row per seed plus an aggregate row carrying the majority
     classification and the best energy.  A tie for the majority goes to
     the tied label of the lowest (energy, seed) trace.  Failures of a
@@ -952,7 +916,15 @@ def ground_state_scan(potential_factory: Callable[..., RadialPotential],
     on with their lone traces.  When ``with_stability`` is set, the
     aggregate row also carries the space integral criterion verdict for
     cross-reading.
+
+    Raises:
+        ValueError: ``n`` is below 2 or ``seeds`` is empty, before any
+            potential is built.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
     cells, potentials = [], {}
     for params in param_grid:
         try:

@@ -52,20 +52,23 @@ class RadialPotential:
     Subclasses set ``family`` and implement ``_profile`` (vectorised) plus,
     when differentiable, ``_profile_derivative``.
 
-    A family may also define, in its own class body, the run forms the
-    descent engine evaluates a run of its potentials with in one call:
-    ``_run_parameters(self)``, a tuple of floats that includes every
-    derived constant the profiles use, computed as they compute it, and
-    ``_run_profiles(parameters)``, which takes a (rows, m) array of such
-    tuples and returns the W and the (W, dW/dr) evaluators of (rows,
-    pairs) radii, row k by the potential of parameter row k, bit for bit
-    as ``_profile`` and ``_profile_derivative`` evaluate it.  Morse and
-    GaussianMix evaluate their profiles and their run forms with one body
-    (``_terms``, ``_sums``), on float parameters or on columns.  The engine
-    looks the forms up on the exact type, so a subclass that overrides a
-    profile, or a proxy, keeps its two checked calls, and it uses them
-    only on radii clamped at 1e-10, where the checks of ``__call__`` and
-    ``derivative`` could not refuse a radius.
+    The descent engine evaluates the consecutive starts of a stack in
+    runs, one W call per energy evaluation and one W and dW/dr call per
+    state.  A run's potentials share the key ``_run_key(self)``, and
+    ``_run_profiles(potentials)``, given one potential per row, returns
+    the W and the (W, dW/dr) evaluators of (rows, pairs) radii, row k by
+    potential k.  The default is a run of one potential (its key is the
+    potential), evaluated by its checked ``__call__`` and ``derivative``
+    on the flattened rows.  Morse and GaussianMix define run forms in
+    their own class bodies: every potential of the family (GaussianMix
+    with as many terms) joins the run, which evaluates parameter columns
+    with the same body as the profiles (``_terms``, ``_sums``), so each
+    row is bit for bit its potential's checked calls.  The engine looks
+    the forms up on the exact type, falling back to this default, so a
+    subclass that overrides a profile, or a proxy, keeps its checked
+    calls; it uses a family's forms only on radii clamped at 1e-10, where
+    the checks of ``__call__`` and ``derivative`` could not refuse a
+    radius.
 
     Attributes:
         dimension: ambient dimension N of the space the profile acts on
@@ -107,6 +110,19 @@ class RadialPotential:
         out = self._profile_derivative(arr.reshape(-1) if arr.ndim == 0
                                        else arr)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _run_key(self):
+        return self
+
+    @staticmethod
+    def _run_profiles(potentials):
+        potential = potentials[0]
+
+        def values(radii):
+            return potential(radii.reshape(-1)).reshape(radii.shape)
+
+        return values, lambda radii: (values(radii), potential.derivative(
+            radii.reshape(-1)).reshape(radii.shape))
 
     # -- structure -------------------------------------------------------
 
@@ -212,12 +228,13 @@ class Morse(RadialPotential):
         return self._terms(radii, self.G, self.L, self.G / self.L,
                            values=False)
 
-    def _run_parameters(self):
-        return self.G, self.L, self.G / self.L
+    def _run_key(self):
+        return None
 
     @staticmethod
-    def _run_profiles(parameters):
-        G, L, ratio = parameters.T[:, :, None]
+    def _run_profiles(potentials):
+        G, L, ratio = np.array([(w.G, w.L, w.G / w.L)
+                                for w in potentials]).T[:, :, None]
         return (lambda radii: Morse._terms(radii, G, L),
                 lambda radii: Morse._terms(radii, G, L, ratio))
 
@@ -287,15 +304,15 @@ class GaussianMix(RadialPotential):
         """(amplitude, width, width**2) per term."""
         return [(amp, width, width**2) for amp, width in self.terms]
 
-    def _run_parameters(self):
-        return tuple(value for term in self._columns() for value in term)
+    def _run_key(self):
+        return len(self.terms)
 
     @staticmethod
-    def _run_profiles(parameters):
+    def _run_profiles(potentials):
         # one (amplitude, width, width**2) triple of (rows, 1) columns per
-        # term; a run's potentials have as many terms, since their
-        # parameter tuples are as long
-        terms = parameters.T.reshape(-1, 3, len(parameters), 1)
+        # term; a run's potentials have as many terms, their key
+        terms = np.array([w._columns() for w in potentials]).transpose(
+            1, 2, 0)[..., None]
         return (lambda radii: GaussianMix._sums(radii, terms),
                 lambda radii: GaussianMix._sums(radii, terms, slopes=True))
 

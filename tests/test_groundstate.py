@@ -273,6 +273,24 @@ def test_scan_isolates_bad_cells(monkeypatch):
         assert [row for row in rows if row.params == cell] == alone
 
 
+def test_scan_refuses_too_few_particles_and_no_seeds():
+    # as minimize_particles and ruc_search do, and before any potential is
+    # built, rather than as error rows
+    made = []
+
+    def factory(G):
+        made.append(Morse(G, 2.0, 1))
+        return made[-1]
+
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        ground_state_scan(factory, [{"G": 1.0}], n=1, seeds=(0, 1),
+                          with_stability=False)
+    with pytest.raises(ValueError, match="seeds must be nonempty"):
+        ground_state_scan(factory, [{"G": 1.0}], n=8, seeds=(),
+                          with_stability=False)
+    assert made == []
+
+
 def test_scan_propagates_invariant_violations(monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolation("recentring changed the energy")
@@ -403,6 +421,16 @@ def test_other_failures_are_pinned_on_their_own_start():
     assert rows[2].error == "radius beyond 6.0"
 
 
+def run_forms(potentials):
+    """(forms, potentials) of each run the engine makes of a stack of
+    one start per potential (groundstate._groups)."""
+    starts = [groundstate._Start(row, w, math.isfinite(w.value_at_zero),
+                                 "lattice", 0)
+              for row, w in enumerate(potentials)]
+    return [(members[0].forms, [start.potential for start in members])
+            for _, members, _, _ in groundstate._groups(starts)]
+
+
 def spy_stacks(monkeypatch):
     """Record the starts of every call of the descent engine, and of each
     call that returned, its outcome per (potential, init, seed)."""
@@ -472,14 +500,11 @@ def test_a_cell_that_raises_leaves_the_other_cells_traces_unchanged(
     assert [len(starts) for starts in calls] == [9, 1, 1, 1]
     assert [row.error for row in rows if row.params["G"] == 1.0] == [
         "", "", "radius beyond 6.0", ""]
-    # Brittle overrides dW/dr, so its cell keeps the checked calls and is
-    # not merged into a run with the Morse cells, which stay two runs
-    live = groundstate._tabulate([
-        groundstate._Start(row, made[G], True, "lattice", 0)
-        for row, G in enumerate((0.5, 1.0, 2.0))])
-    assert [(members[0].potential, state is not None)
-            for _, members, _, state in groundstate._groups(live)] == [
-        (made[0.5], True), (made[1.0], False), (made[2.0], True)]
+    # Brittle overrides dW/dr, so its cell is a default run of its own,
+    # on its checked calls, between the Morse cells, which stay two runs
+    assert run_forms([made[G] for G in (0.5, 1.0, 2.0)]) == [
+        (Morse, [made[0.5]]), (RadialPotential, [made[1.0]]),
+        (Morse, [made[2.0]])]
     for G in (0.5, 2.0):
         for init, seed in zip(("lattice", "random_ball", "two_cluster"),
                               (0, 1, 2)):
@@ -876,15 +901,76 @@ def test_runs_of_one_family_give_each_start_its_lone_trace(monkeypatch):
              GaussianMix([(-0.5, 1.2)], 2)]
     starts = [start for w in cells
               for start in groundstate._cycled_starts(w, (0, 1))]
-    groups = groundstate._groups(groundstate._tabulate([
-        groundstate._Start(row, w, math.isfinite(w.value_at_zero), init,
-                           seed)
-        for row, (w, init, seed) in enumerate(starts)]))
-    assert [(len(members), state is not None)
-            for _, members, _, state in groups] == [
-        (4, True), (2, False), (2, True), (4, True), (2, True)]
+    assert run_forms([w for w, _, _ in starts]) == [
+        (Morse, [cells[0]] * 2 + [cells[1]] * 2),
+        (RadialPotential, [cells[2]] * 2), (Morse, [cells[3]] * 2),
+        (GaussianMix, [cells[4]] * 2 + [cells[5]] * 2),
+        (GaussianMix, [cells[6]] * 2)]
     stacked = groundstate._descend(8, starts, 300)
     assert [len(starts) for starts in calls] == [14]
+    for (w, init, seed), trace in zip(starts, stacked):
+        assert_same_trace(trace, minimize_particles(w, 8, init=init,
+                                                    seed=seed, max_iter=300))
+
+
+class CountingProxy:
+    """Delegates to a potential, recording each W and dW/dr call and its
+    number of radii."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __call__(self, radii):
+        self.calls.append(("W", np.size(radii)))
+        return self.inner(radii)
+
+    def derivative(self, radii):
+        self.calls.append(("dW/dr", np.size(radii)))
+        return self.inner.derivative(radii)
+
+
+def test_a_proxy_in_a_stack_is_a_run_of_its_own_on_its_checked_calls(
+        monkeypatch):
+    # a proxy is not a Morse, so the engine gives it the default run, one
+    # potential's checked calls, between two runs of Morse's forms
+    cells = [Morse(0.5, 2.0, 2), CountingProxy(Morse(1.0, 2.0, 2)),
+             Morse(2.0, 1.0, 2)]
+    proxy = cells[1]
+    starts = [start for w in cells
+              for start in groundstate._cycled_starts(w, (0, 1, 2))]
+    assert run_forms([w for w, _, _ in starts]) == [
+        (Morse, [cells[0]] * 3), (RadialPotential, [proxy] * 3),
+        (Morse, [cells[2]] * 3)]
+    # the calls the proxy should see: per energy evaluation one W call,
+    # per state one W and dW/dr call, each on the rows of its live starts
+    expected = []
+    energies, descent_state = (groundstate._energies,
+                               groundstate._descent_state)
+
+    def expect(groups, kinds):
+        for _, members, _, _ in groups:
+            if members[0].potential is proxy:
+                expected.extend((kind, 28 * len(members)) for kind in kinds)
+
+    def spied_energies(groups, configs):
+        expect(groups, ["W"])
+        return energies(groups, configs)
+
+    def spied_state(groups, *args):
+        expect(groups, ["W", "dW/dr"])
+        return descent_state(groups, *args)
+
+    monkeypatch.setattr(groundstate, "_energies", spied_energies)
+    monkeypatch.setattr(groundstate, "_descent_state", spied_state)
+    stacked = groundstate._descend(8, starts, 300)
+    # the first call is preferred_spacing's grid of 400 radii
+    assert proxy.calls[0] == ("W", 400)
+    assert proxy.calls[1:] == expected
+    assert ("W", 84) in expected and ("dW/dr", 84) in expected
     for (w, init, seed), trace in zip(starts, stacked):
         assert_same_trace(trace, minimize_particles(w, 8, init=init,
                                                     seed=seed, max_iter=300))

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from groundlab import (GaussianMix, HypothesisReport, Morse, PowerLaw,
-                       Tabulated, probe_hypotheses, radial)
+                       Tabulated, groundstate, probe_hypotheses, radial)
 from groundlab.errors import DimensionUnsupported, NonDifferentiable
+from groundlab.potentials import RadialPotential
 
 
 def test_powerlaw_values_and_derivative():
@@ -118,6 +119,13 @@ def test_profiles_are_bit_for_bit_the_plain_expressions(w):
         assert np.array_equal(w.derivative(radii[1:]), slopes[1:])
 
 
+class BlindBelowMicron(Morse):
+    """Morse profile that reads NaN below r = 1e-6."""
+
+    def _profile(self, radii):
+        return np.where(radii < 1e-6, np.nan, super()._profile(radii))
+
+
 RUNS = [
     [Morse(2.0, 1.0, 1), Morse(1.0, 2.0, 1), Morse(0.25, 0.5, 1),
      Morse(0.0, 3.0, 1), Morse(1.7, 0.3, 1)],
@@ -125,6 +133,10 @@ RUNS = [
     [GaussianMix([(4.0, 2.0), (-7.0, 1.0)], 1),
      GaussianMix([(1.0, 1.0), (-0.3, 1.5)], 1)],
     [GaussianMix([(1.0, 1.0)], 2)],
+    # the default run of one potential: its checked calls
+    pytest.param([PowerLaw(2.0, 1.0, 2)], id="powerlaw-growing"),
+    pytest.param([PowerLaw(2.0, -0.5, 2)], id="powerlaw-singular"),
+    pytest.param([BlindBelowMicron(1.0, 2.0, 2)], id="morse-subclass"),
 ]
 
 
@@ -133,20 +145,25 @@ RUNS = [
 def test_run_forms_are_bit_for_bit_the_checked_calls(run):
     # the descent engine evaluates a run of one family's potentials in one
     # call on (rows, pairs) radii, and W with dW/dr from the same
-    # exponentials; the large radii underflow them to zero
+    # exponentials; the large radii underflow them to zero.  The forms
+    # are the engine's pick: a family's own only for exactly Morse or
+    # GaussianMix, else the default run of one potential
     rng = np.random.default_rng(11)
     radii = np.concatenate(([1e-10, 1.0, 800.0, 1e3, 1e5],
                             10.0 ** rng.uniform(-10, 3, size=1995)))
     rows = np.stack([rng.permutation(radii) for _ in run])
-    kind = type(run[0])
-    values, state = kind._run_profiles(
-        np.array([kind._run_parameters(w) for w in run]))
+    starts = [groundstate._Start(row, w, math.isfinite(w.value_at_zero),
+                                 None, None) for row, w in enumerate(run)]
+    (_, members, values, state), = groundstate._groups(starts)
+    assert members == starts
+    assert starts[0].forms is (type(run[0]) if type(run[0]) in (
+        Morse, GaussianMix) else RadialPotential)
     fused = state(rows)
     assert [part.shape for part in fused] == [rows.shape] * 2
     for w, got, got_fused, got_slopes, row in zip(run, values(rows), *fused,
                                                   rows):
-        assert np.array_equal(got, w(row))
-        assert np.array_equal(got_fused, w(row))
+        assert np.array_equal(got, w(row), equal_nan=True)
+        assert np.array_equal(got_fused, w(row), equal_nan=True)
         assert np.array_equal(got_slopes, w.derivative(row))
 
 
@@ -194,13 +211,6 @@ def test_probe_exponent_constraint_keeps_contact_integrable():
     assert report.local_integrability == "holds"
     report = probe_hypotheses(Tabulated([0.0, 1.0], [1.0, 0.0], 1))
     assert report.local_integrability == "holds"
-
-
-class BlindBelowMicron(Morse):
-    """Morse profile that reads NaN below r = 1e-6."""
-
-    def _profile(self, radii):
-        return np.where(radii < 1e-6, np.nan, super()._profile(radii))
 
 
 def test_probe_inconclusive_when_contact_quadrature_fails(monkeypatch):
