@@ -473,28 +473,37 @@ def _probe_tail(potential):
     return "neither", probes
 
 
+def _polished(objective, lo, hi, xatol, best_x, best_value):
+    """(x, value) of the bounded ``minimize_scalar`` of ``objective`` over
+    [lo, hi] to ``xatol``, kept only when it succeeds with a finite value
+    below ``best_value``; otherwise, and when hi <= lo, (best_x,
+    best_value).  Every scalar polish of groundlab runs here, and
+    scipy.optimize is imported here, at the first polish, so a run that
+    polishes nothing does not load it."""
+    if not hi > lo:
+        return best_x, best_value
+    from scipy.optimize import minimize_scalar
+    result = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                             options={"xatol": xatol})
+    if (result.success and math.isfinite(result.fun)
+            and result.fun < best_value):
+        return float(result.x), float(result.fun)
+    return best_x, best_value
+
+
 def _locate_infimum(potential):
-    """Minimum of the profile over a log grid on (0, inf), then polished by
-    ``minimize_scalar``; scipy.optimize is imported there, at the first
-    polish, so a run that never probes a profile does not load it."""
+    """(value, radius) of the minimum of the profile over a log grid on
+    (0, inf), polished by :func:`_polished` between the grid neighbours of
+    the grid minimum."""
     lo, hi = _INFIMUM_GRID_SPAN
     grid = np.logspace(math.log10(lo), math.log10(hi), _INFIMUM_GRID_POINTS)
     values = potential(grid)
     finite = np.where(np.isfinite(values), values, math.inf)
     idx = int(np.argmin(finite))
-    best_r = float(grid[idx])
-    best_v = float(finite[idx])
-
     left = float(grid[max(idx - 1, 0)])
     right = float(grid[min(idx + 1, grid.size - 1)])
-    if right > left:
-        from scipy.optimize import minimize_scalar
-        result = minimize_scalar(
-            lambda r: float(potential(r)), bounds=(left, right),
-            method="bounded", options={"xatol": 1e-12})
-        if result.success and math.isfinite(result.fun) and result.fun < best_v:
-            best_r = float(result.x)
-            best_v = float(result.fun)
+    best_r, best_v = _polished(lambda r: float(potential(r)), left, right,
+                               1e-12, float(grid[idx]), float(finite[idx]))
     return best_v, best_r
 
 

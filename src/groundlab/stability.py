@@ -16,11 +16,15 @@ Four routes, each sufficient but not necessary, each producing a
 
 A verdict of ``HE_satisfied`` is always backed by a certificate: either a
 certified negative integral/scan value, or an explicit measure whose energy
-re-evaluates negative.  Every witness ladder (ball, Gaussian, modulated) is
-verified on one path, :func:`_verified`, which builds candidates lazily and
-keeps the first negative one; when none is, the verdict is ``inconclusive``
-with a ``witness_note`` in its details.  Every witness energy comes from
-:func:`groundlab.energy.energy_grid`, the one grid-energy path.
+re-evaluates negative.  Every witness ladder (ball, Gaussian, modulated)
+becomes its verdict on one path, :func:`_verified`, which builds the
+candidates lazily and returns ``HE_satisfied`` with the first one whose
+energy is negative, or else ``inconclusive`` with a ``witness_note`` in its
+details.  Every witness energy comes from
+:func:`groundlab.energy.energy_grid`, the one grid-energy path, and every
+polish of a scan minimum (the Gaussian near-zero polish, the transform
+minimum) from :func:`groundlab.potentials._polished`, the one scalar
+minimizer.
 ``stable_indication`` records the scanned domain and never claims a proof.
 Every radial integral of a criterion call reads one panel set of W(r)
 r^{N-1} (:class:`groundlab.radial.Panels`): the space integral is the row
@@ -47,7 +51,7 @@ from .errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
 from .geometry import pair_distances, unit_sphere_area
 from .measures import (PointCloudMeasure, gaussian_witness_density,
                        modulated_witness_density, uniform_ball_density)
-from .potentials import RadialPotential, _locate_infimum
+from .potentials import RadialPotential, _locate_infimum, _polished
 from .radial import BOUNDS, Panels, abs_part, gated, signed_part
 
 __all__ = [
@@ -201,13 +205,15 @@ def weighted_space_integral(potential: RadialPotential, p: float,
 # witness verification
 
 
-def _verified(potential, candidates):
-    """Certificate of the first candidate density whose energy re-evaluates
-    negative, or None.
+def _verified(potential, criterion, value, details, candidates, note):
+    """The verdict of a witness ladder: ``HE_satisfied`` with the
+    certificate of the first candidate density whose energy re-evaluates
+    negative, else ``inconclusive`` with ``note`` as the ``witness_note``
+    of ``details``; ``value`` is the verdict's numeric_value either way.
 
     ``candidates`` yields (kind, build, info); ``build()`` makes the
     density, so each one is built only when its turn comes.  A candidate
-    whose energy quadrature fails is skipped.
+    whose energy quadrature fails is skipped for the next one.
     """
     for kind, build, info in candidates:
         density = build()
@@ -216,10 +222,13 @@ def _verified(potential, candidates):
         except QuadratureFailure:
             continue
         if report.value < 0:
-            return Certificate(kind=kind, certified_value=report.value,
-                               measure=density, energy_report=report,
-                               info=info)
-    return None
+            certificate = Certificate(kind=kind, certified_value=report.value,
+                                      measure=density, energy_report=report,
+                                      info=info)
+            return StabilityVerdict(criterion, "HE_satisfied", value,
+                                    certificate, details)
+    details["witness_note"] = note
+    return StabilityVerdict(criterion, "inconclusive", value, None, details)
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +288,22 @@ def integral_criterion(potential: RadialPotential,
     details = {"quad_tol": quad_tol, "decision_tol": decision_tol,
                "potential": potential.label}
 
-    if value < -decision_tol:
-        certificate = Certificate(kind="integral_value",
-                                  certified_value=value)
-        if build_witness:
-            R = _choose_ball_radius(potential, value, tail_masses, panels)
-            details["witness_R"] = R
-            scale = _profile_scale(potential)
-            balls = (("ball_density",
-                      lambda radius=float(n_scale * R): _ball_density(
-                          potential, radius, scale),
-                      {"R": R, "n_scale": n_scale, "integral_value": value})
-                     for n_scale in _BALL_SCALES)
-            certificate = _verified(potential, balls)
-            if certificate is None:
-                details["witness_note"] = (f"no ball witness verified "
-                                           f"negative energy at n_scale "
-                                           f"{_BALL_SCALES}")
-                return StabilityVerdict("integral", "inconclusive", value,
-                                        None, details)
+    if value < -decision_tol and not build_witness:
         return StabilityVerdict("integral", "HE_satisfied", value,
-                                certificate, details)
+                                Certificate(kind="integral_value",
+                                            certified_value=value), details)
+    if value < -decision_tol:
+        R = _choose_ball_radius(potential, value, tail_masses, panels)
+        details["witness_R"] = R
+        scale = _profile_scale(potential)
+        return _verified(potential, "integral", value, details, (
+            ("ball_density",
+             lambda radius=float(n_scale * R): _ball_density(
+                 potential, radius, scale),
+             {"R": R, "n_scale": n_scale, "integral_value": value})
+            for n_scale in _BALL_SCALES),
+            f"no ball witness verified negative energy at n_scale "
+            f"{_BALL_SCALES}")
     if value > decision_tol:
         details["scanned"] = "space integral over R^N"
         return StabilityVerdict("integral", "stable_indication", value,
@@ -329,8 +333,8 @@ def gaussian_criterion(potential: RadialPotential,
     is absolutely integrable.  With ``build_witness`` the Gaussian witness
     is rasterized and its energy re-verified; without it the certificate
     records the minimizing p and value.  A minimum within 10 decision_tol
-    of zero is first polished by ``minimize_scalar``; scipy.optimize is
-    imported there, at the first polish.
+    of zero is first polished between p / 4 and 4 p (at most the grid's
+    largest p) by :func:`groundlab.potentials._polished`.
     """
     grid = np.asarray(_default_p_grid() if p_grid is None else p_grid,
                       dtype=float)
@@ -363,44 +367,32 @@ def gaussian_criterion(potential: RadialPotential,
 
     # near-zero minima get a local polish before the verdict is read off
     if abs(best_value) <= 10 * decision_tol and best_p > 0:
-        lo = best_p / 4.0
-        hi = min(best_p * 4.0, float(grid.max()))
-        if hi > lo:
-            from scipy.optimize import minimize_scalar
-            result = minimize_scalar(
-                lambda q: _weighted(potential, panels, [q])(0)[0],
-                bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-10})
-            if result.success and result.fun < best_value:
-                best_p, best_value = float(result.x), float(result.fun)
+        best_p, best_value = _polished(
+            lambda q: _weighted(potential, panels, [q])(0)[0], best_p / 4.0,
+            min(best_p * 4.0, float(grid.max())), 1e-10, best_p, best_value)
 
     details["p_values"] = [p for p, _ in entries]
     details["weighted_integrals"] = [v for _, v in entries]
 
-    if best_value < -decision_tol:
-        certificate = Certificate(
-            kind="weighted_minimum", certified_value=best_value,
-            info={"p": best_p})
-        if build_witness:
-            # wide Gaussians (tiny p) rasterize poorly, so try the most
-            # negative entry with p >= 0.05 before the scan minimum
-            negative = [(v, p) for p, v in entries
-                        if p >= 0.05 and v < -decision_tol]
-            ladder = [min(negative)[1]] if negative else []
-            if best_p > 0 and best_p not in ladder:
-                ladder.append(best_p)
-            certificate = _verified(potential, (
-                ("gaussian_density",
-                 lambda p=p: gaussian_witness_density(p, potential.dimension),
-                 {"p": p, "weighted_integral": best_value})
-                for p in ladder))
-            if certificate is None:
-                details["witness_note"] = ("no Gaussian witness verified "
-                                           "negative energy")
-                return StabilityVerdict("gaussian_weighted", "inconclusive",
-                                        best_value, None, details)
+    if best_value < -decision_tol and not build_witness:
         return StabilityVerdict("gaussian_weighted", "HE_satisfied",
-                                best_value, certificate, details)
+                                best_value, Certificate(
+                                    kind="weighted_minimum",
+                                    certified_value=best_value,
+                                    info={"p": best_p}), details)
+    if best_value < -decision_tol:
+        # wide Gaussians (tiny p) rasterize poorly, so try the most
+        # negative entry with p >= 0.05 before the scan minimum
+        negative = [(v, p) for p, v in entries
+                    if p >= 0.05 and v < -decision_tol]
+        ladder = [min(negative)[1]] if negative else []
+        if best_p > 0 and best_p not in ladder:
+            ladder.append(best_p)
+        return _verified(potential, "gaussian_weighted", best_value, details, (
+            ("gaussian_density",
+             lambda p=p: gaussian_witness_density(p, potential.dimension),
+             {"p": p, "weighted_integral": best_value})
+            for p in ladder), "no Gaussian witness verified negative energy")
     if best_value > decision_tol and bool(np.all(values > decision_tol)):
         details["scanned"] = (f"{len(entries)} weighted integrals, "
                              f"p in [{min(p for p, _ in entries):g}, "
@@ -487,10 +479,10 @@ def fourier_criterion(potential: RadialPotential,
     frequency re-evaluates to negative energy; otherwise the verdict stays
     inconclusive, because a negative transform value alone does not bound
     the nonnegative-density energies.  A negative minimum is first polished
-    by ``minimize_scalar`` between its grid neighbours; scipy.optimize is
-    imported there, at the first polish.
+    between its grid neighbours by :func:`groundlab.potentials._polished`.
 
-    Raises NotSquareIntegrable when W^2 fails to integrate, and
+    Raises ValueError when a frequency of ``xi_grid`` is negative,
+    NotSquareIntegrable when W^2 fails to integrate, and
     QuadratureFailure when a fallback quadrature of the transform fails.
     """
     n = potential.dimension
@@ -509,6 +501,8 @@ def fourier_criterion(potential: RadialPotential,
                       dtype=float)
     if grid.size == 0:
         raise ValueError("xi_grid must be nonempty")
+    if np.any(grid < 0):
+        raise ValueError("frequencies must be nonnegative")
     grid = np.unique(grid)
     top = float(grid.max()) if grid.max() > 0 else 1.0
     tails = np.array([1.5 * top, 2.0 * top, 3.0 * top])
@@ -542,14 +536,10 @@ def fourier_criterion(potential: RadialPotential,
     if best_value < -decision_tol:
         step = float(np.median(np.diff(grid))) if grid.size > 1 else 0.5
         if best_xi > 0:
-            lo, hi = max(best_xi - step, 1e-6), best_xi + step
-            from scipy.optimize import minimize_scalar
-            result = minimize_scalar(
+            best_xi, best_value = _polished(
                 lambda f: float(transform_at(np.array([f]))[0]),
-                bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-6})
-            if result.success and result.fun < best_value:
-                best_xi, best_value = float(result.x), float(result.fun)
+                max(best_xi - step, 1e-6), best_xi + step, 1e-6, best_xi,
+                best_value)
         # a wide Gaussian near zero frequency; elsewhere a Gaussian
         # envelope modulated at best_xi concentrates the spectrum there
         if best_xi < 0.05:
@@ -564,16 +554,10 @@ def fourier_criterion(potential: RadialPotential,
                  lambda p=p: modulated_witness_density(p, best_xi, n),
                  {"p": p, "xi": best_xi, "transform_minimum": best_value})
                 for p in (best_xi / d for d in (12.0, 20.0, 8.0)))
-        certificate = _verified(potential, candidates)
         details["minimizing_xi"] = best_xi
-        if certificate is None:
-            details["witness_note"] = (
-                "transform minimum is negative but no concentrated "
-                "density verified negative energy")
-            return StabilityVerdict("fourier", "inconclusive", best_value,
-                                    None, details)
-        return StabilityVerdict("fourier", "HE_satisfied", best_value,
-                                certificate, details)
+        return _verified(potential, "fourier", best_value, details,
+                         candidates, "transform minimum is negative but no "
+                         "concentrated density verified negative energy")
 
     # the transform of any decaying profile falls below every positive
     # threshold at the tail probes, so "positive everywhere" is read as:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import Cliff
-from groundlab import PointCloudMeasure, cli, groundstate, minimize_particles
+from groundlab import (PointCloudMeasure, cli, gaussian_criterion, groundstate,
+                       minimize_particles)
 from groundlab.cli import main
-from groundlab.errors import InvariantViolation
+from groundlab.errors import InvariantViolation, QuadratureFailure
 
 MORSE_AGG = {"family": "morse", "G": 1.0, "L": 2.0, "dimension": 2}
 POWERLAW = {"family": "powerlaw", "a": 2.0, "r": 1.0, "dimension": 1}
@@ -301,6 +302,52 @@ def test_stability_skips_inapplicable_criteria_for_growing_tail(tmp_path):
     assert by_criterion["ruc_search"]["outcome"] == "HE_satisfied"
     assert by_criterion["ruc_search"]["numeric_value"] < -0.01
     assert (out / "certificate_ruc_search.csv").exists()
+
+
+def _failing(*args, **kwargs):
+    raise QuadratureFailure("stub: quadrature failed")
+
+
+@pytest.mark.parametrize("failing, code", [
+    (("integral_criterion", "fourier_criterion"), 3),
+    (("integral_criterion",), 0)], ids=["all-fail", "one-fails"])
+def test_stability_exits_3_only_when_every_criterion_fails(
+        tmp_path, capsys, monkeypatch, failing, code):
+    for name in failing:
+        monkeypatch.setattr(cli, name, _failing)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "stability", "potential": MORSE_AGG,
+        "criteria": ["integral", "fourier"], "output_dir": str(out)})
+    assert main(["stability", "--config", cfg]) == code
+    stdout = capsys.readouterr().out
+    entries = {entry["criterion"]: entry
+               for entry in load_json(out / "verdicts.json")["verdicts"]}
+    assert list(entries) == ["integral", "fourier"]
+    for name in ("integral", "fourier"):
+        if f"{name}_criterion" in failing:
+            assert entries[name]["skipped"] == ("QuadratureFailure: stub: "
+                                                "quadrature failed")
+            assert f"{name:<18} skipped: QuadratureFailure" in stdout
+        else:
+            assert entries[name]["outcome"] == "HE_satisfied"
+
+
+def test_stability_gaussian_weighted_entry_is_the_library_verdict(tmp_path):
+    p_grid = [0.1, 0.3, 1.0, 3.0]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "command": "stability", "potential": MORSE_AGG,
+        "criteria": ["gaussian_weighted"], "p_grid": p_grid,
+        "build_witness": False, "output_dir": str(out)})
+    assert main(["stability", "--config", cfg]) == 0
+    [entry] = load_json(out / "verdicts.json")["verdicts"]
+    verdict = gaussian_criterion(cli.build_potential(MORSE_AGG), p_grid,
+                                 build_witness=False)
+    assert entry == json.loads(json.dumps(verdict.to_dict()))
+    assert entry["outcome"] == "HE_satisfied"
+    assert entry["certificate"]["kind"] == "weighted_minimum"
+    assert entry["certificate_path"] is None
 
 
 def test_minimize_reference_run(tmp_path):

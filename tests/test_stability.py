@@ -17,7 +17,8 @@ from groundlab import (EnergyReport, GaussianMix, Morse, PointCloudMeasure,
                        probe_hypotheses, radial,
                        radial_fourier_transform, ruc_search, space_integral,
                        stability, unit_sphere_area, weighted_space_integral)
-from groundlab.errors import NotAbsolutelyIntegrable, NotSquareIntegrable
+from groundlab.errors import (NotAbsolutelyIntegrable, NotSquareIntegrable,
+                             QuadratureFailure)
 from conftest import CRITERION_ORDER, HE, REGRESSION_CASES
 
 
@@ -847,6 +848,67 @@ def test_integral_criterion_without_a_verified_ball_is_inconclusive(
     assert entry["outcome"] == "inconclusive"
     assert entry["certificate"] is None
     assert entry["details"]["witness_note"] == verdict.details["witness_note"]
+
+
+def test_gaussian_criterion_without_a_verified_gaussian_is_inconclusive(
+        monkeypatch):
+    # the scan minimum is negative, but no rung of the Gaussian ladder
+    # verifies, so the verdict keeps the minimum and carries no certificate
+    p_grid = [0.1, 0.2, 0.5, 1.0]
+    w = Morse(1.0, 2.0, 2)
+    scan = gaussian_criterion(w, p_grid, build_witness=False)
+    assert scan.outcome == "HE_satisfied"
+    tried = []
+    positive = EnergyReport(1.0, 0.0, 0, "stub", "grid-radial_fast")
+
+    def stub(potential, density, **kwargs):
+        tried.append(density)
+        return positive
+
+    monkeypatch.setattr(stability, "energy_grid", stub)
+    verdict = gaussian_criterion(w, p_grid)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.certificate is None
+    assert verdict.numeric_value == scan.numeric_value
+    assert verdict.details["witness_note"] == ("no Gaussian witness "
+                                               "verified negative energy")
+    assert tried
+
+
+def test_a_witness_whose_energy_fails_is_skipped_for_the_next_rung(
+        monkeypatch):
+    # the first ball's energy quadrature fails; the ladder goes on to the
+    # next scale, whose certificate is the one an unpatched run computes
+    w = Morse(1.0, 2.0, 2)
+    plain = integral_criterion(w, build_witness=True)
+    assert plain.certificate.info["n_scale"] == 4
+    real, calls = stability.energy_grid, []
+
+    def failing_first(potential, density, **kwargs):
+        calls.append(density)
+        if len(calls) == 1:
+            raise QuadratureFailure("stub: first rung fails")
+        return real(potential, density, **kwargs)
+
+    monkeypatch.setattr(stability, "energy_grid", failing_first)
+    verdict = integral_criterion(w, build_witness=True)
+    assert verdict.outcome == "HE_satisfied"
+    assert len(calls) == 2
+    cert = verdict.certificate
+    assert cert.info["n_scale"] == 8
+    assert cert.measure is calls[1]
+    assert cert.energy_report == real(w, calls[1], quad_mode="radial_fast")
+    assert cert.certified_value == cert.energy_report.value < 0.0
+    assert "witness_note" not in verdict.details
+
+
+@pytest.mark.parametrize("w", [Morse(1.0, 2.0, 1), Morse(0.25, 1.0, 1)],
+                         ids=["aggregating", "stable"])
+def test_fourier_criterion_refuses_negative_frequencies(w):
+    # the Filon rows are wrong at negative frequencies: Morse(1, 2, 1) read
+    # -3593.9 at xi = -16 (0.00388 at +16) and certified HE_satisfied
+    with pytest.raises(ValueError, match="frequencies must be nonnegative"):
+        fourier_criterion(w, xi_grid=np.linspace(-16.0, 0.0, 65))
 
 
 def test_ruc_search_bounded_for_weak_attraction():
