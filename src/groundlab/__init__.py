@@ -13,7 +13,7 @@ and :mod:`groundlab.cli` for the command-line frontend.
 
 from .energy import EnergyReport, bilinear_form, energy_grid, energy_pointcloud
 from .errors import (ConfigError, DimensionUnsupported, GroundlabError,
-                     InvariantViolation, MassEscapes, NonDifferentiable,
+                     InvariantViolation, NonDifferentiable,
                      NotAbsolutelyIntegrable, NotSquareIntegrable,
                      OptimizerStalled, ParticleCollision, QuadratureFailure)
 from .geometry import unit_ball_volume, unit_sphere_area
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EnergyReport", "bilinear_form", "energy_grid", "energy_pointcloud",
     "ConfigError", "DimensionUnsupported", "GroundlabError",
-    "InvariantViolation", "MassEscapes",
+    "InvariantViolation",
     "NonDifferentiable", "NotAbsolutelyIntegrable", "NotSquareIntegrable",
     "OptimizerStalled", "ParticleCollision", "QuadratureFailure",
     "unit_ball_volume", "unit_sphere_area",

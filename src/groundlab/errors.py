@@ -21,10 +21,6 @@ class NotSquareIntegrable(GroundlabError):
     """The potential profile is not square integrable over all of space."""
 
 
-class MassEscapes(GroundlabError):
-    """No bounded cube captures enough of the target measure's mass."""
-
-
 class DimensionUnsupported(GroundlabError):
     """The requested ambient dimension is outside the supported range."""
 

@@ -13,6 +13,13 @@ and the witness densities the stability module builds
 :func:`modulated_witness_density`).  All three witnesses come from one
 rasterizer, which samples a profile of the squared radius (and the first
 coordinate) at the cell centers of a centred cube and normalizes it.
+
+Both representations give the approximation the same three views of
+themselves: the candidate radii of a centred cube, the mass outside such a
+cube, and the masses of the l^N cubes partitioning it.  So one bisection
+finds the support radius of either, and the approximation has no branch
+per type.  A grid's box masses, of one box or of a whole partition, are
+its values contracted with one matrix of cell-overlap lengths per axis.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionUnsupported, InvariantViolation, MassEscapes
+from .errors import DimensionUnsupported, InvariantViolation
 from .geometry import check_dimension
 
 __all__ = [
@@ -40,6 +47,8 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+# most coordinates (atoms x dimension) an empirical approximation may hold
+_MAX_COORDINATES = 2**27
 # cells per write of a grid density's CSV
 _CSV_CHUNK = 4096
 
@@ -119,12 +128,42 @@ class PointCloudMeasure:
         path = Path(path)
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if not header or header[-1] != "weight":
                 raise ValueError(f"{path}: expected trailing 'weight' column")
             rows = [[float(cell) for cell in row] for row in reader if row]
+        if not rows:
+            raise ValueError(f"{path}: no atoms below the header")
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: every row must have the header's "
+                             f"{len(header)} columns")
         data = np.asarray(rows, dtype=float)
         return cls(data[:, :-1], data[:, -1])
+
+    # what empirical_approximation reads of a target
+
+    def _norms(self) -> np.ndarray:
+        return np.max(np.abs(self.points), axis=1)
+
+    def _cube_radii(self) -> np.ndarray:
+        """Candidate radii of a centred cube, ascending: the atoms' sup
+        norms.  The last holds every atom."""
+        return np.unique(self._norms())
+
+    def _mass_outside(self, radius: float) -> float:
+        """Mass outside the centred cube [-radius, radius]^N."""
+        return float(np.sum(self.weights[self._norms() > radius]))
+
+    def _cube_masses(self, radius: float, count: int) -> np.ndarray:
+        """Mass in each of the count**N cubes partitioning
+        [-radius, radius]^N, flattened in C order."""
+        inside = self._norms() <= radius
+        side = 2.0 * radius / count
+        idx = np.floor((self.points[inside] + radius) / side).astype(np.int64)
+        flat = np.ravel_multi_index(np.clip(idx, 0, count - 1).T,
+                                    (count,) * self.dimension)
+        return np.bincount(flat, weights=self.weights[inside],
+                           minlength=count**self.dimension)
 
 
 def combine(first: PointCloudMeasure,
@@ -202,24 +241,54 @@ class GridDensity:
         return np.stack(np.broadcast_arrays(*np.ix_(*axes)),
                         axis=-1).reshape(-1, self.dimension)
 
+    def _axis_edges(self, axis: int) -> np.ndarray:
+        count = self.extents[axis]
+        return self.origin[axis] + self.cell_width * np.arange(count + 1)
+
+    def _box_masses(self, lower, upper) -> np.ndarray:
+        """Masses of the boxes whose sides along axis d are the intervals
+        [lower[d][j], upper[d][j]], as an array over (j_1, ..., j_N): the
+        values contracted with each axis's (k_d, cells) overlap lengths."""
+        overlaps = []
+        for d in range(self.dimension):
+            edges = self._axis_edges(d)
+            lo = np.maximum(edges[:-1], lower[d][:, None])
+            hi = np.minimum(edges[1:], upper[d][:, None])
+            overlaps.append(np.clip(hi - lo, 0.0, None))
+        if self.dimension == 1:
+            return overlaps[0] @ self.values
+        if self.dimension == 2:
+            return overlaps[0] @ self.values @ overlaps[1].T
+        return np.einsum("ai,bj,ck,ijk->abc", *overlaps, self.values)
+
     def box_mass(self, lower, upper) -> float:
         """Exact mass of the axis box [lower, upper] under this density."""
-        lower = np.asarray(lower, dtype=float).ravel()
-        upper = np.asarray(upper, dtype=float).ravel()
-        fracs = []
-        for d in range(self.dimension):
-            edges = self.origin[d] + self.cell_width * np.arange(
-                self.extents[d] + 1)
-            lo = np.maximum(edges[:-1], lower[d])
-            hi = np.minimum(edges[1:], upper[d])
-            fracs.append(np.clip(hi - lo, 0.0, None))
-        if self.dimension == 1:
-            acc = float(np.dot(fracs[0], self.values))
-        elif self.dimension == 2:
-            acc = float(fracs[0] @ self.values @ fracs[1])
-        else:
-            acc = float(np.einsum("i,j,k,ijk->", *fracs, self.values))
-        return acc
+        lower = np.asarray(lower, dtype=float).reshape(-1, 1)
+        upper = np.asarray(upper, dtype=float).reshape(-1, 1)
+        return self._box_masses(lower, upper).item()
+
+    # what empirical_approximation reads of a target
+
+    def _cube_radii(self) -> np.ndarray:
+        """Candidate radii of a centred cube, ascending: the positive
+        distances of the cell faces from the origin.  The last holds every
+        cell."""
+        radii = np.unique(np.abs(np.concatenate(
+            [self._axis_edges(d) for d in range(self.dimension)])))
+        return radii[radii > 0]
+
+    def _mass_outside(self, radius: float) -> float:
+        """Mass outside the centred cube [-radius, radius]^N."""
+        corner = np.full(self.dimension, radius)
+        return self.total_mass - self.box_mass(-corner, corner)
+
+    def _cube_masses(self, radius: float, count: int) -> np.ndarray:
+        """Mass in each of the count**N cubes partitioning
+        [-radius, radius]^N, flattened in C order."""
+        side = 2.0 * radius / count
+        lower = -radius + side * np.arange(count)
+        return self._box_masses([lower] * self.dimension,
+                                [lower + side] * self.dimension).ravel()
 
     def save(self, base_path) -> Path:
         """Write ``<base>.json`` (geometry) plus ``<base>.csv`` (flat values).
@@ -370,79 +439,21 @@ def _halton_points(count: int, dimension: int) -> np.ndarray:
     return out
 
 
-def _support_radius_cloud(target: PointCloudMeasure, eps: float) -> float:
-    norms = np.max(np.abs(target.points), axis=1)
-    total = target.total_mass
-    candidates = np.unique(norms)
-    for r in candidates:
-        outside = float(np.sum(target.weights[norms > r]))
-        if outside < eps / 2.0 * total:
-            return float(r)
-    raise MassEscapes("no cube captures enough mass of the target")
-
-
-def _support_radius_grid(target: GridDensity, eps: float) -> float:
-    coords = [target.origin[d]
-              + target.cell_width * np.arange(target.extents[d] + 1)
-              for d in range(target.dimension)]
-    candidates = np.unique(np.abs(np.concatenate(coords)))
-    candidates = candidates[candidates > 0]
-    if candidates.size == 0:
-        candidates = np.asarray([1.0])
-    total = target.total_mass
-    lo_idx, hi_idx = 0, candidates.size - 1
-    if total - target.box_mass(-np.full(target.dimension, candidates[hi_idx]),
-                               np.full(target.dimension, candidates[hi_idx])) \
-            >= eps / 2.0 * total:
-        raise MassEscapes("no cube captures enough mass of the target")
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        r = candidates[mid]
-        outside = total - target.box_mass(-np.full(target.dimension, r),
-                                          np.full(target.dimension, r))
-        if outside < eps / 2.0 * total:
-            hi_idx = mid
+def _support_radius(target, eps: float) -> float:
+    """Smallest of the target's candidate cube radii whose centred cube
+    leaves less than eps/2 of its mass outside, by bisection (the mass
+    outside falls as the radius grows).  The largest candidate holds the
+    whole target, so the search ends there at the latest."""
+    radii = target._cube_radii()
+    allowed = eps / 2.0 * target.total_mass
+    lo, hi = 0, radii.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if target._mass_outside(radii[mid]) < allowed:
+            hi = mid
         else:
-            lo_idx = mid + 1
-    return float(candidates[lo_idx])
-
-
-def _cube_masses(target, big_radius: float, cubes_per_axis: int) -> np.ndarray:
-    """Mass of the target in each of the cubes_per_axis**N partition cubes of
-    [-big_radius, big_radius]^N, flattened in C order."""
-    l = cubes_per_axis
-    side = 2.0 * big_radius / l
-    dim = target.dimension
-    if isinstance(target, PointCloudMeasure):
-        norms = np.max(np.abs(target.points), axis=1)
-        mask = norms <= big_radius
-        pts = target.points[mask]
-        w = target.weights[mask]
-        idx = np.floor((pts + big_radius) / side).astype(np.int64)
-        idx = np.clip(idx, 0, l - 1)
-        flat = np.zeros(1, dtype=np.int64)
-        for d in range(dim):
-            flat = flat * l + idx[:, d]
-        return np.bincount(flat, weights=w, minlength=l**dim)
-    # grid target: exact per-axis overlap lengths against every cube slab
-    edges_lo = -big_radius + side * np.arange(l)
-    edges_hi = edges_lo + side
-    overlaps = []
-    for d in range(dim):
-        cell_edges = target.origin[d] + target.cell_width * np.arange(
-            target.extents[d] + 1)
-        lo = np.maximum(cell_edges[:-1][None, :], edges_lo[:, None])
-        hi = np.minimum(cell_edges[1:][None, :], edges_hi[:, None])
-        overlaps.append(np.clip(hi - lo, 0.0, None))
-    if dim == 1:
-        cube = overlaps[0] @ target.values
-    elif dim == 2:
-        cube = np.einsum("ai,bj,ij->ab", overlaps[0], overlaps[1],
-                         target.values)
-    else:
-        cube = np.einsum("ai,bj,ck,ijk->abc", overlaps[0], overlaps[1],
-                         overlaps[2], target.values)
-    return cube.ravel()
+            lo = mid + 1
+    return float(radii[lo])
 
 
 def empirical_approximation(target, eps: float, n_min: int = 1,
@@ -466,7 +477,16 @@ def empirical_approximation(target, eps: float, n_min: int = 1,
 
     Returns:
         PointCloudMeasure with n distinct atoms of weight 1/n.
+
+    Raises:
+        TypeError: the target is neither a PointCloudMeasure nor a
+            GridDensity.
+        ValueError: eps or n_min is out of range, the target's mass is not
+            1, or the n atoms would need more than 2**27 coordinates
+            (n * N, 1 GiB of points); n is known before anything is built.
     """
+    if not isinstance(target, (PointCloudMeasure, GridDensity)):
+        raise TypeError(f"unsupported target type {type(target).__name__}")
     if not (0 < eps < 2):
         raise ValueError("eps must lie in (0, 2)")
     if n_min < 1:
@@ -474,53 +494,41 @@ def empirical_approximation(target, eps: float, n_min: int = 1,
     if not target.is_probability:
         raise ValueError("target must be a probability measure")
     dim = target.dimension
-
-    if isinstance(target, PointCloudMeasure):
-        big_r = _support_radius_cloud(target, eps)
-    elif isinstance(target, GridDensity):
-        big_r = _support_radius_grid(target, eps)
-    else:
-        raise TypeError(f"unsupported target type {type(target).__name__}")
-    big_r = max(big_r, eps / 2.0, 1e-9)
+    big_r = max(_support_radius(target, eps), eps / 2.0, 1e-9)
 
     # smallest cube count making the cube diameter sqrt(N) * (2R/l) < eps
     l = int(math.floor(2.0 * big_r * math.sqrt(dim) / eps)) + 1
     cube_count = l**dim
     n = max(int(n_min), int(math.floor(2.0 * cube_count / eps)) + 1)
+    if n * dim > _MAX_COORDINATES:
+        raise ValueError(
+            f"eps {eps:g} needs {n} atoms in dimension {dim}, more than "
+            f"{_MAX_COORDINATES} coordinates; raise eps or lower n_min")
 
-    masses = _cube_masses(target, big_r, l)
+    masses = target._cube_masses(big_r, l)
     counts = np.floor(masses * n).astype(np.int64)
     side = 2.0 * big_r / l
 
     blocks = []
-    max_count = int(counts.max()) if counts.size else 0
-    base_pattern = _halton_points(max_count, dim) if max_count else None
+    base_pattern = _halton_points(int(counts.max()), dim)
     occupied = np.nonzero(counts)[0]
-    for flat in occupied:
-        k = int(counts[flat])
-        rng = np.random.default_rng([seed, int(flat)])
-        unit = (base_pattern[:k] + rng.uniform(size=dim)) % 1.0
-        multi = np.empty(dim, dtype=np.int64)
-        rest = int(flat)
-        for d in range(dim - 1, -1, -1):
-            multi[d] = rest % l
-            rest //= l
-        lo = -big_r + side * multi
+    corners = -big_r + side * np.stack(np.unravel_index(occupied, (l,) * dim),
+                                       axis=1)
+    for flat, lo in zip(occupied.tolist(), corners):
+        rng = np.random.default_rng([seed, flat])
+        unit = (base_pattern[:counts[flat]] + rng.uniform(size=dim)) % 1.0
         blocks.append(lo + side * (0.02 + 0.96 * unit))
 
-    placed = int(counts.sum())
-    leftover = n - placed
+    leftover = n - int(counts.sum())
     if leftover > 0:
         rng = np.random.default_rng([seed, cube_count + 7])
         unit = (_halton_points(leftover, dim)
                 + rng.uniform(size=dim)) % 1.0
-        shell = np.empty((leftover, dim))
+        shell = big_r * (-0.75 + 1.5 * unit)
         shell[:, 0] = big_r * (1.25 + 0.5 * unit[:, 0])
-        for d in range(1, dim):
-            shell[:, d] = big_r * (-0.75 + 1.5 * unit[:, d])
         blocks.append(shell)
 
-    points = np.vstack(blocks) if blocks else np.empty((0, dim))
+    points = np.vstack(blocks)
     if points.shape[0] != n:
         raise InvariantViolation("atom count does not match n")
     if np.unique(points, axis=0).shape[0] != n:

@@ -393,7 +393,7 @@ def gaussian_criterion(potential: RadialPotential,
              lambda p=p: gaussian_witness_density(p, potential.dimension),
              {"p": p, "weighted_integral": best_value})
             for p in ladder), "no Gaussian witness verified negative energy")
-    if best_value > decision_tol and bool(np.all(values > decision_tol)):
+    if best_value > decision_tol:
         details["scanned"] = (f"{len(entries)} weighted integrals, "
                              f"p in [{min(p for p, _ in entries):g}, "
                              f"{max(p for p, _ in entries):g}]")

@@ -10,6 +10,7 @@ from groundlab import (GridDensity, PointCloudMeasure, combine,
                        levy_prokhorov_upper, modulated_witness_density,
                        uniform_ball_density)
 from groundlab.errors import DimensionUnsupported
+from groundlab.measures import _support_radius
 
 
 def test_pointcloud_basics():
@@ -51,6 +52,21 @@ def test_pointcloud_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.weights, mu.weights)
 
 
+def test_pointcloud_from_csv_refuses_a_header_only_file(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text("x1,weight\n")
+    with pytest.raises(ValueError, match="no atoms"):
+        PointCloudMeasure.from_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,0.5", "0.5"])
+def test_pointcloud_from_csv_refuses_rows_unlike_the_header(tmp_path, row):
+    path = tmp_path / "cloud.csv"
+    path.write_text(f"x1,weight\n1,0.5\n{row}\n")
+    with pytest.raises(ValueError, match="2 columns"):
+        PointCloudMeasure.from_csv(path)
+
+
 def test_combine_adds_mass():
     a = PointCloudMeasure([[0.0]], [0.4])
     b = PointCloudMeasure([[1.0]], [0.6])
@@ -77,6 +93,35 @@ def test_grid_density_box_mass_2d():
     assert rho.box_mass([0.0, 0.0], [1.0, 1.0]) == pytest.approx(0.1)
     assert rho.box_mass([0.5, 0.0], [1.5, 2.0]) == pytest.approx(
         0.5 * (0.1 + 0.2) + 0.5 * (0.3 + 0.4))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_grid_cube_masses_are_the_cubes_box_masses(dimension):
+    rng = np.random.default_rng(dimension)
+    values = rng.uniform(size=(9, 8, 7)[:dimension])
+    rho = GridDensity(rng.uniform(-1.0, 0.0, dimension), 0.23, values)
+    # the partitioned cube cuts through the grid and reaches past it
+    radius, count = 0.8, 4
+    side = 2.0 * radius / count
+    want = [rho.box_mass(-radius + side * np.array(multi),
+                         -radius + side * (np.array(multi) + 1))
+            for multi in np.ndindex(*(count,) * dimension)]
+    np.testing.assert_allclose(rho._cube_masses(radius, count), want,
+                               rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("target", [
+    PointCloudMeasure.empirical(np.random.default_rng(0).normal(size=(400, 1))),
+    gaussian_witness_density(1.0, 2)], ids=["cloud-1d", "gaussian-2d"])
+def test_support_radius_is_the_smallest_candidate_that_holds_enough(target):
+    eps = 0.3
+    radius = _support_radius(target, eps)
+    radii = target._cube_radii()
+    k = int(np.flatnonzero(radii == radius)[0])
+    assert 0 < k < radii.size - 1
+    allowed = eps / 2.0 * target.total_mass
+    assert target._mass_outside(radii[k]) < allowed
+    assert target._mass_outside(radii[k - 1]) >= allowed
 
 
 def test_grid_density_save_load_round_trip(tmp_path):
@@ -223,10 +268,10 @@ def test_empirical_approximation_contract():
     uniform_ball_density(1.0, 1, 16), gaussian_witness_density(1.0, 2)],
     ids=["ball-1d", "gaussian-2d"])
 def test_empirical_approximation_of_a_grid_density(target):
-    # the grid branch: support radius by box masses, cube masses by exact
-    # cell overlaps; the density's cell-centre cloud is within one cell
-    # diameter of it, so the approximation is within eps plus that of the
-    # cloud (0.23 for the ball, 0.19 for the Gaussian)
+    # support radius by box masses, cube masses by exact cell overlaps; the
+    # density's cell-centre cloud is within one cell diameter of it, so the
+    # approximation is within eps plus that of the cloud (0.23 for the
+    # ball, 0.19 for the Gaussian)
     eps = 0.3
     approx = empirical_approximation(target, eps, seed=0)
     assert approx.is_probability
@@ -238,6 +283,31 @@ def test_empirical_approximation_of_a_grid_density(target):
     bound = levy_prokhorov_upper(
         cloud, approx, [0.05, 0.1, 0.15, 0.2, 0.25, eps, eps + diameter])
     assert bound <= eps + diameter
+
+
+def test_empirical_approximation_of_a_3d_grid_density():
+    # the cube [-0.75, 0.75]^3 leaves 0.254 < eps/2 of the rasterized ball
+    # outside, the next smaller candidate more; l = floor(2 * 0.75 *
+    # sqrt(3) / 0.6) + 1 = 5 cubes per axis and n = floor(2 * 125 / 0.6)
+    # + 1 = 417 atoms
+    approx = empirical_approximation(uniform_ball_density(1.0, 3, 8), 0.6)
+    assert approx.size == 417
+    assert approx.dimension == 3
+    assert approx.is_probability
+    assert np.unique(approx.points, axis=0).shape[0] == approx.size
+
+
+def test_empirical_approximation_refuses_a_non_measure():
+    with pytest.raises(TypeError, match="ndarray"):
+        empirical_approximation(np.zeros((3, 1)), 0.1)
+
+
+def test_empirical_approximation_refuses_too_many_atoms():
+    # about 2.2e8 atoms in 3-d, 5 GB of points: refused before any is built
+    cloud = PointCloudMeasure.empirical(
+        np.random.default_rng(0).normal(size=(1000, 3)))
+    with pytest.raises(ValueError, match="coordinates"):
+        empirical_approximation(cloud, 0.05)
 
 
 def test_empirical_approximation_rejects_bad_inputs():

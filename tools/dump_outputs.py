@@ -29,8 +29,13 @@ hashed), and the jobs of
 perfbench's ``descent`` workload with start seed 0: for each of the 19
 ``minimize_particles`` runs (max_iter 2000) its four trace arrays, final
 configuration, a hash of its snapshots and its ``classify_trace`` label,
-and the two ``ruc_search`` verdicts with their per-pair minima.  A dump
-takes 7-12 s on a 2-vCPU x86-64 box, and its peak RSS is 140-180 MB;
+and the two ``ruc_search`` verdicts with their per-pair minima.  It also
+holds, in N = 1, 2 and 3, for a random cloud, the rasterized unit ball,
+the p = 1 Gaussian witness and an off-centre random grid, the size and
+hash of two ``empirical_approximation`` runs each (APPROXIMATION_EPS),
+and the ``box_mass`` of each grid in four random boxes.  A dump
+takes 5-12 s on a 2-vCPU x86-64 box, 0.7 s of it in the measures, and
+its peak RSS is 140-180 MB;
 a checkout whose transforms cost decay radius x frequency (octave bands
 or a fixed panel width) takes about 25 s more, most of it on
 Morse(0.5, 1000, 1), and one whose panels are not cut at the knots about
@@ -113,6 +118,8 @@ LONG_RANGE = ((0.5, 10.0, 1), (0.5, 100.0, 1), (0.5, 1000.0, 1),
 KINKED_KNOTS = 200
 # fourier_criterion's default frequencies and its three tail probes
 FREQUENCIES = np.concatenate([np.linspace(0.0, 16.0, 65), [24.0, 32.0, 48.0]])
+# eps of the empirical approximations in each dimension
+APPROXIMATION_EPS = {1: (0.1, 0.3), 2: (0.2, 0.5), 3: (0.6, 1.0)}
 
 
 def _measure_hash(measure):
@@ -226,6 +233,46 @@ def _space_integral(w):
         return {"raised": type(exc).__name__, "message": str(exc)}
 
 
+def _measures():
+    """For each dimension, a random 200-atom cloud, the rasterized unit
+    ball, the p = 1 Gaussian witness and a random grid whose origin is off
+    centre: the size and hash of each empirical approximation at
+    APPROXIMATION_EPS, and each grid's mass in four random boxes."""
+    from groundlab import (GridDensity, PointCloudMeasure,
+                           empirical_approximation, gaussian_witness_density,
+                           uniform_ball_density)
+
+    def approximation(target, eps):
+        try:
+            approx = empirical_approximation(target, eps, seed=0)
+        except Exception as exc:
+            return {"raised": type(exc).__name__, "message": str(exc)}
+        return {"n": approx.size, "measure_sha1": _measure_hash(approx)}
+
+    rng = np.random.default_rng(0)
+    out = {}
+    for dim, eps_values in APPROXIMATION_EPS.items():
+        weights = rng.uniform(0.2, 1.0, 200)
+        values = rng.uniform(size=(11,) * dim)
+        targets = {
+            "cloud": PointCloudMeasure(rng.normal(size=(200, dim)),
+                                       weights / weights.sum()),
+            "ball": uniform_ball_density(1.0, dim, 8),
+            "gaussian": gaussian_witness_density(1.0, dim),
+            "random_grid": GridDensity(rng.uniform(-1.5, -0.5, dim), 0.17,
+                                       values / (values.sum() * 0.17**dim))}
+        for name, target in targets.items():
+            entry = {f"eps={eps}": approximation(target, eps)
+                     for eps in eps_values}
+            if isinstance(target, GridDensity):
+                lower = rng.uniform(-1.5, 0.5, (4, dim))
+                upper = lower + rng.uniform(0.2, 2.0, (4, dim))
+                entry["box_masses"] = [target.box_mass(lo, hi)
+                                       for lo, hi in zip(lower, upper)]
+            out[f"{name} N={dim}"] = entry
+    return out
+
+
 def dump(root: Path) -> dict:
     sys.path.insert(0, str(root / "tests"))
     from conftest import REGRESSION_CASES
@@ -250,7 +297,7 @@ def dump(root: Path) -> dict:
     cli = {name: _cli_run(main, config) for name, config in CLI_RUNS.items()}
     return {"battery": battery, "probes": probes, "transforms": transforms,
             "space_integrals": {kinked.label: _space_integral(kinked)},
-            "cli": cli, "descent": _descents()}
+            "cli": cli, "descent": _descents(), "measures": _measures()}
 
 
 def differences(old, new, path=""):
