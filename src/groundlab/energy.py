@@ -12,12 +12,14 @@ so its spectrum is the type-I DCT of K on the nonnegative octant of
 offsets, and the sum splits exactly over the even and odd parts of the
 masses about the grid centre (symmetric convolution, Martucci 1994): each
 part is a half grid transformed by type-II DCTs along its even axes and
-DSTs along its odd ones, and a part that is exactly zero, such as every odd
-part of a mirror-symmetric witness, is skipped.  The parts are folded
-straight from the density, with no full-size array of cell masses, each is
-transformed in place in one padded array that they share in turn, and the
-kernel spectrum is built only once the first part is transformed, so the
-energy of a mirror-symmetric witness holds about two grid-sized arrays
+DSTs along its odd ones, and a part that is exactly zero is skipped.  Every
+witness density (ball, Gaussian, modulated) equals its mirror image along
+each axis bit for bit, so all its odd parts are zero and its energy
+transforms its even part alone: N type-II DCT passes, no DST.  The parts
+are folded straight from the density, with no full-size array of cell
+masses, each is transformed in place in one padded array that they share
+in turn, and the kernel spectrum is built only once the first part is
+transformed, so the energy of a witness holds about two grid-sized arrays
 beside it.  W is evaluated at most once per octant offset, from a table
 over the integer squared offset lengths where that table is the smaller.
 The self-cell term is a fixed-seed Monte Carlo average of W over
@@ -253,9 +255,10 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     signs of each frequency.  An even axis reads its rows 0..L_i - 1, an
     odd axis rows 1..L_i, since DST index j is frequency j + 1, and the sum
     of K^ T^2 over the components is divided by 4^N prod(2 L_i).  Zero
-    components are skipped, so a mirror-symmetric density transforms only
-    its even component.  The self-cell term is the Monte Carlo average of W
-    over two uniform points of one cell.  ``"radial_fast"`` is the only
+    components are skipped, so a mirror-symmetric density, as every
+    witness density is, transforms only its even component.  The self-cell
+    term is the Monte Carlo average of W over two uniform points of one
+    cell.  ``"radial_fast"`` is the only
     ``quad_mode``; any other value raises ValueError.
 
     Memory: the cell masses are never formed as a grid of their own.  The
@@ -265,9 +268,11 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     array of the padded half period, prod L_i cells: each is copied into
     its corner and transformed there in place, one axis after the other.
     K^ is built once the first component is transformed, so a zero density
-    builds none.  On the 128^3 ball witness the peak above the density is
-    that array plus K^, about 2.1 grids, where the mass array, K^ and a
-    component with its padded copy were held together before (3.65 grids).
+    builds none.  Every witness density, ball, Gaussian or modulated, has
+    one component, its even one; on the 128^3 ball witness the peak above
+    the density is that array plus K^, about 2.1 grids, where the mass
+    array, K^ and a component with its padded copy were held together
+    before (3.65 grids).
     The sums are those of the mass-first order, bit for bit: (v_u c) +
     (v_l c) is the fold of the masses v c element for element, and each
     axis transforms the same zero-padded lines.

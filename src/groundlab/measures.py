@@ -12,7 +12,9 @@ and the witness densities the stability module builds
 (:func:`uniform_ball_density`, :func:`gaussian_witness_density`,
 :func:`modulated_witness_density`).  All three witnesses come from one
 rasterizer, which samples a profile of the squared radius (and the first
-coordinate) at the cell centers of a centred cube and normalizes it.
+coordinate) at the cell centers of a centred cube and normalizes it.  Its
+axis of cell centres is one half-axis and its mirror image, so each witness
+equals its mirror image along every axis, bit for bit.
 
 Both representations give the approximation the same three views of
 themselves: the candidate radii of a centred cube, the mass outside such a
@@ -346,14 +348,20 @@ def _rasterized(radius, dimension, per_half, profile):
     ``rsq`` holds the squared distance of each cell center from the origin
     and ``x1`` the first coordinate, shaped to broadcast against ``rsq``.
     ``rsq`` is the rasterizer's own full-size array and is dropped once the
-    profile returns, so a profile may overwrite it, as the ball's does,
-    and spare one array of the grid's size.
+    profile returns, so a profile may overwrite it, as every witness's
+    does, and spare the arrays of the grid's size it would otherwise make.
+
+    The axis of cell centres is the upper half, h (k + 1/2), joined to its
+    negated mirror image, so ``rsq`` and ``x1`` equal their mirror images
+    bit for bit, and so does the density of any profile even in ``x1``:
+    every odd parity part of a witness is exactly zero.
     """
     check_dimension(dimension)
     if radius <= 0 or per_half < 1:
         raise ValueError("radius must be > 0 and per_half >= 1")
     h = radius / per_half
-    axis = -radius + h * (np.arange(2 * per_half) + 0.5)
+    upper = h * (np.arange(per_half) + 0.5)
+    axis = np.concatenate((-upper[::-1], upper))
     rsq = sum(np.ix_(*[axis**2] * dimension))
     values = profile(rsq, axis.reshape((-1,) + (1,) * (dimension - 1)))
     del rsq
@@ -371,7 +379,8 @@ def uniform_ball_density(radius: float, dimension: int,
     radius = float(radius)
     return _rasterized(
         radius, dimension, cells_per_radius,
-        lambda rsq, x1: (np.sqrt(rsq, out=rsq) <= radius).astype(float))
+        lambda rsq, x1: np.less_equal(np.sqrt(rsq, out=rsq), radius,
+                                      out=rsq, casting="unsafe"))
 
 
 def gaussian_witness_density(p: float, dimension: int) -> GridDensity:
@@ -386,8 +395,12 @@ def gaussian_witness_density(p: float, dimension: int) -> GridDensity:
         raise ValueError("p must be > 0")
 
     def profile(rsq, x1):
-        r = np.sqrt(rsq)
-        return np.exp(-2.0 * p * p * r * r)
+        # exp(-2 p^2 r r) with the factors in that order, which fixes its
+        # bits, in one array beside rsq
+        r = np.sqrt(rsq, out=rsq)
+        exponent = np.multiply(-2.0 * p * p, r)
+        exponent *= r
+        return np.exp(exponent, out=exponent)
 
     sigma = 1.0 / (2.0 * p)
     return _rasterized(
@@ -414,8 +427,9 @@ def modulated_witness_density(p: float, wave_number: float,
     h = min(sigma / 3.0, (2.0 * math.pi / wave_number) / 8.0)
     return _rasterized(
         radius, dimension, int(math.ceil(radius / h)),
-        lambda rsq, x1: (np.exp(-2.0 * p * p * rsq)
-                         * (1.0 + np.cos(wave_number * x1))))
+        lambda rsq, x1: np.multiply(
+            np.exp(np.multiply(-2.0 * p * p, rsq, out=rsq), out=rsq),
+            1.0 + np.cos(wave_number * x1), out=rsq))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +497,9 @@ def empirical_approximation(target, eps: float, n_min: int = 1,
             GridDensity.
         ValueError: eps or n_min is out of range, the target's mass is not
             1, or the n atoms would need more than 2**27 coordinates
-            (n * N, 1 GiB of points); n is known before anything is built.
+            (n * N, 1 GiB of points); n is known before anything is built,
+            and an eps so small that n passes the largest float is refused
+            the same way.
     """
     if not isinstance(target, (PointCloudMeasure, GridDensity)):
         raise TypeError(f"unsupported target type {type(target).__name__}")
@@ -496,14 +512,21 @@ def empirical_approximation(target, eps: float, n_min: int = 1,
     dim = target.dimension
     big_r = max(_support_radius(target, eps), eps / 2.0, 1e-9)
 
-    # smallest cube count making the cube diameter sqrt(N) * (2R/l) < eps
-    l = int(math.floor(2.0 * big_r * math.sqrt(dim) / eps)) + 1
-    cube_count = l**dim
-    n = max(int(n_min), int(math.floor(2.0 * cube_count / eps)) + 1)
+    # smallest cube count making the cube diameter sqrt(N) * (2R/l) < eps.
+    # n exceeds 2 span^N / eps, a float that a tiny eps takes to inf; the
+    # counts become ints only once that bound is small, since a larger
+    # one would pass the range of an int-to-float conversion
+    span = 2.0 * big_r * math.sqrt(dim) / eps
+    n = 2.0 * math.prod([span] * dim) / eps
+    if n * dim <= _MAX_COORDINATES:
+        l = math.floor(span) + 1
+        cube_count = l**dim
+        n = max(int(n_min), math.floor(2.0 * cube_count / eps) + 1)
     if n * dim > _MAX_COORDINATES:
         raise ValueError(
-            f"eps {eps:g} needs {n} atoms in dimension {dim}, more than "
-            f"{_MAX_COORDINATES} coordinates; raise eps or lower n_min")
+            f"eps {eps:g} needs at least {n:.6g} atoms in dimension {dim}, "
+            f"more than {_MAX_COORDINATES} coordinates; raise eps or lower "
+            f"n_min")
 
     masses = target._cube_masses(big_r, l)
     counts = np.floor(masses * n).astype(np.int64)
@@ -528,12 +551,27 @@ def empirical_approximation(target, eps: float, n_min: int = 1,
         shell[:, 0] = big_r * (1.25 + 0.5 * unit[:, 0])
         blocks.append(shell)
 
+    # atoms of two cubes are kept apart by the cubes' margins, and the
+    # shell lies beyond the cube, so only atoms of one block can coincide
+    if any(_has_coincident_rows(block) for block in blocks):
+        raise InvariantViolation("coincident atoms in empirical approximation")
     points = np.vstack(blocks)
+    del blocks  # the measure copies the points: hold two copies, not three
     if points.shape[0] != n:
         raise InvariantViolation("atom count does not match n")
-    if np.unique(points, axis=0).shape[0] != n:
-        raise InvariantViolation("coincident atoms in empirical approximation")
     return PointCloudMeasure(points, np.full(n, 1.0 / n))
+
+
+def _has_coincident_rows(points: np.ndarray) -> bool:
+    """Whether two rows of ``points`` are equal.  Only rows whose first
+    coordinate is shared are compared whole, so a block whose first
+    coordinates are distinct costs one sort of a column."""
+    first = np.sort(points[:, 0])
+    shared = first[1:][first[1:] == first[:-1]]
+    if not shared.size:
+        return False
+    candidates = points[np.isin(points[:, 0], shared)]
+    return np.unique(candidates, axis=0).shape[0] < candidates.shape[0]
 
 
 # ---------------------------------------------------------------------------

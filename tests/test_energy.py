@@ -273,14 +273,33 @@ def test_mirror_symmetric_ball_transforms_only_its_even_component(
     assert calls == {"dct": 3, "dst": 0}
 
 
-def test_gaussian_witness_transforms_odd_components_and_matches_oracle(
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_gaussian_and_modulated_witnesses_transform_only_their_even_component(
+        monkeypatch, dimension):
+    w = Morse(1.0, 2.0, dimension)
+    for rho in (gaussian_witness_density(1.0, dimension),
+                modulated_witness_density(1.0, 3.0, dimension)):
+        calls = counted_transforms(monkeypatch)
+        energy_grid(w, rho)
+        assert calls == {"dct": dimension, "dst": 0}
+
+
+def test_asymmetric_density_transforms_odd_components_and_matches_oracle(
         monkeypatch):
+    # the Gaussian of the p = 0.2 witness on a 60 x 60 grid whose centre
+    # is off the origin: no axis mirrors it, so all four parity
+    # components are nonzero
     w = Morse(1.0, 2.0, 2)
-    rho = gaussian_witness_density(0.2, 2)
-    assert not np.array_equal(rho.values, rho.values[::-1, ::-1])
+    h = gaussian_witness_density(0.2, 2).cell_width
+    origin = h * np.array([-23.0, -38.5])
+    axes = [o + h * (np.arange(60) + 0.5) for o in origin]
+    values = np.exp(-2.0 * 0.2**2 * sum(np.ix_(*[a**2 for a in axes])))
+    rho = GridDensity(origin, h, values / (values.sum() * h**2))
+    for axis in (0, 1):
+        assert not np.array_equal(rho.values, np.flip(rho.values, axis))
     calls = counted_transforms(monkeypatch)
     value = energy_grid(w, rho).value
-    assert calls["dst"] > 0
+    assert calls == {"dct": 4, "dst": 4}
     assert value == pytest.approx(direct_grid_energy(w, rho), rel=1e-12)
 
 

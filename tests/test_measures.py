@@ -9,8 +9,9 @@ from groundlab import (GridDensity, PointCloudMeasure, combine,
                        empirical_approximation, gaussian_witness_density,
                        levy_prokhorov_upper, modulated_witness_density,
                        uniform_ball_density)
-from groundlab.errors import DimensionUnsupported
-from groundlab.measures import _support_radius
+from groundlab import measures
+from groundlab.errors import DimensionUnsupported, InvariantViolation
+from groundlab.measures import _has_coincident_rows, _support_radius
 
 
 def test_pointcloud_basics():
@@ -198,9 +199,11 @@ def test_modulated_witness_density_oscillates():
 
 def _meshgrid_witness(radius, dimension, per_half, profile):
     """The witness rasterizer as written with N float meshgrids: the
-    reference whose bits the builders must keep."""
+    reference whose bits the builders must keep.  The axis is the upper
+    half of the cell centres and its negated mirror image."""
     h = radius / per_half
-    axis = -radius + h * (np.arange(2 * per_half) + 0.5)
+    upper = h * (np.arange(per_half) + 0.5)
+    axis = np.concatenate((-upper[::-1], upper))
     mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
     rsq = sum(m**2 for m in mesh)
     values = profile(rsq, mesh[0])
@@ -234,22 +237,41 @@ def _modulated_reference(p, wave_number, dimension):
                          * (1.0 + np.cos(wave_number * x1))))
 
 
+BALL_PARAMETERS = ((1.0, 8), (2.5, 13), (4.0, 16))
+GAUSSIAN_PARAMETERS = (0.05, 0.3, 1.0, 2.7, 10.0)
+MODULATED_PARAMETERS = ((0.25, 3.0), (0.5, 1.0), (1.3, 6.5))
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_witness_builders_keep_the_meshgrid_bits(dimension):
     cases = []
-    for radius, cells in ((1.0, 8), (2.5, 13), (4.0, 16)):
+    for radius, cells in BALL_PARAMETERS:
         cases.append((uniform_ball_density(radius, dimension, cells),
                       _ball_reference(radius, dimension, cells)))
-    for p in (0.05, 0.3, 1.0, 2.7, 10.0):
+    for p in GAUSSIAN_PARAMETERS:
         cases.append((gaussian_witness_density(p, dimension),
                       _gaussian_reference(p, dimension)))
-    for p, k in ((0.25, 3.0), (0.5, 1.0), (1.3, 6.5)):
+    for p, k in MODULATED_PARAMETERS:
         cases.append((modulated_witness_density(p, k, dimension),
                       _modulated_reference(p, k, dimension)))
     for rho, (origin, width, values) in cases:
         assert np.array_equal(rho.values, values)
         assert np.array_equal(rho.origin, origin)
         assert rho.cell_width == width
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_witness_builders_equal_their_mirror_images(dimension):
+    witnesses = (
+        [uniform_ball_density(radius, dimension, cells)
+         for radius, cells in BALL_PARAMETERS]
+        + [gaussian_witness_density(p, dimension)
+           for p in GAUSSIAN_PARAMETERS]
+        + [modulated_witness_density(p, k, dimension)
+           for p, k in MODULATED_PARAMETERS])
+    for rho in witnesses:
+        for axis in range(dimension):
+            assert np.array_equal(rho.values, np.flip(rho.values, axis))
 
 
 def test_empirical_approximation_contract():
@@ -308,6 +330,36 @@ def test_empirical_approximation_refuses_too_many_atoms():
         np.random.default_rng(0).normal(size=(1000, 3)))
     with pytest.raises(ValueError, match="coordinates"):
         empirical_approximation(cloud, 0.05)
+
+
+@pytest.mark.parametrize("eps", [1e-100, 1e-300])
+def test_empirical_approximation_refuses_a_tiny_eps(eps):
+    # n passes the largest float; it is refused as too many atoms, not
+    # by an overflow converting it
+    cloud = PointCloudMeasure.empirical(
+        np.random.default_rng(0).normal(size=(100, 3)))
+    with pytest.raises(ValueError, match="coordinates"):
+        empirical_approximation(cloud, eps)
+
+
+def test_empirical_approximation_refuses_coincident_atoms(monkeypatch):
+    # one atom, so one cube holds all n atoms, and a pattern whose last
+    # point repeats its first
+    halton = measures._halton_points
+    monkeypatch.setattr(
+        measures, "_halton_points",
+        lambda count, dim: np.vstack([halton(count - 1, dim),
+                                      halton(1, dim)]))
+    target = PointCloudMeasure([[0.3, -0.2]], [1.0])
+    with pytest.raises(InvariantViolation, match="coincident"):
+        empirical_approximation(target, 0.5)
+
+
+def test_coincident_rows_are_found_among_shared_first_coordinates():
+    rows = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [0.0, 1.0]])
+    assert _has_coincident_rows(rows)
+    assert not _has_coincident_rows(rows[:3])
+    assert not _has_coincident_rows(rows[1:])
 
 
 def test_empirical_approximation_rejects_bad_inputs():

@@ -18,7 +18,9 @@ included.
 
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
-hash of each certificate measure), ``probe_hypotheses`` of the same
+hash of each certificate measure and, for a grid, whether it equals its
+mirror image along each axis, so that ``compare`` lists a witness that
+gains or loses that symmetry), ``probe_hypotheses`` of the same
 potentials, ``radial_fourier_transform`` of the same potentials, of five
 long-range Morse profiles (L up to 1000) and of a 200-knot random
 ``Tabulated`` profile (about 100 kinks and 100 sign changes) on
@@ -133,6 +135,16 @@ def _measure_hash(measure):
     return digest.hexdigest()
 
 
+def _mirror_exact(measure):
+    """Per axis, whether a grid measure equals its mirror image bit for
+    bit; None for a measure that is not a grid."""
+    values = getattr(measure, "values", None)
+    if values is None:
+        return None
+    return [bool(np.array_equal(values, np.flip(values, axis)))
+            for axis in range(values.ndim)]
+
+
 def _outcome(call):
     try:
         result = call()
@@ -141,8 +153,9 @@ def _outcome(call):
     out = (result.to_dict() if hasattr(result, "to_dict")
            else dataclasses.asdict(result))
     if hasattr(result, "certificate"):
-        out["measure_sha1"] = _measure_hash(
-            getattr(result.certificate, "measure", None))
+        measure = getattr(result.certificate, "measure", None)
+        out["measure_sha1"] = _measure_hash(measure)
+        out["measure_mirror_exact"] = _mirror_exact(measure)
     return out
 
 
@@ -317,12 +330,14 @@ def differences(old, new, path=""):
 
 def _cells(old, new, where):
     """Differences inside one pair of values: numeric ones as (field,
-    |old - new|, relative deviation), the rest as None.  CSV lines are
-    split into cells; the field drops list indices and row numbers."""
+    |old - new|, relative deviation), the rest as None.  CSV lines, of one
+    column or more, are split into cells; the field drops list indices and
+    row numbers."""
     field = re.sub(r"\[\d+\]", "[]", where)
-    if isinstance(old, str) and isinstance(new, str) and "," in old:
+    if isinstance(old, str) and isinstance(new, str):
         a, b = old.split(","), new.split(",")
-        if len(a) == len(b):
+        numeric = all(isinstance(_float(v), float) for v in (old, new))
+        if len(a) == len(b) and (len(a) > 1 or numeric):
             return [c for k, (x, y) in enumerate(zip(a, b)) if x != y
                     for c in _cells(_float(x), _float(y),
                                     f"{field} column {k}")]
