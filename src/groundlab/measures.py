@@ -250,7 +250,9 @@ class GridDensity:
     def _box_masses(self, lower, upper) -> np.ndarray:
         """Masses of the boxes whose sides along axis d are the intervals
         [lower[d][j], upper[d][j]], as an array over (j_1, ..., j_N): the
-        values contracted with each axis's (k_d, cells) overlap lengths."""
+        values contracted with each axis's (k_d, cells) overlap lengths, one
+        axis at a time (a 3-d einsum left unoptimized loops over every
+        (box, cell) pair)."""
         overlaps = []
         for d in range(self.dimension):
             edges = self._axis_edges(d)
@@ -261,7 +263,8 @@ class GridDensity:
             return overlaps[0] @ self.values
         if self.dimension == 2:
             return overlaps[0] @ self.values @ overlaps[1].T
-        return np.einsum("ai,bj,ck,ijk->abc", *overlaps, self.values)
+        return np.einsum("ai,bj,ck,ijk->abc", *overlaps, self.values,
+                         optimize=True)
 
     def box_mass(self, lower, upper) -> float:
         """Exact mass of the axis box [lower, upper] under this density."""

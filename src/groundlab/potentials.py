@@ -19,7 +19,6 @@ computed by :mod:`groundlab.radial`; this module calls no quadrature.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -528,10 +527,12 @@ def probe_hypotheses(potential: RadialPotential,
     # nested-cutoff estimates of int_cut^1 |W(r)| r**(N-1) dr; a segment
     # whose quadrature fails stops the refinement and leaves it unclean
     estimates, total = [], 0.0
-    with suppress(QuadratureFailure):
-        for hi, lo in zip(edges, edges[1:]):
-            total += read(0, lo, hi)[0]
-            estimates.append(total)
+    for hi, lo in zip(edges, edges[1:]):
+        (mass,), failed = read(lo, hi)
+        if failed:
+            break
+        total += mass.item()
+        estimates.append(total)
     if not estimates:
         raise QuadratureFailure(
             f"near-origin quadrature produced no estimate for "

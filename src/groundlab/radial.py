@@ -16,25 +16,29 @@ absolute value or W^2 r^{N-1}, and the factor f, 1 at 0 and monotone on
 [0, 1], is the Gaussian exp(-x^2) of the weighted scan (x = 0 gives the
 plain integrals) or the radial kernel K_N of the N-dimensional Fourier
 transform (cos, J_0 and sin(x)/x).  The Gaussian rows sum the rule nodes
-(:meth:`Panels.integrals`); the transform rows integrate each panel's
-interpolant times e^{i x r} exactly (Filon-Legendre,
-:meth:`Panels.transform`), so their panels are sized by W and not by the
-frequency.  Every row goes through one check: a segment between two
-bounds whose 10- and 20-node sums disagree by more than
-quad_tol * max(1, |value|) is integrated again, when it is read, by one
-adaptive ``scipy.integrate.quad`` call (:func:`segment`), whose
-QuadratureFailure the read raises; the rows whose factor is within 1e-14
-of 1 over the segment share that call, its failure included.
-scipy.integrate is imported only at the first call (:func:`quad`), and no
-other module calls it.
+(:meth:`Panels.integrals`), and exponentiate only their live band: the
+segments where a factor is neither exactly 1 nor flushed to 0; the
+transform rows integrate each panel's interpolant times e^{i x r} exactly
+(Filon-Legendre, :meth:`Panels.transform`), so their panels are sized by
+W and not by the frequency.  Rows are read as arrays: a read returns one
+array over the rows per part.  Every row goes through one check: a
+segment between two bounds whose 10- and 20-node sums disagree by more
+than quad_tol * max(1, |value|) is integrated again, when a row still
+reads it, by one adaptive ``scipy.integrate.quad`` call (:func:`segment`),
+whose QuadratureFailure the read returns for that row; the rows whose
+factor is within 1e-14 of 1 over the segment share that call, its failure
+included.  scipy.integrate is imported only at the first call
+(:func:`quad`), and no other module calls it.
 
-The gates (:func:`gated`) read a row over the segments between BOUNDS:
-the origin piece (0, 1] is cut at 1e-2 ... 1e-10 and declared divergent
-when its absolute integral still grows by more than 10 % over the final
-cutoff; the tail [1, inf) is cut into decades and declared divergent when
-no decade up to radius 1e8 falls below the quadrature noise floor.  The
-floor [0, 1e-10] joins each value after the origin gate; no gate and no
-tail mass reads it.
+The gates (:func:`gated`) read all rows at once over the segments between
+BOUNDS, each row adding in the order it would alone: the origin piece
+(0, 1] is cut at 1e-2 ... 1e-10 and declared divergent when its absolute
+integral still grows by more than 10 % over the final cutoff; the tail
+[1, inf) is cut into decades and declared divergent when no decade up to
+radius 1e8 falls below the quadrature noise floor.  The floor [0, 1e-10]
+joins each value after the origin gate; no gate and no tail mass reads
+it.  A row that fails or trips a gate is read no further, and the gate
+returns its exception for the caller to raise.
 """
 
 from __future__ import annotations
@@ -64,7 +68,13 @@ _PANELS_PER_DECADE = 4
 _NODES = 10                 # per panel in the low rule; twice that in the high
 _PROBES_PER_DECADE = 32     # sign-change search grid
 _BISECTIONS = 48            # shrinks a probe bracket below 1e-13 relative
-_CHUNK_ELEMENTS = 1 << 18   # row terms formed at a time: 2 MB
+_CHUNK_ELEMENTS = 1 << 18   # transform terms formed at a time: 2 MB
+_ROWS = 16                  # Gaussian rows formed at a time
+# _gaussian(x) is exactly 1 for |x| <= _UNIT_BELOW (exp(-x^2) rounds to 1
+# below x = 6.7e-9) and exactly 0 for |x| >= _ZERO_ABOVE (it is flushed
+# above x = 18.585)
+_UNIT_BELOW = 5e-9
+_ZERO_ABOVE = 18.6
 # Factors and weighted values below this are dropped before they are
 # multiplied: two of them make a subnormal number, which the processor
 # handles up to a hundred times slower, and a term this small moves no sum
@@ -106,11 +116,15 @@ def segment(func, lo, hi, quad_tol):
     return value, err
 
 
-def origin_growth(estimates) -> float:
+def origin_growth(estimates):
     """Relative growth of the absolute origin integral over the final
-    cutoff decade; above ORIGIN_GROWTH it is read as divergent."""
-    prev, last = estimates[-2], estimates[-1]
-    return (last - prev) / prev if prev > 0 else 0.0
+    cutoff decade, per row of the arrays ``estimates`` (0 where the
+    previous estimate is not positive); above ORIGIN_GROWTH it is read as
+    divergent."""
+    prev, last = np.asarray(estimates[-2]), np.asarray(estimates[-1])
+    growth = np.zeros(prev.shape)
+    np.divide(last - prev, prev, out=growth, where=prev > 0)
+    return growth
 
 
 def _sign_changes(func, kinks) -> np.ndarray:
@@ -297,31 +311,61 @@ class Panels:
             r = _nodes(edges[:-1], edges[1:], t)
             values = high if t.size == high.shape[1] else g(r)
             self._rules.append((r, half * w, values))
+        # per rule: the nodes, weights and values in one run, the first
+        # node of each segment and the first and last radius there
+        self._runs = []
+        for r, w, values in self._rules:
+            starts = self._starts * r.shape[1]
+            r = r.ravel()
+            self._runs.append((r, w.ravel(), values.ravel(), starts,
+                               r[starts], r[np.append(starts[1:], r.size) - 1]))
         self._fallbacks = {}    # key: value or QuadratureFailure
 
-    def integrals(self, parts, factor=_gaussian, scales=(0.0,)):
-        """Reader ``read(row, lo, hi)`` of the integrals of
-        part(signed(r), r) factor(x r) over [lo, hi], two of the bounds, one
-        per part in ``parts``, with x the entry ``row`` of ``scales``; by
-        default the plain integrals.  The rule sums of every row are formed
-        here, the terms of all parts _CHUNK_ELEMENTS at a time."""
+    def integrals(self, parts, scales=(0.0,)):
+        """Reader ``read(lo, hi, live)`` (:meth:`_reader`) of the integrals
+        of part(signed(r), r) exp(-(x r)^2) over [lo, hi], two of the
+        bounds, one row array per part in ``parts`` over the x in
+        ``scales``; by default the plain integrals, from the rule sums of
+        :meth:`_rule_sums`."""
         x = np.asarray(scales, dtype=float)
-        # both rules' nodes in one run, and the first node of each segment
-        # under either rule
-        r, weights, values = (np.concatenate([a.ravel() for a in arrays])
-                              for arrays in zip(*self._rules))
-        starts = np.concatenate([self._starts * _NODES, (
-            self._edges.size - 1 + 2 * self._starts) * _NODES])
-        weighted = _flushed(np.stack([part(values, r) * weights
-                                      for part in parts]))
-        sums = np.empty((x.size, len(parts), starts.size))
-        chunk = max(1, _CHUNK_ELEMENTS // (len(parts) * r.size))
-        for first in range(0, x.size, chunk):
-            factors = factor(np.outer(x[first:first + chunk], r))
-            sums[first:first + chunk] = np.add.reduceat(
-                factors[:, None] * weighted, starts, axis=2)
-        sums = sums.reshape(x.size, len(parts), 2, -1)
-        return self._reader(sums, parts, factor, x)
+        return self._reader(self._rule_sums(parts, x), parts, _gaussian, x)
+
+    def _rule_sums(self, parts, x):
+        """(2, segments, parts, rows) low- and high-rule sums of
+        part(signed(r), r) exp(-(x r)^2) over each segment, one row per x,
+        formed _ROWS rows at a time.  In each group of rows and each rule,
+        the leading segments, where every factor of the group is exactly 1
+        (x r <= _UNIT_BELOW), take the sums of the integrand alone, and the
+        trailing ones, where every factor is flushed (x r >= _ZERO_ABOVE),
+        the sums of its product with 0, both formed once: what the whole
+        row sums there, bit for bit.  Only the band between them is
+        exponentiated, and np.add.reduceat sums it with shifted starts, so
+        each segment keeps its summation order."""
+        size = np.abs(x)
+        sums = np.empty((2, self._starts.size, len(parts), x.size))
+        for rule, (r, weights, values, starts, first_r, last_r) in enumerate(
+                self._runs):
+            weighted = _flushed(np.stack([part(values, r) * weights
+                                          for part in parts]))
+            ones = np.add.reduceat(weighted, starts, axis=1).T[:, :, None]
+            zeros = np.add.reduceat(0.0 * weighted, starts, axis=1).T[
+                :, :, None]
+            for first in range(0, x.size, _ROWS):
+                rows = slice(first, first + _ROWS)
+                lead = np.count_nonzero(size[rows].max() * last_r
+                                        <= _UNIT_BELOW)
+                trail = starts.size - np.count_nonzero(
+                    size[rows].min() * first_r >= _ZERO_ABOVE)
+                sums[rule, :lead, :, rows] = ones[:lead]
+                sums[rule, trail:, :, rows] = zeros[trail:]
+                if lead < trail:
+                    band = slice(starts[lead], starts[trail]
+                                 if trail < starts.size else r.size)
+                    factors = _gaussian(np.outer(x[rows], r[band]))
+                    sums[rule, lead:trail, :, rows] = np.add.reduceat(
+                        factors[:, None] * weighted[:, band],
+                        starts[lead:trail] - band.start, axis=2).T
+        return sums
 
     def transform(self, dimension, upper):
         """The integrals of signed(r) K_N(x r) over [0, upper], with K_N the
@@ -384,40 +428,53 @@ class Panels:
             step = max(1, _CHUNK_ELEMENTS // (2 * _NODES * panels))
             sums = np.concatenate([panel_sums(x[first:first + step])
                                    for first in range(0, x.size, step)])
-            read = self._reader(np.add.reduceat(
-                sums, self._starts[self._starts < panels], axis=2)[:, None],
-                (signed_part,), kernel, x)
-            return np.array([read(row, self._bounds[0], upper)[0]
-                             for row in range(x.size)])
+            segments = np.add.reduceat(
+                sums, self._starts[self._starts < panels], axis=2)
+            values, failed = self._reader(
+                segments.transpose(1, 2, 0)[:, :, None], (signed_part,),
+                kernel, x)(self._bounds[0], upper)
+            if failed:
+                raise failed[min(failed)]
+            return values[0]
 
         return integrals
 
     def _reader(self, sums, parts, factor, x):
-        """``read(row, lo, hi)``: for each part, the integral of
-        part(signed(r), r) factor(x[row] r) over [lo, hi], two of the
-        bounds, from ``sums``, its (rows, parts, 2, segments) low- and
-        high-rule sums on the first segments.  A segment is read from the
-        20-node sum when the two rules agree to
-        quad_tol * max(1, |value|), and otherwise from :func:`segment`,
-        whose QuadratureFailure the read raises."""
-        low, high = sums[:, :, 0], sums[:, :, 1]
-        agree = (np.isfinite(sums).all(axis=2)
-                 & (np.abs(high - low)
-                    <= self.quad_tol * np.maximum(1.0, np.abs(high))))
-        # indexed [row][segment][part]
-        agree = agree.transpose(0, 2, 1).tolist()
-        high, x = high.transpose(0, 2, 1).tolist(), x.tolist()
+        """``read(lo, hi, live=None)``: (values, failed), with values[j] the
+        integrals of parts[j](signed(r), r) factor(x r) over [lo, hi], two
+        of the bounds, as an array over the rows x, from ``sums``, the
+        (2, segments, parts, rows) low- and high-rule sums on the first
+        segments.  A segment is read from the 20-node sum when the two
+        rules agree to quad_tol * max(1, |value|), and otherwise from
+        :func:`segment`, for the rows in the mask ``live`` (by default
+        all) only; ``failed`` maps each row whose call raised to its
+        QuadratureFailure, and the row reads NaN and nothing further."""
+        low, high = sums
+        disagree = ~(np.isfinite(low) & np.isfinite(high)
+                     & (np.abs(high - low)
+                        <= self.quad_tol * np.maximum(1.0, np.abs(high))))
+        suspect = disagree.any(axis=(1, 2)).tolist()
 
-        def read(row, lo, hi):
-            s, end = self._index[lo], self._index[hi]
-            if end == s + 1 and all(agree[row][s]):
-                return high[row][s]
-            out = [0.0] * len(parts)
-            for s in range(s, end):
-                for j, part in enumerate(parts):
-                    out[j] += (high[row][s][j] if agree[row][s][j] else
-                               self._fallback(part, factor, x[row], s))
-            return out
+        def read(lo, hi, live=None):
+            out, failed = 0.0, {}
+            for s in range(self._index[lo], self._index[hi]):
+                values = high[s]
+                if suspect[s]:
+                    values = values.copy()
+                    live = (np.ones(x.size, dtype=bool) if live is None
+                            else live.copy())
+                    for row, j in zip(*np.nonzero((disagree[s] & live).T)):
+                        if not live[row]:
+                            continue
+                        try:
+                            values[j, row] = self._fallback(
+                                parts[j], factor, float(x[row]), s)
+                        except QuadratureFailure as exc:
+                            failed[int(row)], live[row] = exc, False
+                out = out + values
+            if failed:
+                out[:, list(failed)] = np.nan
+            return out, failed
 
         return read
 
@@ -444,33 +501,60 @@ class Panels:
         return self._fallbacks[key]
 
 
-def gated(piece, quad_tol):
-    """(integral, tail_masses) from ``piece(lo, hi)``, the (value, |value|
-    mass) over [lo, hi], two consecutive BOUNDS, with the origin-growth
-    gate and the tail stopping rule; NotAbsolutelyIntegrable when a gate
-    trips.  The floor [0, 1e-10] joins the value after the gate and no
-    gate reads it."""
-    near, abs_total, abs_estimates = 0.0, 0.0, []
-    for s in reversed(range(1, _N_ORIGIN + 1)):
-        value, mass = piece(BOUNDS[s], BOUNDS[s + 1])
-        near += value
-        abs_total += mass
-        abs_estimates.append(abs_total)
-    growth = origin_growth(abs_estimates)
-    if growth > ORIGIN_GROWTH:
-        raise NotAbsolutelyIntegrable(
-            f"integral near the origin still grew {growth:.1%} over the "
-            f"final cutoff decade")
-    near += piece(BOUNDS[0], BOUNDS[1])[0]
+def gated(piece, rows, quad_tol):
+    """(integrals, tail_masses, errors) over ``rows`` rows from
+    ``piece(lo, hi, live)``: ((values, |value| masses), failed) over [lo,
+    hi], two consecutive BOUNDS, each an array over the rows, where the
+    rows outside the mask ``live`` need not be read and ``failed`` maps a
+    row whose reading raised to its exception.  The origin-growth gate and
+    the tail stopping rule apply to all rows at once, each row adding in
+    the order it would alone, and a row is read no further once it has
+    stopped, tripped a gate or failed.  integrals[k] is row k's value (NaN
+    for a row with an error), tail_masses[k] its per-decade masses up to
+    the decade it stopped at, and errors[k] the NotAbsolutelyIntegrable or
+    QuadratureFailure it raised, or None.  The floor [0, 1e-10] joins each
+    value after the gate and no gate reads it."""
+    errors, live = [None] * rows, np.ones(rows, dtype=bool)
 
-    far, masses = 0.0, []
-    for lo, hi in zip(BOUNDS[_N_ORIGIN + 1:], BOUNDS[_N_ORIGIN + 2:]):
-        value, mass = piece(lo, hi)
-        far += value
-        masses.append(mass)
-        if mass < max(quad_tol * 1e-2, 1e-12 * (1.0 + abs(far))):
-            return near + far, masses
-    raise NotAbsolutelyIntegrable(
-        f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
-        f"last decade contributed {masses[-1]:.3g}")
+    def read(lo, hi):
+        pair, failed = piece(lo, hi, live)
+        for row, exc in failed.items():
+            errors[row], live[row] = exc, False
+        return pair
 
+    # the rows read no further add what they read, without a warning, as
+    # Python floats do; no result takes it
+    with np.errstate(all="ignore"):
+        # the origin piece's values and masses, and the sums one segment
+        # before
+        near = previous = np.zeros((2, rows))
+        for s in reversed(range(1, _N_ORIGIN + 1)):
+            previous, near = near, near + read(BOUNDS[s], BOUNDS[s + 1])
+        growth = origin_growth([previous[1], near[1]])
+        for row in np.flatnonzero(live & (growth > ORIGIN_GROWTH)):
+            errors[row], live[row] = NotAbsolutelyIntegrable(
+                f"integral near the origin still grew {growth[row]:.1%} "
+                f"over the final cutoff decade"), False
+        near = near[0] + read(BOUNDS[0], BOUNDS[1])[0]
+
+        integrals, far, masses = np.full(rows, np.nan), 0.0, []
+        decades = np.zeros(rows, dtype=int)
+        for lo, hi in zip(BOUNDS[_N_ORIGIN + 1:], BOUNDS[_N_ORIGIN + 2:]):
+            if not live.any():
+                break
+            value, mass = read(lo, hi)
+            far = far + value
+            masses.append(mass)
+            decades += live
+            stop = live & (mass < np.maximum(quad_tol * 1e-2,
+                                             1e-12 * (1.0 + np.abs(far))))
+            np.copyto(integrals, near + far, where=stop)
+            live &= ~stop
+    for row in np.flatnonzero(live):
+        errors[row] = NotAbsolutelyIntegrable(
+            f"tail integral had not converged by radius 1e{_TAIL_MAX_DECADE}; "
+            f"last decade contributed {masses[-1][row]:.3g}")
+    tail_masses = [row[:n] for row, n in zip(
+        np.array(masses).reshape(len(masses), rows).T.tolist(),
+        decades.tolist())]
+    return integrals, tail_masses, errors

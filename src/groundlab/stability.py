@@ -39,7 +39,6 @@ frequency and the polish included.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -161,22 +160,26 @@ def _panels(potential, quad_tol, cuts=()):
 
 
 def _weighted(potential, panels, p_values):
-    """``row(k)``: S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr on
-    ``panels`` for p = p_values[k], and tail_masses, where tail_masses[j]
-    integrates the weighted |W| r^{N-1} over [10**j, 10**(j+1)]; it raises
-    what the gates or the fallback quadrature raise.  p = 0 gives the space
-    integral, and a lone p is the row p of the scan, bit for bit.  The
-    Gaussian factors are positive, so the sign changes of W, panel edges,
-    are the kinks of every row's absolute value."""
+    """(values, tail_masses, errors) over ``p_values``: values[k] is
+    S_{N-1} int_0^inf W(r) exp(-p^2 r^2) r^{N-1} dr on ``panels`` for p =
+    p_values[k], tail_masses[k] its weighted |W| r^{N-1} masses over
+    [10**j, 10**(j+1)], j = 0, 1, ..., and errors[k] what its gates or
+    fallback quadrature raised, else None (:func:`groundlab.radial.gated`).
+    p = 0 gives the space integral, and a lone p is the row p of the scan,
+    bit for bit.  The Gaussian factors are positive, so the sign changes of
+    W, panel edges, are the kinks of every row's absolute value."""
     read = panels.integrals((signed_part, abs_part), scales=p_values)
-    area = unit_sphere_area(potential.dimension)
+    values, masses, errors = gated(read, len(p_values), panels.quad_tol)
+    return unit_sphere_area(potential.dimension) * values, masses, errors
 
-    def row(k):
-        value, masses = gated(lambda lo, hi: read(k, lo, hi),
-                              panels.quad_tol)
-        return area * value, masses
 
-    return row
+def _weighted_at(potential, panels, p):
+    """(value, tail_masses) of the one row p of :func:`_weighted`; raises
+    its error."""
+    values, masses, errors = _weighted(potential, panels, [p])
+    if errors[0] is not None:
+        raise errors[0]
+    return values.item(), masses[0]
 
 
 def space_integral(potential: RadialPotential,
@@ -186,7 +189,7 @@ def space_integral(potential: RadialPotential,
     Raises NotAbsolutelyIntegrable when |W| fails to integrate near the
     origin or in the tail.
     """
-    return _weighted(potential, _panels(potential, quad_tol), [0.0])(0)[0]
+    return _weighted_at(potential, _panels(potential, quad_tol), 0.0)[0]
 
 
 def weighted_space_integral(potential: RadialPotential, p: float,
@@ -198,7 +201,7 @@ def weighted_space_integral(potential: RadialPotential, p: float,
     """
     if p <= 0:
         raise ValueError("p must be > 0; use space_integral for p = 0")
-    return _weighted(potential, _panels(potential, quad_tol), [p])(0)[0]
+    return _weighted_at(potential, _panels(potential, quad_tol), p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +263,13 @@ def _choose_ball_radius(potential, value, tail_masses, panels):
     read = panels.integrals((abs_part,))
     area = unit_sphere_area(potential.dimension)
     total, head = sum(tail_masses), 0.0
-    with suppress(QuadratureFailure):
-        for radius, outer in zip(_BALL_RADII, _BALL_RADII[1:]):
-            if area * max(total - head, 0.0) <= abs(value) / 4:
-                return radius
-            head += read(0, radius, outer)[0]
+    for radius, outer in zip(_BALL_RADII, _BALL_RADII[1:]):
+        if area * max(total - head, 0.0) <= abs(value) / 4:
+            return radius
+        (mass,), failed = read(radius, outer)
+        if failed:
+            break
+        head += mass.item()
     return _BALL_RADII[-1]
 
 
@@ -284,7 +289,7 @@ def integral_criterion(potential: RadialPotential,
     Raises NotAbsolutelyIntegrable when |W| is not integrable over R^N.
     """
     panels = _panels(potential, quad_tol, _BALL_RADII)
-    value, tail_masses = _weighted(potential, panels, [0.0])(0)
+    value, tail_masses = _weighted_at(potential, panels, 0.0)
     details = {"quad_tol": quad_tol, "decision_tol": decision_tol,
                "potential": potential.label}
 
@@ -351,15 +356,15 @@ def gaussian_criterion(potential: RadialPotential,
     # p = 0, the whole grid and the polish are weighed on one set of nodes
     p_values = [0.0] + grid.tolist()
     panels = _panels(potential, quad_tol)
-    row = _weighted(potential, panels, p_values)
+    scan, _, errors = _weighted(potential, panels, p_values)
     entries = []
-    for k, p in enumerate(p_values):
-        try:
-            entries.append((p, row(k)[0]))
-        except NotAbsolutelyIntegrable as exc:
-            if p > 0.0:
-                raise
+    for p, value, exc in zip(p_values, scan.tolist(), errors):
+        if exc is None:
+            entries.append((p, value))
+        elif p == 0.0 and isinstance(exc, NotAbsolutelyIntegrable):
             details["p_zero_skipped"] = str(exc)
+        else:
+            raise exc
 
     values = np.array([v for _, v in entries])
     best_idx = int(np.argmin(values))
@@ -368,7 +373,7 @@ def gaussian_criterion(potential: RadialPotential,
     # near-zero minima get a local polish before the verdict is read off
     if abs(best_value) <= 10 * decision_tol and best_p > 0:
         best_p, best_value = _polished(
-            lambda q: _weighted(potential, panels, [q])(0)[0], best_p / 4.0,
+            lambda q: _weighted_at(potential, panels, q)[0], best_p / 4.0,
             min(best_p * 4.0, float(grid.max())), 1e-10, best_p, best_value)
 
     details["p_values"] = [p for p, _ in entries]
@@ -453,7 +458,7 @@ def radial_fourier_transform(potential: RadialPotential,
     zero = flat == 0.0
     panels, transform_at = _fourier_panels(potential, quad_tol)
     if zero.any():
-        out[zero] = _weighted(potential, panels, [0.0])(0)[0]
+        out[zero] = _weighted_at(potential, panels, 0.0)[0]
     if not zero.all():
         out[~zero] = transform_at(flat[~zero])
     return float(out[0]) if xi.ndim == 0 else out
@@ -490,12 +495,18 @@ def fourier_criterion(potential: RadialPotential,
     panels, transform_at = _fourier_panels(potential, quad_tol)
     read = panels.integrals((lambda values, r: values * values
                              / r ** (n - 1),))
-    try:
-        # W^2 r^{N-1} is its own absolute value
-        gated(lambda lo, hi: 2 * read(0, lo, hi), quad_tol)
-    except NotAbsolutelyIntegrable as exc:
+
+    def squared(lo, hi, live):
+        # W^2 r^{N-1} is its own absolute value: the mass is the value
+        (value,), failed = read(lo, hi, live)
+        return (value, value), failed
+
+    exc = gated(squared, 1, quad_tol)[2][0]
+    if isinstance(exc, NotAbsolutelyIntegrable):
         raise NotSquareIntegrable(f"{potential.label}: W^2 is not "
                                   f"integrable ({exc})") from exc
+    if exc is not None:
+        raise exc
 
     grid = np.asarray(_default_xi_grid() if xi_grid is None else xi_grid,
                       dtype=float)
@@ -508,7 +519,7 @@ def fourier_criterion(potential: RadialPotential,
     tails = np.array([1.5 * top, 2.0 * top, 3.0 * top])
 
     try:
-        integral = _weighted(potential, panels, [0.0])(0)[0]
+        integral = _weighted_at(potential, panels, 0.0)[0]
     except NotAbsolutelyIntegrable:
         integral = None
         grid = grid[grid > 0]

@@ -111,6 +111,29 @@ def test_grid_cube_masses_are_the_cubes_box_masses(dimension):
                                rtol=1e-13, atol=1e-15)
 
 
+def test_box_masses_in_3d_match_a_per_axis_contraction():
+    rng = np.random.default_rng(7)
+    values = rng.uniform(size=(13, 11, 9))
+    rho = GridDensity([-0.3, -1.7, 0.4], 0.19, values)
+    # boxes that cut through the grid, some reaching past it
+    lower = [origin + rng.uniform(-0.3, 1.5, k)
+             for origin, k in zip(rho.origin, (5, 4, 3))]
+    upper = [lo + rng.uniform(0.05, 1.5, lo.size) for lo in lower]
+    overlaps = []
+    for axis, (lo, hi) in enumerate(zip(lower, upper)):
+        edges = rho.origin[axis] + rho.cell_width * np.arange(
+            values.shape[axis] + 1)
+        overlaps.append(np.array([[max(0.0, min(b, right) - max(a, left))
+                                   for left, right in zip(edges, edges[1:])]
+                                  for a, b in zip(lo, hi)]))
+    want = np.einsum("ai,ijk->ajk", overlaps[0], values)
+    want = np.einsum("bj,ajk->abk", overlaps[1], want)
+    want = np.einsum("ck,abk->abc", overlaps[2], want)
+    assert want.shape == (5, 4, 3) and np.all(want > 0.0)
+    np.testing.assert_allclose(rho._box_masses(lower, upper), want,
+                               rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("target", [
     PointCloudMeasure.empirical(np.random.default_rng(0).normal(size=(400, 1))),
     gaussian_witness_density(1.0, 2)], ids=["cloud-1d", "gaussian-2d"])

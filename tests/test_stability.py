@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import re
@@ -189,7 +188,9 @@ def test_gaussian_scan_drops_only_p_zero_for_heavy_tails(monkeypatch):
     parts = (radial.signed_part, radial.abs_part)
     read = stability._panels(w, stability.QUAD_TOL).integrals(
         parts, scales=[0.0, 1e3])
-    assert read(0, 0.0, 1e-10) == read(1, 0.0, 1e-10) == [radial.segment(
+    values, failed = read(0.0, 1e-10)
+    assert failed == {}
+    assert values[:, 0].tolist() == values[:, 1].tolist() == [radial.segment(
         lambda r, part=part: part(w(r), r), 0.0, 1e-10,
         stability.QUAD_TOL)[0] for part in parts]
 
@@ -553,8 +554,6 @@ def test_fourier_criterion_reads_one_node_set(monkeypatch):
 
 
 def test_gaussian_factors_below_negligible_are_zero():
-    assert (inspect.signature(radial.Panels.integrals).parameters["factor"]
-            .default is radial._gaussian)
     x = np.linspace(0.0, 30.0, 3001)
     exact = np.exp(-np.square(x))
     got = radial._gaussian(x)
@@ -562,6 +561,121 @@ def test_gaussian_factors_below_negligible_are_zero():
     assert small.any() and not small.all()
     assert np.all(got[small] == 0.0)
     assert np.array_equal(got[~small], exact[~small])
+
+
+def dense_rule_sums(panels, parts, x):
+    """The rule sums of every row over all nodes at once, exponentiating
+    every (row, node) pair, as (2, segments, parts, rows)."""
+    r, weights, values = (np.concatenate([a.ravel() for a in arrays])
+                          for arrays in zip(*panels._rules))
+    starts = np.concatenate([panels._starts * 10, (
+        panels._edges.size - 1 + 2 * panels._starts) * 10])
+    weighted = radial._flushed(np.stack([part(values, r) * weights
+                                         for part in parts]))
+    sums = np.add.reduceat(radial._gaussian(np.outer(x, r))[:, None]
+                           * weighted, starts, axis=2)
+    return sums.reshape(x.size, len(parts), 2, -1).transpose(2, 3, 1, 0)
+
+
+def test_banded_rule_sums_equal_the_dense_sums_bit_for_bit():
+    parts = (radial.signed_part, radial.abs_part)
+    grid = stability._default_p_grid()
+    unsorted = np.concatenate([[grid[150], 0.0],
+                               np.random.default_rng(0).permutation(grid)])
+    profiles = [w for w, _ in REGRESSION_CASES] + [
+        PowerLaw(-0.5, -0.9, 1), PowerLaw(2.0, 1.0, 2)]
+    for w in profiles:
+        panels = stability._panels(w, stability.QUAD_TOL)
+        for x in (np.concatenate([[0.0], grid]), unsorted):
+            banded = panels._rule_sums(parts, x)
+            dense = dense_rule_sums(panels, parts, x)
+            assert np.array_equal(banded, dense, equal_nan=True), w.label
+            assert np.array_equal(np.signbit(banded), np.signbit(dense)), \
+                w.label
+
+
+def test_the_band_edges_and_shifted_starts_keep_the_bits():
+    # exp(-x^2) rounds to 1 up to x = 6.7e-9 and is flushed from 18.585
+    x = np.linspace(0.0, radial._UNIT_BELOW, 200_001)
+    assert np.all(radial._gaussian(np.concatenate([x, -x])) == 1.0)
+    x = radial._ZERO_ABOVE + np.geomspace(1e-12, 1e3, 200_001)
+    assert np.all(radial._gaussian(np.concatenate([
+        [radial._ZERO_ABOVE], x, -x])) == 0.0)
+    # a node sub-range summed with shifted starts gives the whole row's
+    # segment sums
+    panels = stability._panels(Morse(1.0, 2.0, 3), stability.QUAD_TOL)
+    for r, weights, values, starts, _, _ in panels._runs:
+        terms = radial._gaussian(np.outer([0.01, 0.7, 3.0], r)) * (
+            values * weights)
+        whole = np.add.reduceat(terms, starts, axis=1)
+        for lo, hi in ((0, 4), (3, 11), (7, starts.size)):
+            stop = starts[hi] if hi < starts.size else r.size
+            band = np.add.reduceat(terms[:, starts[lo]:stop],
+                                   starts[lo:hi] - starts[lo], axis=1)
+            assert np.array_equal(band, whole[:, lo:hi])
+
+
+def test_gaussian_scan_exponentiates_only_its_band(monkeypatch):
+    w = Morse(0.25, 1.0, 1)
+    panels = stability._panels(w, stability.QUAD_TOL)
+    nodes = sum(run[0].size for run in panels._runs)
+    counted, gaussian = [], radial._gaussian
+    monkeypatch.setattr(radial, "_gaussian", lambda x: (
+        counted.append(np.size(x)) or gaussian(x)))
+    rows = []
+    integrals = radial.Panels.integrals
+
+    def counting(self, parts, scales=(0.0,)):
+        rows.append(len(scales))
+        return integrals(self, parts, scales)
+
+    monkeypatch.setattr(radial.Panels, "integrals", counting)
+    gaussian_criterion(w, build_witness=False)
+    assert rows and sum(rows) >= 201
+    assert sum(counted) < 0.7 * sum(rows) * nodes
+
+
+def test_a_row_stopped_in_the_tail_falls_back_no_further(monkeypatch):
+    # rules that never agree send every segment a row reads to the
+    # fallback, which makes the origin piece converge and each row's
+    # tail mass vanish at its decade stops[p]
+    first_tail = radial._N_ORIGIN + 1
+    stops = {0.02: 3, 0.3: 1}
+    read = {p: set() for p in stops}
+
+    def fallback(self, part, factor, x, s):
+        read[x].add(s)
+        if s < first_tail:
+            return 10.0 ** (s - first_tail)
+        return 1.0 if s < first_tail + stops[x] - 1 else 0.0
+
+    monkeypatch.setattr(radial.Panels, "_fallback", fallback)
+    w = Morse(1.0, 2.0, 2)
+    _, masses, errors = stability._weighted(
+        w, stability._panels(w, 1e-300), list(stops))
+    assert errors == [None, None]
+    assert [len(m) for m in masses] == list(stops.values())
+    for p, n in stops.items():
+        # p = 0.3 stops at 10, where its factors are still far from 0
+        assert {s for s in read[p] if s >= first_tail} == set(
+            range(first_tail, first_tail + n)), p
+
+
+def test_one_row_readers_make_the_same_quad_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (
+        calls.append(args[1:3]) or quad(*args, **kwargs)))
+    # the singular floor of r^-0.9, then the divergent tail
+    with pytest.raises(NotAbsolutelyIntegrable):
+        space_integral(PowerLaw(-0.5, -0.9, 1))
+    assert calls == [(0.0, 1e-10)] * 2
+    calls.clear()
+    # the growing tail's decade [1e3, 1e4] at this one p
+    weighted_space_integral(PowerLaw(2.0, 1.0, 2), 10**-2.25)
+    assert calls == [(1e3, 1e4)] * 2
+    calls.clear()
+    weighted_space_integral(PowerLaw(2.0, 1.0, 2), 10**-2.5)
+    assert calls == []
 
 
 def test_stable_indication_records_the_resolved_minimum():

@@ -25,7 +25,9 @@ potentials, ``radial_fourier_transform`` of the same potentials, of five
 long-range Morse profiles (L up to 1000) and of a 200-knot random
 ``Tabulated`` profile (about 100 kinks and 100 sign changes) on
 ``fourier_criterion``'s default frequencies and tail probes, the
-``space_integral`` of that profile, eight CLI runs (exit code, stdout and
+``space_integral`` of that profile, ``gaussian_criterion`` without a
+witness on GAUSSIAN_SCANS (a skipped p = 0 with a shared floor fallback,
+tail fallbacks, and an unsorted p grid), eight CLI runs (exit code, stdout and
 every output file: JSON without its timestamp, CSV verbatim, others
 hashed), and the jobs of
 perfbench's ``descent`` workload with start seed 0: for each of the 19
@@ -115,6 +117,15 @@ RUC_PROFILES = (1, 3)  # Morse(1,2,2) and Morse(0.5,1,2)
 # dumped besides the battery's
 LONG_RANGE = ((0.5, 10.0, 1), (0.5, 100.0, 1), (0.5, 1000.0, 1),
               (0.5, 100.0, 2), (0.5, 100.0, 3))
+# (family, parameters, dimension, p grid) of the Gaussian scans dumped
+# without a witness: a heavy tail whose p = 0 is skipped and whose floor
+# fallback every row shares, a growing profile whose tail decades fall
+# back, and the default p grid in shuffled order (None: the default grid)
+GAUSSIAN_SCANS = (
+    ("powerlaw", (-0.5, -0.9), 1, None),
+    ("powerlaw", (2.0, 1.0), 2, None),
+    ("morse", (1.0, 2.0), 2, "shuffled"),
+)
 # knots and values of the kinked profile: values default_rng(0).normal on
 # linspace(0, 10, 200), the last one 0
 KINKED_KNOTS = 200
@@ -246,6 +257,22 @@ def _space_integral(w):
         return {"raised": type(exc).__name__, "message": str(exc)}
 
 
+def _gaussian_scans():
+    """gaussian_criterion without a witness on GAUSSIAN_SCANS, by label:
+    all of its weighted integrals."""
+    from groundlab import Morse, PowerLaw, gaussian_criterion
+
+    families = {"morse": Morse, "powerlaw": PowerLaw}
+    out = {}
+    for family, params, dimension, grid in GAUSSIAN_SCANS:
+        w = families[family](*params, dimension)
+        p_grid = (None if grid is None else np.random.default_rng(0)
+                  .permutation(np.logspace(-3.0, 3.0, 200)))
+        out[f"{w.label} p_grid={grid}"] = _outcome(
+            lambda: gaussian_criterion(w, p_grid=p_grid, build_witness=False))
+    return out
+
+
 def _measures():
     """For each dimension, a random 200-atom cloud, the rasterized unit
     ball, the p = 1 Gaussian witness and a random grid whose origin is off
@@ -310,7 +337,8 @@ def dump(root: Path) -> dict:
     cli = {name: _cli_run(main, config) for name, config in CLI_RUNS.items()}
     return {"battery": battery, "probes": probes, "transforms": transforms,
             "space_integrals": {kinked.label: _space_integral(kinked)},
-            "cli": cli, "descent": _descents(), "measures": _measures()}
+            "gaussian_scans": _gaussian_scans(), "cli": cli,
+            "descent": _descents(), "measures": _measures()}
 
 
 def differences(old, new, path=""):
