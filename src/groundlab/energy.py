@@ -7,31 +7,38 @@ or dropped via a flag (self-interaction is physical for diffuse measures,
 spurious for particle systems).  For grid densities the double integral is
 evaluated cell-pairwise at cell centers, grouped by lattice offset: the sum
 over offsets o of K(o) = W(h |o|) times the autocorrelation of the cell
-masses is taken in frequency space by Parseval.  K is even in every axis,
-so its spectrum is the type-I DCT of K on the nonnegative octant of
-offsets, and the sum splits exactly over the even and odd parts of the
-masses about the grid centre (symmetric convolution, Martucci 1994): each
-part is a half grid transformed by type-II DCTs along its even axes and
-DSTs along its odd ones, and a part that is exactly zero is skipped.  Every
-witness density (ball, Gaussian, modulated) equals its mirror image along
-each axis bit for bit, so all its odd parts are zero and its energy
-transforms its even part alone: N type-II DCT passes, no DST.  The parts
-are folded straight from the density, with no full-size array of cell
-masses, each is transformed in place in one padded array that they share
-in turn, and the kernel spectrum is built only once the first part is
-transformed, so the energy of a witness holds about two grid-sized arrays
-beside it.  W is evaluated at most once per octant offset, from a table
-over the integer squared offset lengths where that table is the smaller.
-The self-cell term is a fixed-seed Monte Carlo average of W over
-intra-cell displacements.
+masses.  K is even in every axis, and W is evaluated at most once per
+offset of its nonnegative octant, from a table over the integer squared
+offset lengths where that table is the smaller.  The sum takes one of two
+paths, chosen by the density.
+
+A density built as a tensor product of 1-d factors (the Gaussian and
+modulated witnesses) carries its factors, and its mass autocorrelation is
+the product of theirs: the sum is the octant of K contracted against one
+weight vector per axis, with no transform and nothing held beyond the
+octant.  Every other density, the ball witness included, is summed in
+frequency space by Parseval.  K's spectrum is the type-I DCT of its octant,
+and the sum splits exactly over the even and odd parts of the masses about
+the grid centre (symmetric convolution, Martucci 1994): each part is a half
+grid transformed by type-II DCTs along its even axes and DSTs along its odd
+ones, and a part that is exactly zero is skipped, so the ball, which
+equals its mirror image along each axis bit for bit, makes N type-II DCT
+passes and no DST.  Each part is folded straight from the density into
+one padded array that the parts share in turn, transformed there in place
+and summed before the next is folded, and the kernel spectrum is built
+only once the first part is transformed, so the energy holds about two
+grid-sized arrays beside the density.  The self-cell term is a fixed-seed
+Monte Carlo average of W over intra-cell displacements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dctn, dst, next_fast_len
 from scipy.spatial.distance import cdist
 
@@ -45,7 +52,7 @@ __all__ = ["EnergyReport", "energy_pointcloud", "energy_grid",
 
 _SELF_CELL_SEED = 170512
 _SELF_CELL_PAIRS = 512
-# cells per block of the first fold, which scales the density's halves
+# cells of the density's halves per block of a parity component's folds
 _FOLD_BLOCK = 1 << 16
 
 
@@ -182,110 +189,78 @@ def _spectrum(potential, rho, lengths) -> np.ndarray:
     return spectrum
 
 
-def _parity_components(values, scale):
-    """The nonzero parity components of the cell masses ``values * scale``,
-    ``values`` an array of even extents, as (parities, half-grid array)
-    pairs.
+def _parity_components(values, scale, out):
+    """Write the nonzero parity components of the cell masses ``values *
+    scale`` about the grid centre, ``values`` an array of even extents,
+    into the corner of ``out`` one at a time, and yield the parities of
+    each once it is written.  ``out`` must hold zeros on the first call;
+    it is cleared before each component that follows a yielded one, so the
+    caller may overwrite it in between.
 
-    Each axis of e cells is folded about its centre into the upper half
-    plus the mirrored lower half (parity 0, the even part) and the upper
-    half minus it (parity 1, the odd part); a component that is exactly
-    zero is dropped together with everything it would fold into.  The
-    first fold reads ``values`` itself (see :func:`_scaled_fold`), and the
-    arrays of one axis are dropped as soon as all their halves are formed.
+    Along each axis of e cells, the upper half plus the mirrored lower half
+    is the even part (parity 0) and the upper half minus it the odd part
+    (parity 1); a component folds the masses along every axis in turn.
+    Components come in lexicographic order of their parities, and each is
+    folded straight from ``values`` (see :func:`_fold_into`), so no
+    component or intermediate fold is held beside ``out`` beyond one
+    block.  A component is skipped when it, or a fold it comes from, is
+    known to be exactly zero.
     """
-    parts = [((), values)]
-    for axis in range(values.ndim):
-        parts = [(parities + (parity,), half)
-                 for parities, part in parts
-                 for parity, half in _fold(part, axis, scale)]
-    return parts
+    nonzero, written = {}, False
+    for parities in itertools.product((0, 1), repeat=values.ndim):
+        if not all(nonzero.get(parities[:k], True)
+                   for k in range(1, values.ndim + 1)):
+            continue
+        if written:
+            out[...] = 0.0
+        written = _fold_into(values, scale, parities, out, nonzero)
+        if written:
+            yield parities
 
 
-def _fold(part, axis, scale):
-    """The nonzero halves of ``part`` folded along ``axis``, as (parity,
-    half) pairs; the first axis folds ``part * scale``.  A later axis forms
-    its odd half in place in the upper half it is taken from, so a zero one
-    takes no memory of its own."""
-    if axis == 0:
-        even, odd = _scaled_fold(part, scale)
-    else:
-        lower, upper = np.split(part, 2, axis=axis)
-        lower = np.flip(lower, axis)
-        even = upper + lower
-        odd = np.subtract(upper, lower, out=upper)
-    return [(parity, half) for parity, half in enumerate((even, odd))
-            if half.any()]
+def _fold_into(values, scale, parities, out, nonzero):
+    """Fold ``values * scale`` to the component of the given parities in
+    the corner of ``out``, a block of about ``_FOLD_BLOCK`` cells of the
+    first axis's halves at a time; return whether it is nonzero.
 
-
-def _scaled_fold(values, scale):
-    """The even and odd halves of ``values * scale`` folded along the first
-    axis, (v_u s) + (v_l s) and (v_u s) - (v_l s): the elements of a fold
-    of the masses.  They are formed a block of about ``_FOLD_BLOCK`` cells
-    at a time, so no array of the grid's size is made beside the two
-    halves."""
+    The first axis folds (v_u s) + (v_l s) or (v_u s) - (v_l s), the
+    elements of a fold of the masses, and each later axis the halves of
+    the block's previous fold, so every element takes the arithmetic of
+    folding the whole grid axis by axis.  Whether each fold is nonzero is
+    recorded in ``nonzero`` under its parities, and so is its sibling's,
+    the fold of the other parity from the same halves, which is formed
+    only until an earlier component has settled it or a block has shown
+    it nonzero.
+    """
     half = values.shape[0] // 2
     upper, lower = values[half:], values[half - 1::-1]
-    even, odd = np.empty(upper.shape), np.empty(upper.shape)
     rows = max(1, _FOLD_BLOCK // math.prod(values.shape[1:]))
+    corner = tuple(slice(0, e // 2) for e in values.shape[1:])
+    seen = {}
     for first in range(0, half, rows):
-        block = slice(first, first + rows)
+        block = slice(first, min(first + rows, half))
         up, low = upper[block] * scale, lower[block] * scale
-        np.add(up, low, out=even[block])
-        np.subtract(up, low, out=odd[block])
-    return even, odd
+        for axis, parity in enumerate(parities):
+            if axis:
+                low, up = np.split(part, 2, axis=axis)
+                low = np.flip(low, axis)
+            part = up - low if parity else up + low
+            key = parities[:axis + 1]
+            seen[key] = seen.get(key, False) or bool(part.any())
+            sibling = key[:-1] + (1 - parity,)
+            if sibling not in nonzero and not seen.get(sibling):
+                seen[sibling] = bool((up + low if parity else up - low).any())
+        out[(block,) + corner] = part
+    nonzero.update(seen)
+    return nonzero[parities]
 
 
-def energy_grid(potential: RadialPotential, rho: GridDensity,
-                quad_mode: str = "radial_fast") -> EnergyReport:
-    """Energy of a piecewise-constant density.
-
-    Cell pairs interact at their centers' distance.  The off-diagonal part
-    sum_o K(o) A(o), with A the autocorrelation of the cell masses and K
-    from :func:`_octant_kernel`, is computed by Parseval over a period of
-    2 L_i cells per axis, L_i = next_fast_len(e_i) for the extent e_i made
-    even by one zero cell, so the circular correlation does not wrap.  K is
-    even in every axis, so the sum splits exactly over the parity
-    components of the masses about the grid centre (see
-    :func:`_parity_components`); the cross terms vanish.  On a component
-    the DFT over the period is, up to a phase, the type-II DCT (even axes)
-    or DST (odd axes) of its half grid zero-padded to L_i.  K^ is the
-    type-I DCT of the octant kernel zero-padded to L_i + 1 entries, the DFT
-    of its even extension, weighted 1, 2, ..., 2, 1 per axis for the two
-    signs of each frequency.  An even axis reads its rows 0..L_i - 1, an
-    odd axis rows 1..L_i, since DST index j is frequency j + 1, and the sum
-    of K^ T^2 over the components is divided by 4^N prod(2 L_i).  Zero
-    components are skipped, so a mirror-symmetric density, as every
-    witness density is, transforms only its even component.  The self-cell
-    term is the Monte Carlo average of W over two uniform points of one
-    cell.  ``"radial_fast"`` is the only
-    ``quad_mode``; any other value raises ValueError.
-
-    Memory: the cell masses are never formed as a grid of their own.  The
-    diagonal squares one temporary ``values * cell_volume`` in place and
-    drops it; the first fold scales the density's halves a block at a
-    time (see :func:`_scaled_fold`).  The components take turns in one
-    array of the padded half period, prod L_i cells: each is copied into
-    its corner and transformed there in place, one axis after the other.
-    K^ is built once the first component is transformed, so a zero density
-    builds none.  Every witness density, ball, Gaussian or modulated, has
-    one component, its even one; on the 128^3 ball witness the peak above
-    the density is that array plus K^, about 2.1 grids, where the mass
-    array, K^ and a component with its padded copy were held together
-    before (3.65 grids).
-    The sums are those of the mass-first order, bit for bit: (v_u c) +
-    (v_l c) is the fold of the masses v c element for element, and each
-    axis transforms the same zero-padded lines.
-    """
-    if potential.dimension != rho.dimension:
-        raise ValueError("potential and density dimensions differ")
-    if quad_mode != "radial_fast":
-        raise ValueError(f"unknown quad_mode {quad_mode!r}")
-
-    self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
+def _transform_sums(potential, rho):
+    """The off-diagonal sum and the sum of squared cell masses of ``rho``
+    by the parity-DCT path (see :func:`energy_grid`)."""
     squares = rho.values * rho.cell_volume
     squares *= squares
-    diagonal = float(np.sum(squares)) * self_avg
+    square_sum = float(np.sum(squares))
     del squares
 
     values = rho.values
@@ -293,18 +268,10 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
         values = np.pad(values, [(0, e % 2) for e in values.shape])
     lengths = [next_fast_len(e, real=True) for e in values.shape]
     halves = [e // 2 for e in values.shape]
-    components = _parity_components(values, rho.cell_volume)
-    del values
-    part = spectrum = None
+    part = np.zeros(lengths)
+    spectrum = None
     off = 0.0
-    while components:
-        parities, half = components.pop(0)
-        if part is None:
-            part = np.zeros(lengths)
-        else:
-            part[...] = 0.0
-        part[tuple(slice(0, e) for e in halves)] = half
-        del half
+    for parities in _parity_components(values, rho.cell_volume, part):
         # in place, along each axis in turn: the axes before it are already
         # transformed, the ones after it still hold only their half grid
         for axis, parity in enumerate(parities):
@@ -321,11 +288,113 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
                                for p, n in zip(parities, lengths))]
         off += float(np.sum(part))
     off /= 4**len(lengths) * math.prod(2 * n for n in lengths)
+    return off, square_sum
 
+
+def _lag_weights(masses):
+    """b(0) = a(0) and b(t) = 2 a(t) for t > 0, where a(t) = sum_k m(k)
+    m(k + t) is the autocorrelation of the 1-d ``masses`` m: the weight of
+    the offsets t and -t together.  Each a(t) is one numpy sum of a row of
+    products."""
+    e = masses.size
+    shifted = sliding_window_view(np.concatenate((masses, np.zeros(e - 1))),
+                                  e)
+    weights = (shifted * masses).sum(axis=1)
+    weights[1:] *= 2.0
+    return weights
+
+
+def _separable_sums(potential, rho):
+    """The off-diagonal sum and the sum of squared cell masses of a
+    tensor-product density by contracting its octant kernel against the
+    lag weights of its factors (see :func:`energy_grid`)."""
+    masses = [factor * rho.cell_width for factor in rho._factors]
+    square_sum = math.prod(float(np.sum(m * m)) for m in masses)
+    contracted = _octant_kernel(potential, rho.extents, rho.cell_width,
+                                rho.extents)
+    # the last axis first: each step multiplies in place and sums along
+    # the contiguous axis, a numpy reduction with no BLAS call
+    for axis_masses in reversed(masses):
+        contracted *= _lag_weights(axis_masses)
+        contracted = contracted.sum(axis=-1)
+    return float(contracted), square_sum
+
+
+def energy_grid(potential: RadialPotential, rho: GridDensity,
+                quad_mode: str = "radial_fast") -> EnergyReport:
+    """Energy of a piecewise-constant density.
+
+    Cell pairs interact at their centers' distance: the off-diagonal part
+    is sum_o K(o) A(o), with A the autocorrelation of the cell masses and K
+    from :func:`_octant_kernel`, and the diagonal is the sum of squared
+    cell masses times the Monte Carlo average of W over two uniform points
+    of one cell.  Two paths compute the off-diagonal part; the density
+    decides which, and ``mode`` reports it.
+
+    Separable (``mode="grid-separable"``): a density built as a tensor
+    product of 1-d factors, as the Gaussian and modulated witnesses are,
+    carries them (see :class:`GridDensity`).  A is then the product of the
+    factors' 1-d autocorrelations a_i, and K is even in every axis, so the
+    sum is K on the nonnegative octant contracted against one weight
+    vector per axis, a_i(0) at offset 0 and 2 a_i(t) at t > 0 (see
+    :func:`_lag_weights`), one axis at a time with numpy reductions and no
+    BLAS call, the last axis first.  The squared masses sum to the product
+    of the factors' sums.  No transform is made, and only the octant
+    kernel, a grid of the density's size, is held.
+
+    Parity transform (``mode="grid-radial_fast"``): every other density,
+    the ball witness and any density made by the public constructor,
+    :meth:`GridDensity.load` or :func:`dataclasses.replace` included.  The
+    sum is taken by Parseval over a period of 2 L_i cells per axis, L_i =
+    next_fast_len(e_i) for the extent e_i made even by one zero cell, so
+    the circular correlation does not wrap.  K is even in every axis, so
+    the sum splits exactly over the parity components of the masses about
+    the grid centre (see :func:`_parity_components`); the cross terms
+    vanish.  On a component the DFT over the period is, up to a phase, the
+    type-II DCT (even axes) or DST (odd axes) of its half grid zero-padded
+    to L_i.  K^ is the type-I DCT of the octant kernel zero-padded to L_i +
+    1 entries, the DFT of its even extension, weighted 1, 2, ..., 2, 1 per
+    axis for the two signs of each frequency.  An even axis reads its rows
+    0..L_i - 1, an odd axis rows 1..L_i, since DST index j is frequency j
+    + 1, and the sum of K^ T^2 over the components is divided by 4^N
+    prod(2 L_i).  Zero components are skipped, so a mirror-symmetric
+    density, as the ball is, transforms only its even component.
+
+    ``"radial_fast"`` is the only ``quad_mode``; any other value raises
+    ValueError.
+
+    Memory of the transform path: the cell masses are never formed as a
+    grid of their own.  The diagonal squares one temporary ``values *
+    cell_volume`` in place and drops it.  The components take turns in one
+    array of the padded half period, prod L_i cells: each is folded
+    straight from the density into its corner, a block at a time, then
+    transformed there in place, one axis after the other, and summed
+    before the next is folded.  K^ is built once the first component is
+    transformed, so a zero density builds none.  The peak above the
+    density is that array, K^ and the temporaries of one fold block: 2.1
+    grids on the 128^3 ball witness and on a random 128^3 density, 2.3 on
+    a random 96^3 one, where all eight components are nonzero.
+    The sums are those of the mass-first order, bit for bit: (v_u c) +
+    (v_l c) is the fold of the masses v c element for element, and each
+    axis transforms the same zero-padded lines.
+    """
+    if potential.dimension != rho.dimension:
+        raise ValueError("potential and density dimensions differ")
+    if quad_mode != "radial_fast":
+        raise ValueError(f"unknown quad_mode {quad_mode!r}")
+
+    self_avg = _self_cell_average(potential, rho.cell_width, rho.dimension)
+    if rho._factors is None:
+        off, square_sum = _transform_sums(potential, rho)
+        mode = f"grid-{quad_mode}"
+    else:
+        off, square_sum = _separable_sums(potential, rho)
+        mode = "grid-separable"
+    diagonal = square_sum * self_avg
     return EnergyReport(
         value=off + diagonal,
         diagonal_contribution=diagonal,
         pair_count=rho.values.size * (rho.values.size - 1) // 2,
         potential_label=potential.label,
-        mode=f"grid-{quad_mode}",
+        mode=mode,
     )

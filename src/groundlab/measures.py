@@ -10,11 +10,13 @@ approximation of an arbitrary target measure (:func:`empirical_approximation`),
 a box-family Levy-Prokhorov upper estimator (:func:`levy_prokhorov_upper`),
 and the witness densities the stability module builds
 (:func:`uniform_ball_density`, :func:`gaussian_witness_density`,
-:func:`modulated_witness_density`).  All three witnesses come from one
-rasterizer, which samples a profile of the squared radius (and the first
-coordinate) at the cell centers of a centred cube and normalizes it.  Its
-axis of cell centres is one half-axis and its mirror image, so each witness
-equals its mirror image along every axis, bit for bit.
+:func:`modulated_witness_density`).  All three sample a centred cube at
+the cell centres of one axis, a half-axis joined to its mirror image, so
+each witness equals its mirror image along every axis, bit for bit.  The
+ball samples its indicator on the whole grid.  The Gaussian and the
+modulated Gaussian are tensor products: each is the outer product of
+unit-mass 1-d factors, bit for bit, and carries those factors, which the
+grid energy contracts in place of the grid.
 
 Both representations give the approximation the same three views of
 themselves: the candidate radii of a centred cube, the mass outside such a
@@ -27,9 +29,10 @@ its values contracted with one matrix of cell-overlap lengths per axis.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +188,20 @@ class GridDensity:
     ``origin`` is the lower corner of the grid box; cell (i_1, ..., i_N)
     covers ``origin + cell_width * [i, i+1)`` per axis.  ``values`` holds the
     density (mass per unit volume) on each cell.
+
+    A density built as a tensor product (the Gaussian and modulated
+    witnesses) also keeps its 1-d factors, whose outer product ``values``
+    equals bit for bit; :func:`groundlab.energy.energy_grid` contracts
+    them in place of the grid.  The public constructor, :meth:`load` and
+    :func:`dataclasses.replace` make densities without factors, and the
+    factors take no part in ``repr``, equality or :meth:`save`.
     """
 
     origin: np.ndarray
     cell_width: float
     values: np.ndarray
+    _factors: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -208,6 +220,26 @@ class GridDensity:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "cell_width", float(self.cell_width))
+
+    @classmethod
+    def _tensor_product(cls, radius, dimension, per_half, first,
+                        rest) -> "GridDensity":
+        """Density on [-radius, radius]^N whose values are the outer
+        product of N unit-mass 1-d factors on :func:`_mirrored_axis`: the
+        profile ``first`` sampled along the first axis and ``rest`` along
+        the others, each normalized on its own.  The density carries the
+        factors, read-only, so its energy takes the separable path of
+        :func:`groundlab.energy.energy_grid`."""
+        h, axis = _mirrored_axis(radius, dimension, per_half)
+        factors = (_unit_mass(first(axis), h),)
+        if dimension > 1:
+            factors += (_unit_mass(rest(axis), h),) * (dimension - 1)
+        for factor in factors:
+            factor.flags.writeable = False
+        rho = cls(np.full(dimension, -radius), h,
+                  functools.reduce(np.multiply.outer, factors))
+        object.__setattr__(rho, "_factors", factors)
+        return rho
 
     @property
     def dimension(self) -> int:
@@ -344,46 +376,44 @@ _GAUSSIAN_RADIUS_SIGMAS = 5.0
 _MODULATED_RADIUS_SIGMAS = 4.0
 
 
-def _rasterized(radius, dimension, per_half, profile):
-    """Cell-center sampling of ``profile(rsq, x1)`` on [-radius, radius]^N
-    with ``per_half`` cells per half-axis, renormalized to unit mass.
-
-    ``rsq`` holds the squared distance of each cell center from the origin
-    and ``x1`` the first coordinate, shaped to broadcast against ``rsq``.
-    ``rsq`` is the rasterizer's own full-size array and is dropped once the
-    profile returns, so a profile may overwrite it, as every witness's
-    does, and spare the arrays of the grid's size it would otherwise make.
-
-    The axis of cell centres is the upper half, h (k + 1/2), joined to its
-    negated mirror image, so ``rsq`` and ``x1`` equal their mirror images
-    bit for bit, and so does the density of any profile even in ``x1``:
-    every odd parity part of a witness is exactly zero.
-    """
+def _mirrored_axis(radius, dimension, per_half):
+    """Cell width h and cell centres of [-radius, radius] with ``per_half``
+    cells per half-axis: the upper half, h (k + 1/2), joined to its negated
+    mirror image, so any profile even in each coordinate is sampled to a
+    grid that equals its mirror image bit for bit."""
     check_dimension(dimension)
     if radius <= 0 or per_half < 1:
         raise ValueError("radius must be > 0 and per_half >= 1")
     h = radius / per_half
     upper = h * (np.arange(per_half) + 0.5)
-    axis = np.concatenate((-upper[::-1], upper))
-    rsq = sum(np.ix_(*[axis**2] * dimension))
-    values = profile(rsq, axis.reshape((-1,) + (1,) * (dimension - 1)))
-    del rsq
-    mass = values.sum() * h**dimension
+    return h, np.concatenate((-upper[::-1], upper))
+
+
+def _unit_mass(values, cell_volume):
+    """``values`` divided in place by their mass sum(values) * cell_volume."""
+    mass = values.sum() * cell_volume
     if mass <= 0:
         raise ValueError("profile has no mass on the requested grid")
-    values /= mass  # the profile's array is its own: no full-size copy
-    return GridDensity(np.full(dimension, -radius), h, values)
+    values /= mass
+    return values
 
 
 def uniform_ball_density(radius: float, dimension: int,
                          cells_per_radius: int = 64) -> GridDensity:
     """Uniform probability density on the centered ball of the given radius,
-    rasterized by cell-center sampling and renormalized to unit mass."""
+    rasterized by cell-center sampling and renormalized to unit mass.
+
+    The ball is not a tensor product, so its density carries no factors.
+    Its indicator is written into the one full-size array of squared
+    radii, with no bool array or copy beside it.
+    """
     radius = float(radius)
-    return _rasterized(
-        radius, dimension, cells_per_radius,
-        lambda rsq, x1: np.less_equal(np.sqrt(rsq, out=rsq), radius,
-                                      out=rsq, casting="unsafe"))
+    h, axis = _mirrored_axis(radius, dimension, cells_per_radius)
+    rsq = sum(np.ix_(*[axis**2] * dimension))
+    inside = np.less_equal(np.sqrt(rsq, out=rsq), radius, out=rsq,
+                           casting="unsafe")
+    return GridDensity(np.full(dimension, -radius), h,
+                       _unit_mass(inside, h**dimension))
 
 
 def gaussian_witness_density(p: float, dimension: int) -> GridDensity:
@@ -391,24 +421,23 @@ def gaussian_witness_density(p: float, dimension: int) -> GridDensity:
 
     Standard deviation per axis is sigma = 1/(2p); the grid truncates at
     ``_GAUSSIAN_RADIUS_SIGMAS`` (5) standard deviations, with
-    ``_GAUSSIAN_CELLS_PER_SIGMA`` (6) cells per sigma, and renormalizes to
-    unit mass.
+    ``_GAUSSIAN_CELLS_PER_SIGMA`` (6) cells per sigma.  The density is the
+    outer product of N copies of one unit-mass 1-d factor,
+    exp(-2 p^2 x^2) normalized on the mirrored axis, bit for bit, and
+    carries that factor (see :meth:`GridDensity._tensor_product`).
     """
     if p <= 0:
         raise ValueError("p must be > 0")
 
-    def profile(rsq, x1):
-        # exp(-2 p^2 r r) with the factors in that order, which fixes its
-        # bits, in one array beside rsq
-        r = np.sqrt(rsq, out=rsq)
-        exponent = np.multiply(-2.0 * p * p, r)
-        exponent *= r
-        return np.exp(exponent, out=exponent)
+    def factor(x):
+        # (-2 p^2 x) x: the radial profile's (-2 p^2 r) r in 1-d, bit for bit
+        return np.exp(-2.0 * p * p * x * x)
 
     sigma = 1.0 / (2.0 * p)
-    return _rasterized(
+    return GridDensity._tensor_product(
         _GAUSSIAN_RADIUS_SIGMAS * sigma, dimension,
-        round(_GAUSSIAN_CELLS_PER_SIGMA * _GAUSSIAN_RADIUS_SIGMAS), profile)
+        round(_GAUSSIAN_CELLS_PER_SIGMA * _GAUSSIAN_RADIUS_SIGMAS),
+        factor, factor)
 
 
 def modulated_witness_density(p: float, wave_number: float,
@@ -419,7 +448,11 @@ def modulated_witness_density(p: float, wave_number: float,
     The modulation concentrates the density's spectrum near the given wave
     number.  The grid truncates at ``_MODULATED_RADIUS_SIGMAS`` (4)
     standard deviations sigma = 1/(2p), and its cell width resolves both the
-    envelope (sigma/3) and the oscillation (an eighth of its period).
+    envelope (sigma/3) and the oscillation (an eighth of its period).  The
+    density is the outer product of unit-mass 1-d factors on the mirrored
+    axis, bit for bit: exp(-2 p^2 x^2) (1 + cos(wave_number x)) along the
+    first axis and exp(-2 p^2 x^2) along the others, and carries them (see
+    :meth:`GridDensity._tensor_product`).
     """
     if p <= 0:
         raise ValueError("p must be > 0")
@@ -428,11 +461,13 @@ def modulated_witness_density(p: float, wave_number: float,
     sigma = 1.0 / (2.0 * p)
     radius = _MODULATED_RADIUS_SIGMAS * sigma
     h = min(sigma / 3.0, (2.0 * math.pi / wave_number) / 8.0)
-    return _rasterized(
+
+    def envelope(x):
+        return np.exp(-2.0 * p * p * (x * x))
+
+    return GridDensity._tensor_product(
         radius, dimension, int(math.ceil(radius / h)),
-        lambda rsq, x1: np.multiply(
-            np.exp(np.multiply(-2.0 * p * p, rsq, out=rsq), out=rsq),
-            1.0 + np.cos(wave_number * x1), out=rsq))
+        lambda x: envelope(x) * (1.0 + np.cos(wave_number * x)), envelope)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from scipy.spatial.distance import cdist
 import groundlab
 from groundlab import (GaussianMix, GridDensity, Morse, PointCloudMeasure,
                        PowerLaw, Tabulated, bilinear_form, combine,
-                       energy_grid, energy_pointcloud,
+                       energy_grid, energy_pointcloud, gaussian_criterion,
                        gaussian_witness_density, modulated_witness_density,
                        uniform_ball_density)
 from groundlab import energy
@@ -276,12 +277,81 @@ def test_mirror_symmetric_ball_transforms_only_its_even_component(
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_gaussian_and_modulated_witnesses_transform_only_their_even_component(
         monkeypatch, dimension):
+    # the two tensor-product witnesses take the separable path, with no
+    # transform at all; the ball keeps the transform path, its even
+    # component folded once and transformed alone
     w = Morse(1.0, 2.0, dimension)
     for rho in (gaussian_witness_density(1.0, dimension),
                 modulated_witness_density(1.0, 3.0, dimension)):
         calls = counted_transforms(monkeypatch)
-        energy_grid(w, rho)
-        assert calls == {"dct": dimension, "dst": 0}
+        assert energy_grid(w, rho).mode == "grid-separable"
+        assert calls == {"dct": 0, "dst": 0}
+    folds = []
+    fold_into = energy._fold_into
+    monkeypatch.setattr(energy, "_fold_into",
+                        lambda *args: folds.append(args[2]) or
+                        fold_into(*args))
+    calls = counted_transforms(monkeypatch)
+    ball = uniform_ball_density(1.5, dimension, cells_per_radius=6)
+    assert energy_grid(w, ball).mode == "grid-radial_fast"
+    assert calls == {"dct": dimension, "dst": 0}
+    # the first fold finds every odd sibling zero, so no other is made
+    assert folds == [(0,) * dimension]
+
+
+def test_partly_symmetric_density_transforms_its_nonzero_components(
+        monkeypatch):
+    # mirror-exact along the middle axis only: the four components odd
+    # along it are zero and skipped, the other four transformed
+    w = Morse(1.2, 1.0, 3)
+    rho = random_density((8, 6, 10), 79)
+    rho = GridDensity(rho.origin, rho.cell_width,
+                      rho.values + rho.values[:, ::-1])
+    calls = counted_transforms(monkeypatch)
+    report = energy_grid(w, rho)
+    assert calls == {"dct": 8, "dst": 4}
+    assert (report.value, report.diagonal_contribution) == \
+        reference_energy_grid(w, rho)
+
+
+def witness_cases(dimension):
+    """A Gaussian and a modulated witness, the latter with a first factor
+    unlike the others."""
+    return [gaussian_witness_density(0.6, dimension),
+            modulated_witness_density(1.0, 3.0, dimension)]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_separable_witness_energy_matches_the_transform_path(dimension):
+    w = Morse(1.0, 2.0, dimension)
+    for rho in witness_cases(dimension):
+        report = energy_grid(w, rho)
+        public = GridDensity(rho.origin, rho.cell_width, rho.values)
+        transformed = energy_grid(w, public)
+        assert (report.mode, transformed.mode) == ("grid-separable",
+                                                   "grid-radial_fast")
+        assert report.value == pytest.approx(transformed.value, rel=1e-12)
+        assert report.diagonal_contribution == pytest.approx(
+            transformed.diagonal_contribution, rel=1e-12)
+        assert report.pair_count == transformed.pair_count
+    modulated = witness_cases(dimension)[1]
+    if dimension > 1:
+        assert not np.array_equal(modulated._factors[0],
+                                  modulated._factors[1])
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_separable_witness_energy_matches_direct_double_sum(dimension):
+    w = Morse(1.0, 2.0, dimension)
+    cases = witness_cases(dimension)
+    if dimension == 3:
+        # 60^3 Gaussian cells would make 2.3e10 direct pairs; the modulated
+        # witness has 24^3
+        cases = cases[1:]
+        assert cases[0].extents == (24, 24, 24)
+    for rho in cases:
+        assert energy_grid(w, rho).value == pytest.approx(
+            direct_grid_energy(w, rho, rows=256), rel=1e-12)
 
 
 def test_asymmetric_density_transforms_odd_components_and_matches_oracle(
@@ -476,6 +546,43 @@ def test_witness_build_and_grid_energy_hold_little_more_than_the_grid():
     assert rho.extents == (128, 128, 128)
     assert build_peak <= 2.25 * grid
     assert energy_peak <= 2.25 * grid
+
+
+def test_asymmetric_density_energy_holds_one_component_at_a_time():
+    # all eight parity components of a random 96^3 density are nonzero;
+    # each is folded into the shared array, transformed and summed
+    # before the next, so the peak above the density is that array, K^
+    # and the blocks of a fold (it was 4.0 grids with every component
+    # held at once)
+    import tracemalloc
+
+    w = Morse(1.0, 2.0, 3)
+    rho = random_density((96, 96, 96), 82)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        energy_grid(w, rho)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rho.values.nbytes
+
+
+def test_reloaded_and_derived_certificates_take_the_transform_path(
+        tmp_path):
+    w = Morse(1.0, 2.0, 2)
+    certificate = gaussian_criterion(w, build_witness=True).certificate
+    rho = certificate.measure
+    assert certificate.kind == "gaussian_density"
+    assert certificate.energy_report.mode == "grid-separable"
+    loaded = GridDensity.load(rho.save(tmp_path / "certificate"))
+    for other in (loaded, GridDensity(rho.origin, rho.cell_width, rho.values),
+                  dataclasses.replace(rho, origin=rho.origin + 1.0)):
+        report = energy_grid(w, other)
+        assert report.mode == "grid-radial_fast"
+        assert report.value == pytest.approx(certificate.certified_value,
+                                             rel=1e-12)
 
 
 def test_pointcloud_pair_weights_keep_the_outer_product_bits():

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import functools
 import io
 import math
 
@@ -220,13 +222,18 @@ def test_modulated_witness_density_oscillates():
         modulated_witness_density(0.25, 0.0, 1)
 
 
-def _meshgrid_witness(radius, dimension, per_half, profile):
-    """The witness rasterizer as written with N float meshgrids: the
-    reference whose bits the builders must keep.  The axis is the upper
-    half of the cell centres and its negated mirror image."""
+def _witness_axis(radius, per_half):
+    """Cell width and cell centres of a witness axis: the upper half of
+    the cell centres and its negated mirror image."""
     h = radius / per_half
     upper = h * (np.arange(per_half) + 0.5)
-    axis = np.concatenate((-upper[::-1], upper))
+    return h, np.concatenate((-upper[::-1], upper))
+
+
+def _meshgrid_witness(radius, dimension, per_half, profile):
+    """The witness rasterizer as written with N float meshgrids on
+    :func:`_witness_axis`: the reference whose bits the ball must keep."""
+    h, axis = _witness_axis(radius, per_half)
     mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
     rsq = sum(m**2 for m in mesh)
     values = profile(rsq, mesh[0])
@@ -240,24 +247,37 @@ def _ball_reference(radius, dimension, cells):
         lambda rsq, x1: (np.sqrt(rsq) <= radius).astype(float))
 
 
+def _factored_witness(radius, dimension, per_half, first, rest):
+    """A tensor-product witness as the outer product of unit-mass 1-d
+    factors, ``first`` along the first axis and ``rest`` along the others,
+    each sampled on :func:`_witness_axis`: the reference whose bits the
+    Gaussian and modulated builders must keep."""
+    h, axis = _witness_axis(radius, per_half)
+    factors = [first(axis)] + [rest(axis)] * (dimension - 1)
+    factors = [f / (f.sum() * h) for f in factors]
+    return (np.full(dimension, -radius), h,
+            functools.reduce(np.multiply.outer, factors))
+
+
 def _gaussian_reference(p, dimension):
     sigma = 1.0 / (2.0 * p)
 
-    def profile(rsq, x1):
-        r = np.sqrt(rsq)
+    def factor(x):
+        r = np.sqrt(x**2)
         return np.exp(-2.0 * p * p * r * r)
 
-    return _meshgrid_witness(5.0 * sigma, dimension, 30, profile)
+    return _factored_witness(5.0 * sigma, dimension, 30, factor, factor)
 
 
 def _modulated_reference(p, wave_number, dimension):
     sigma = 1.0 / (2.0 * p)
     radius = 4.0 * sigma
     h = min(sigma / 3.0, (2.0 * math.pi / wave_number) / 8.0)
-    return _meshgrid_witness(
+    return _factored_witness(
         radius, dimension, int(math.ceil(radius / h)),
-        lambda rsq, x1: (np.exp(-2.0 * p * p * rsq)
-                         * (1.0 + np.cos(wave_number * x1))))
+        lambda x: (np.exp(-2.0 * p * p * x**2)
+                   * (1.0 + np.cos(wave_number * x))),
+        lambda x: np.exp(-2.0 * p * p * x**2))
 
 
 BALL_PARAMETERS = ((1.0, 8), (2.5, 13), (4.0, 16))
@@ -295,6 +315,42 @@ def test_witness_builders_equal_their_mirror_images(dimension):
     for rho in witnesses:
         for axis in range(dimension):
             assert np.array_equal(rho.values, np.flip(rho.values, axis))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_tensor_product_witnesses_are_the_outer_products_of_their_factors(
+        dimension):
+    witnesses = ([gaussian_witness_density(p, dimension)
+                  for p in GAUSSIAN_PARAMETERS]
+                 + [modulated_witness_density(p, k, dimension)
+                    for p, k in MODULATED_PARAMETERS])
+    for rho in witnesses:
+        factors = rho._factors
+        assert len(factors) == dimension
+        assert np.array_equal(rho.values,
+                              functools.reduce(np.multiply.outer, factors))
+        for factor in factors:
+            assert np.array_equal(factor, factor[::-1])
+            assert factor.sum() * rho.cell_width == pytest.approx(1.0,
+                                                                  abs=1e-12)
+            assert not factor.flags.writeable
+    for radius, cells in BALL_PARAMETERS:
+        assert uniform_ball_density(radius, dimension, cells)._factors is None
+
+
+def test_public_loaded_and_derived_densities_carry_no_factors(tmp_path):
+    rho = modulated_witness_density(0.5, 1.0, 2)
+    assert rho._factors is not None
+    assert "_factors" not in repr(rho)
+    assert not {f.name for f in dataclasses.fields(rho)
+                if f.compare and f.name.startswith("_")}
+    loaded = GridDensity.load(rho.save(tmp_path / "witness"))
+    assert "factor" not in (tmp_path / "witness.json").read_text()
+    for other in (GridDensity(rho.origin, rho.cell_width, rho.values),
+                  loaded, dataclasses.replace(rho),
+                  dataclasses.replace(rho, origin=rho.origin + 1.0)):
+        assert other._factors is None
+        assert np.array_equal(other.values, rho.values)
 
 
 def test_empirical_approximation_contract():

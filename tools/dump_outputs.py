@@ -14,13 +14,18 @@ of the other (a trace that stops earlier) takes one line: both lengths,
 and whether the longer list's tail stays at the last shared value.  It
 then prints one line per transformed profile, with the largest deviation
 of its transform, |old - new| and |old - new| / (1 + |old|), zero
-included.
+included, and one line per dump on the battery's grid certificates: their
+count per energy mode, and the largest relative deviation of a certified
+value from the transform-path energy of a public copy of its grid, which
+shows that the separable and transform paths agree.
 
 A dump holds the verdicts of the three analytic criteria over
 REGRESSION_CASES of ``<checkout>/tests/conftest.py`` (witnesses on, with a
 hash of each certificate measure and, for a grid, whether it equals its
 mirror image along each axis, so that ``compare`` lists a witness that
-gains or loses that symmetry), ``probe_hypotheses`` of the same
+gains or loses that symmetry, and the energy of a public-constructor copy
+of its values, which carries no factors and so takes the transform
+path), ``probe_hypotheses`` of the same
 potentials, ``radial_fourier_transform`` of the same potentials, of five
 long-range Morse profiles (L up to 1000) and of a 200-knot random
 ``Tabulated`` profile (about 100 kinks and 100 sign changes) on
@@ -156,7 +161,22 @@ def _mirror_exact(measure):
             for axis in range(values.ndim)]
 
 
-def _outcome(call):
+def _transform_path_value(potential, measure):
+    """The grid energy of a public-constructor copy of a grid measure's
+    values, which carries no factors and so takes the transform path; None
+    for a measure that is not a grid."""
+    from groundlab import GridDensity, energy_grid
+
+    if not isinstance(measure, GridDensity):
+        return None
+    public = GridDensity(measure.origin, measure.cell_width, measure.values)
+    return energy_grid(potential, public).value
+
+
+def _outcome(call, potential=None):
+    """The dict of ``call()``'s result, or of the error it raised; for a
+    verdict of ``potential``, with its certificate measure's hash, mirror
+    symmetry and transform-path energy."""
     try:
         result = call()
     except Exception as exc:  # a raised error is an output too
@@ -167,6 +187,9 @@ def _outcome(call):
         measure = getattr(result.certificate, "measure", None)
         out["measure_sha1"] = _measure_hash(measure)
         out["measure_mirror_exact"] = _mirror_exact(measure)
+        if potential is not None:
+            out["transform_path_value"] = _transform_path_value(potential,
+                                                                measure)
     return out
 
 
@@ -324,10 +347,10 @@ def dump(root: Path) -> dict:
     battery = [{
         "label": w.label,
         "integral": _outcome(lambda: integral_criterion(
-            w, build_witness=True)),
+            w, build_witness=True), w),
         "gaussian": _outcome(lambda: gaussian_criterion(
-            w, build_witness=True)),
-        "fourier": _outcome(lambda: fourier_criterion(w)),
+            w, build_witness=True), w),
+        "fourier": _outcome(lambda: fourier_criterion(w), w),
     } for w, _ in REGRESSION_CASES]
     probes = [_outcome(lambda: probe_hypotheses(w))
               for w, _ in REGRESSION_CASES]
@@ -439,6 +462,31 @@ def transform_deviations(old, new):
     return lines
 
 
+def path_agreement(name, dump):
+    """One line for the battery's grid certificates of a dump: their count
+    per energy mode and the largest relative deviation of each certified
+    value from the transform-path energy of a public copy of its grid."""
+    modes, deviation = {}, 0.0
+    for case in dump.get("battery", []):
+        for criterion in ("integral", "gaussian", "fourier"):
+            entry = case[criterion]
+            value = entry.get("transform_path_value")
+            if value is None:
+                continue
+            certificate = entry["certificate"]
+            mode = certificate["energy"]["mode"]
+            modes[mode] = modes.get(mode, 0) + 1
+            deviation = max(deviation, abs(certificate["certified_value"]
+                                           - value) / abs(value))
+    if not modes:
+        return f"{name}: no transform-path energies of grid certificates"
+    counts = ", ".join(f"{count} {mode}" for mode, count
+                       in sorted(modes.items()))
+    return (f"{name}: {sum(modes.values())} grid certificates ({counts}); "
+            f"certified value vs the transform path of a public copy: "
+            f"largest relative deviation {deviation:.3g}")
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "dump":
         Path(argv[2]).write_text(json.dumps(dump(Path(argv[1])), indent=1,
@@ -447,7 +495,9 @@ def main(argv):
     if len(argv) == 3 and argv[0] == "compare":
         old, new = (json.loads(Path(path).read_text()) for path in argv[1:])
         found = differences(old, new)
-        for line in summarize(found) + transform_deviations(old, new):
+        for line in (summarize(found) + transform_deviations(old, new)
+                     + [path_agreement("old", old),
+                        path_agreement("new", new)]):
             print(line)
         print(f"{len(found)} differences")
         return 1 if found else 0
