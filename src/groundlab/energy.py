@@ -24,10 +24,14 @@ grid transformed by type-II DCTs along its even axes and DSTs along its odd
 ones, and a part that is exactly zero is skipped, so the ball, which
 equals its mirror image along each axis bit for bit, makes N type-II DCT
 passes and no DST.  Each part is folded straight from the density into
-one padded array that the parts share in turn, transformed there in place
-and summed before the next is folded, and the kernel spectrum is built
-only once the first part is transformed, so the energy holds about two
-grid-sized arrays beside the density.  The self-cell term is a fixed-seed
+one padded array that the parts share in turn, an odd extent read as one
+more cell of zero mass, transformed there in place and summed before the
+next is folded, so the energy holds about two grid-sized arrays beside
+the density: that array and the kernel spectrum.  From 2^16 cells on, the
+spectrum is built on a helper thread while the first part is folded and
+transformed, and every transform splits its lines over the CPUs the
+process may run on; pocketfft computes each line alike however they are
+split, so the value keeps its bits.  The self-cell term is a fixed-seed
 Monte Carlo average of W over intra-cell displacements.
 """
 
@@ -35,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +60,12 @@ _SELF_CELL_SEED = 170512
 _SELF_CELL_PAIRS = 512
 # cells of the density's halves per block of a parity component's folds
 _FOLD_BLOCK = 1 << 16
+# cells from which a density's transforms split their lines over the CPUs
+# and K^ is built on a helper thread: 48^3 gains, 32^3 loses to the start-up
+_THREADED_CELLS = 1 << 16
+# CPUs the process may run on, the workers of a threaded transform
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -176,13 +188,14 @@ def _octant_kernel(potential, shape, h, padded) -> np.ndarray:
     return kernel
 
 
-def _spectrum(potential, rho, lengths) -> np.ndarray:
+def _spectrum(potential, rho, lengths, workers) -> np.ndarray:
     """K^ of the grid energy: the type-I DCT of the octant kernel of
     ``rho`` zero-padded to L_i + 1 entries per axis, with frequencies
-    1..L_i - 1 doubled for their two signs, transformed in place."""
+    1..L_i - 1 doubled for their two signs, transformed in place by
+    ``workers`` threads (None: scipy's default)."""
     spectrum = dctn(_octant_kernel(potential, rho.extents, rho.cell_width,
                                    [n + 1 for n in lengths]),
-                    type=1, overwrite_x=True)
+                    type=1, overwrite_x=True, workers=workers)
     # frequencies 1..L-1 stand for both of their signs
     for axis in range(spectrum.ndim):
         spectrum[(slice(None),) * axis + (slice(1, -1),)] *= 2.0
@@ -191,11 +204,11 @@ def _spectrum(potential, rho, lengths) -> np.ndarray:
 
 def _parity_components(values, scale, out):
     """Write the nonzero parity components of the cell masses ``values *
-    scale`` about the grid centre, ``values`` an array of even extents,
-    into the corner of ``out`` one at a time, and yield the parities of
-    each once it is written.  ``out`` must hold zeros on the first call;
-    it is cleared before each component that follows a yielded one, so the
-    caller may overwrite it in between.
+    scale`` about the grid centre into the corner of ``out`` one at a
+    time, and yield the parities of each once it is written.  An odd
+    extent is read as one more cell of zero mass at its end.  ``out`` must
+    hold zeros on the first call; it is cleared before each component
+    that follows a yielded one, so the caller may overwrite it in between.
 
     Along each axis of e cells, the upper half plus the mirrored lower half
     is the even part (parity 0) and the upper half minus it the odd part
@@ -218,6 +231,16 @@ def _parity_components(values, scale, out):
             yield parities
 
 
+def _zero_extended(half, axis, size):
+    """``half`` with zeros appended along ``axis`` up to ``size`` cells:
+    the upper half of an odd extent lacks its last cell, read as zero."""
+    missing = size - half.shape[axis]
+    if not missing:
+        return half
+    return np.pad(half, [(0, missing if k == axis else 0)
+                         for k in range(half.ndim)])
+
+
 def _fold_into(values, scale, parities, out, nonzero):
     """Fold ``values * scale`` to the component of the given parities in
     the corner of ``out``, a block of about ``_FOLD_BLOCK`` cells of the
@@ -226,30 +249,36 @@ def _fold_into(values, scale, parities, out, nonzero):
     The first axis folds (v_u s) + (v_l s) or (v_u s) - (v_l s), the
     elements of a fold of the masses, and each later axis the halves of
     the block's previous fold, so every element takes the arithmetic of
-    folding the whole grid axis by axis.  Whether each fold is nonzero is
-    recorded in ``nonzero`` under its parities, and so is its sibling's,
-    the fold of the other parity from the same halves, which is formed
-    only until an earlier component has settled it or a block has shown
-    it nonzero.
+    folding the whole grid axis by axis.  An odd extent's upper half is
+    extended by a zero within the block, and 0 + x and 0 - x are exact,
+    so the folds are those of the grid padded by a zero cell.  Whether
+    each fold is nonzero is recorded in ``nonzero`` under its parities,
+    and so is its sibling's, the fold of the other parity from the same
+    halves, which is formed only until an earlier component has settled
+    it or a block has shown it nonzero.
     """
-    half = values.shape[0] // 2
+    half = (values.shape[0] + 1) // 2
     upper, lower = values[half:], values[half - 1::-1]
     rows = max(1, _FOLD_BLOCK // math.prod(values.shape[1:]))
-    corner = tuple(slice(0, e // 2) for e in values.shape[1:])
+    corner = tuple(slice(0, (e + 1) // 2) for e in values.shape[1:])
     seen = {}
     for first in range(0, half, rows):
         block = slice(first, min(first + rows, half))
-        up, low = upper[block] * scale, lower[block] * scale
+        low = lower[block] * scale
+        up = _zero_extended(upper[block] * scale, 0, len(low))
         for axis, parity in enumerate(parities):
             if axis:
-                low, up = np.split(part, 2, axis=axis)
+                middle = (part.shape[axis] + 1) // 2
+                low, up = np.split(part, [middle], axis=axis)
                 low = np.flip(low, axis)
-            part = up - low if parity else up + low
+                up = _zero_extended(up, axis, middle)
             key = parities[:axis + 1]
-            seen[key] = seen.get(key, False) or bool(part.any())
+            # the sibling first, so its temporary is gone before the fold
             sibling = key[:-1] + (1 - parity,)
             if sibling not in nonzero and not seen.get(sibling):
                 seen[sibling] = bool((up + low if parity else up - low).any())
+            part = up - low if parity else up + low
+            seen[key] = seen.get(key, False) or bool(part.any())
         out[(block,) + corner] = part
     nonzero.update(seen)
     return nonzero[parities]
@@ -257,38 +286,55 @@ def _fold_into(values, scale, parities, out, nonzero):
 
 def _transform_sums(potential, rho):
     """The off-diagonal sum and the sum of squared cell masses of ``rho``
-    by the parity-DCT path (see :func:`energy_grid`)."""
+    by the parity-DCT path (see :func:`energy_grid`).  From
+    ``_THREADED_CELLS`` cells on, every transform splits its lines over
+    ``_WORKERS`` threads, and a density with mass builds K^ on a helper
+    thread while its first component is folded and transformed."""
     squares = rho.values * rho.cell_volume
     squares *= squares
     square_sum = float(np.sum(squares))
     del squares
 
-    values = rho.values
-    if any(e % 2 for e in values.shape):
-        values = np.pad(values, [(0, e % 2) for e in values.shape])
-    lengths = [next_fast_len(e, real=True) for e in values.shape]
-    halves = [e // 2 for e in values.shape]
+    lengths = [next_fast_len(e + e % 2, real=True) for e in rho.extents]
+    workers = _WORKERS if rho.values.size >= _THREADED_CELLS else None
+    if workers is None or not square_sum:
+        off = _component_sums(rho, lengths, workers,
+                              lambda: _spectrum(potential, rho, lengths,
+                                                workers))
+        return off, square_sum
+    # leaving the block joins the helper, also when either side raises
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(_spectrum, potential, rho, lengths, workers)
+        off = _component_sums(rho, lengths, workers, pending.result)
+    return off, square_sum
+
+
+def _component_sums(rho, lengths, workers, take_spectrum):
+    """The off-diagonal sum of ``rho`` over its nonzero parity components
+    with the padded lengths ``lengths``, each transformed by ``workers``
+    threads; ``take_spectrum()`` gives K^ and is called once, after the
+    first component is transformed, so a zero density builds none."""
+    halves = [(e + 1) // 2 for e in rho.extents]
     part = np.zeros(lengths)
     spectrum = None
     off = 0.0
-    for parities in _parity_components(values, rho.cell_volume, part):
+    for parities in _parity_components(rho.values, rho.cell_volume, part):
         # in place, along each axis in turn: the axes before it are already
         # transformed, the ones after it still hold only their half grid
         for axis, parity in enumerate(parities):
             view = part[tuple(slice(None) if k <= axis else slice(0, e)
                               for k, e in enumerate(halves))]
             out = (dst if parity else dct)(view, type=2, axis=axis,
-                                           overwrite_x=True)
+                                           overwrite_x=True, workers=workers)
             if not np.may_share_memory(out, part):
                 view[...] = out
         part *= part
         if spectrum is None:
-            spectrum = _spectrum(potential, rho, lengths)
+            spectrum = take_spectrum()
         part *= spectrum[tuple(slice(p, p + n)
                                for p, n in zip(parities, lengths))]
         off += float(np.sum(part))
-    off /= 4**len(lengths) * math.prod(2 * n for n in lengths)
-    return off, square_sum
+    return off / (4**len(lengths) * math.prod(2 * n for n in lengths))
 
 
 def _lag_weights(masses):
@@ -363,20 +409,29 @@ def energy_grid(potential: RadialPotential, rho: GridDensity,
     ``"radial_fast"`` is the only ``quad_mode``; any other value raises
     ValueError.
 
-    Memory of the transform path: the cell masses are never formed as a
-    grid of their own.  The diagonal squares one temporary ``values *
-    cell_volume`` in place and drops it.  The components take turns in one
-    array of the padded half period, prod L_i cells: each is folded
-    straight from the density into its corner, a block at a time, then
+    Memory and threads of the transform path: the cell masses are never
+    formed as a grid of their own.  The diagonal squares one temporary
+    ``values * cell_volume`` in place and drops it.  The components take
+    turns in one array of the padded half period, prod L_i cells: each is
+    folded straight from the density into its corner, a block at a time,
+    an odd extent's missing cell read as zero within the block, then
     transformed there in place, one axis after the other, and summed
-    before the next is folded.  K^ is built once the first component is
-    transformed, so a zero density builds none.  The peak above the
-    density is that array, K^ and the temporaries of one fold block: 2.1
-    grids on the 128^3 ball witness and on a random 128^3 density, 2.3 on
-    a random 96^3 one, where all eight components are nonzero.
+    before the next is folded.  Below ``_THREADED_CELLS`` (2^16) cells, K^
+    is built once the first component is transformed, so a zero density
+    builds none.  From there on, K^ is built on one helper thread, started
+    once the squares are dropped and only if they sum to more than zero,
+    while the calling thread folds and transforms the first component and
+    then waits for it; the helper is joined before the energy returns or
+    raises, and what it raises is raised unchanged.  Every transform is
+    then split over ``_WORKERS`` threads, the CPUs the process may run on.
+    The peak above the density is that array, K^ and the temporaries of
+    one fold block, the first component's included: 2.2 grids on the
+    128^3 ball witness and on a random 128^3 density, 2.3-2.4 on a
+    random 96^3 or 95^3 one, where all eight components are nonzero.
     The sums are those of the mass-first order, bit for bit: (v_u c) +
-    (v_l c) is the fold of the masses v c element for element, and each
-    axis transforms the same zero-padded lines.
+    (v_l c) is the fold of the masses v c element for element, 0 + x and
+    0 - x are exact, and each axis transforms the same zero-padded lines,
+    each line alike on any thread.
     """
     if potential.dimension != rho.dimension:
         raise ValueError("potential and density dimensions differ")

@@ -187,7 +187,10 @@ class GridDensity:
 
     ``origin`` is the lower corner of the grid box; cell (i_1, ..., i_N)
     covers ``origin + cell_width * [i, i+1)`` per axis.  ``values`` holds the
-    density (mass per unit volume) on each cell.
+    density (mass per unit volume) on each cell, read-only: the public
+    constructor, :meth:`load` and :func:`dataclasses.replace` copy the
+    array they are given, and the witness builders keep the one they made
+    (see :meth:`_adopt`).
 
     A density built as a tensor product (the Gaussian and modulated
     witnesses) also keeps its 1-d factors, whose outer product ``values``
@@ -204,6 +207,24 @@ class GridDensity:
                             compare=False)
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, origin, cell_width, values) -> "GridDensity":
+        """The density of a float array ``values`` that nothing else
+        holds, as a witness builder makes it: the density keeps that
+        array, made read-only, where the public constructor would copy
+        it."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "origin", origin)
+        object.__setattr__(rho, "cell_width", cell_width)
+        object.__setattr__(rho, "values", values)
+        rho._settle(copy=False)
+        return rho
+
+    def _settle(self, copy):
+        """Check the fields and make them read-only float arrays, the
+        values a copy of the given array when ``copy`` is set."""
         vals = np.asarray(self.values, dtype=float)
         check_dimension(vals.ndim)
         org = np.asarray(self.origin, dtype=float).ravel()
@@ -213,7 +234,8 @@ class GridDensity:
             raise ValueError("cell_width must be positive and finite")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("cell values must be finite and nonnegative")
-        vals = vals.copy()
+        if copy:
+            vals = vals.copy()
         org = org.copy()
         vals.flags.writeable = False
         org.flags.writeable = False
@@ -229,15 +251,16 @@ class GridDensity:
         profile ``first`` sampled along the first axis and ``rest`` along
         the others, each normalized on its own.  The density carries the
         factors, read-only, so its energy takes the separable path of
-        :func:`groundlab.energy.energy_grid`."""
+        :func:`groundlab.energy.energy_grid`, and keeps their outer product
+        as its values."""
         h, axis = _mirrored_axis(radius, dimension, per_half)
         factors = (_unit_mass(first(axis), h),)
         if dimension > 1:
             factors += (_unit_mass(rest(axis), h),) * (dimension - 1)
         for factor in factors:
             factor.flags.writeable = False
-        rho = cls(np.full(dimension, -radius), h,
-                  functools.reduce(np.multiply.outer, factors))
+        rho = cls._adopt(np.full(dimension, -radius), h,
+                         functools.reduce(np.multiply.outer, factors))
         object.__setattr__(rho, "_factors", factors)
         return rho
 
@@ -405,15 +428,16 @@ def uniform_ball_density(radius: float, dimension: int,
 
     The ball is not a tensor product, so its density carries no factors.
     Its indicator is written into the one full-size array of squared
-    radii, with no bool array or copy beside it.
+    radii, with no bool array or copy beside it, and the density keeps
+    that array.
     """
     radius = float(radius)
     h, axis = _mirrored_axis(radius, dimension, cells_per_radius)
     rsq = sum(np.ix_(*[axis**2] * dimension))
     inside = np.less_equal(np.sqrt(rsq, out=rsq), radius, out=rsq,
                            casting="unsafe")
-    return GridDensity(np.full(dimension, -radius), h,
-                       _unit_mass(inside, h**dimension))
+    return GridDensity._adopt(np.full(dimension, -radius), h,
+                              _unit_mass(inside, h**dimension))
 
 
 def gaussian_witness_density(p: float, dimension: int) -> GridDensity:

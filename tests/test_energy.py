@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,134 @@ def test_asymmetric_density_energy_holds_one_component_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * rho.values.nbytes
+
+
+def test_odd_density_energy_holds_no_padded_copy():
+    # the folds read the cell an odd extent lacks as zero, so a random
+    # 95^3 density is held no more often than the 96^3 one above (a
+    # padded copy of the grid took it to 3.4 grids)
+    import tracemalloc
+
+    w = Morse(1.0, 2.0, 3)
+    rho = random_density((95, 95, 95), 83)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = energy_grid(w, rho)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rho.values.nbytes
+    assert (report.value, report.diagonal_contribution) == \
+        reference_energy_grid(w, rho)
+
+
+THREADED_CASES = [
+    ("ball-128^3", Morse(1.0, 2.0, 3),
+     lambda: uniform_ball_density(2.0, 3, cells_per_radius=64)),
+    ("random-41x45x39", Morse(1.2, 1.0, 3),
+     lambda: random_density((41, 45, 39), 84)),
+]
+
+
+def traced_spectra(monkeypatch):
+    """Record the thread and worker count of each K^ build, and the worker
+    counts the type-II DCTs and DSTs are given."""
+    seen = {"spectra": [], "transforms": set()}
+    spectrum = energy._spectrum
+
+    def recorded(potential, rho, lengths, workers):
+        seen["spectra"].append((threading.current_thread(), workers))
+        return spectrum(potential, rho, lengths, workers)
+
+    def counting(transform):
+        def wrapped(*args, workers=None, **kwargs):
+            seen["transforms"].add(workers)
+            return transform(*args, workers=workers, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(energy, "_spectrum", recorded)
+    monkeypatch.setattr(energy, "dct", counting(energy.dct))
+    monkeypatch.setattr(energy, "dst", counting(energy.dst))
+    return seen
+
+
+@pytest.mark.parametrize("potential, build", [c[1:] for c in THREADED_CASES],
+                         ids=[c[0] for c in THREADED_CASES])
+@pytest.mark.parametrize("workers", [None, 1])
+def test_threaded_energy_keeps_the_bits(potential, build, workers,
+                                        monkeypatch):
+    # above the threshold K^ is built on a helper thread, and each
+    # transform splits its lines over the CPUs; pocketfft computes every
+    # line alike however they are split, so one worker gives the same bits
+    if workers is not None:
+        monkeypatch.setattr(energy, "_WORKERS", workers)
+    rho = build()
+    assert rho.values.size >= energy._THREADED_CELLS
+    if rho.extents[0] < 128:
+        assert not np.array_equal(rho.values, rho.values[::-1])
+    seen = traced_spectra(monkeypatch)
+    report = energy_grid(potential, rho)
+    assert [workers for _, workers in seen["spectra"]] == [energy._WORKERS]
+    assert seen["spectra"][0][0] is not threading.current_thread()
+    assert seen["transforms"] == {energy._WORKERS}
+    assert (report.value, report.diagonal_contribution) == \
+        reference_energy_grid(potential, rho)
+
+
+def test_small_density_stays_on_the_calling_thread(monkeypatch):
+    rho = random_density((31, 32, 33), 85)
+    assert rho.values.size < energy._THREADED_CELLS
+    seen = traced_spectra(monkeypatch)
+    energy_grid(Morse(1.2, 1.0, 3), rho)
+    assert seen["spectra"] == [(threading.current_thread(), None)]
+    assert seen["transforms"] == {None}
+
+
+class KernelTableError(RuntimeError):
+    pass
+
+
+class FailingMorse(Morse):
+    """Morse that raises on more radii than the self-cell average takes,
+    that is on the kernel table, and keeps what it raised and where."""
+
+    raised = thread = None
+
+    def _profile(self, radii):
+        if radii.size > 2 * energy._SELF_CELL_PAIRS:
+            self.raised = KernelTableError("kernel table")
+            self.thread = threading.current_thread()
+            raise self.raised
+        return super()._profile(radii)
+
+
+def test_kernel_failure_on_the_helper_surfaces_and_joins_it():
+    w = FailingMorse(1.0, 2.0, 3)
+    rho = random_density((41, 45, 39), 86)
+    assert rho.values.size >= energy._THREADED_CELLS
+    threads = threading.active_count()
+    with pytest.raises(KernelTableError) as failure:
+        energy_grid(w, rho)
+    assert failure.value is w.raised
+    assert w.thread is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_zero_density_above_the_threshold_builds_no_spectrum(monkeypatch):
+    kernels = []
+    octant_kernel = energy._octant_kernel
+    monkeypatch.setattr(energy, "_octant_kernel",
+                        lambda *args: kernels.append(args[1]) or
+                        octant_kernel(*args))
+    rho = GridDensity(np.zeros(3), 0.1, np.zeros((41, 45, 39)))
+    assert rho.values.size >= energy._THREADED_CELLS
+    report = energy_grid(Morse(1.0, 2.0, 3), rho)
+    assert (report.value, report.diagonal_contribution) == (0.0, 0.0)
+    assert kernels == []
+    energy_grid(Morse(1.0, 2.0, 3), random_density((41, 45, 39), 87))
+    assert kernels == [(41, 45, 39)]
 
 
 def test_reloaded_and_derived_certificates_take_the_transform_path(

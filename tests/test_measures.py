@@ -353,6 +353,44 @@ def test_public_loaded_and_derived_densities_carry_no_factors(tmp_path):
         assert np.array_equal(other.values, rho.values)
 
 
+def test_public_densities_copy_and_builders_keep_their_own_array(tmp_path):
+    # the public constructor, load and replace copy what they are given;
+    # a builder keeps the array it made, read-only, with no copy
+    values = np.random.default_rng(6).uniform(size=(5, 4))
+    kept = values.copy()
+    public = GridDensity(np.zeros(2), 0.5, values)
+    values[...] = 7.0
+    assert np.array_equal(public.values, kept)
+    assert not public.values.flags.writeable
+    loaded = GridDensity.load(public.save(tmp_path / "grid"))
+    replaced = dataclasses.replace(public)
+    for other in (loaded, replaced):
+        assert not np.shares_memory(other.values, public.values)
+        assert np.array_equal(other.values, kept)
+    for rho in (uniform_ball_density(1.0, 2, 8),
+                gaussian_witness_density(0.5, 2),
+                modulated_witness_density(0.5, 1.0, 2)):
+        assert not rho.values.flags.writeable
+        with pytest.raises(ValueError):
+            rho.values[0, 0] = 1.0
+
+
+def test_ball_build_holds_little_more_than_its_grid():
+    # the 128^3 ball of the 3-d integral criterion: the squared radii
+    # become the density in place, and the density keeps that array, so
+    # the build peaks at the grid and the checks' bool temporaries
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rho = uniform_ball_density(2.0, 3, cells_per_radius=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.extents == (128, 128, 128)
+    assert peak <= 1.25 * rho.values.nbytes
+
+
 def test_empirical_approximation_contract():
     target = PointCloudMeasure([[0.0], [1.0], [2.5]], [0.2, 0.3, 0.5])
     approx = empirical_approximation(target, 0.1, n_min=50, seed=3)
